@@ -24,6 +24,7 @@ from .estimators import (
     ols,
     residual_cov,
     wald_test,
+    weight_matrix,
 )
 from .fstats import (
     FStatValue,

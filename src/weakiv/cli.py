@@ -152,7 +152,8 @@ def build_parser():
     sim_parent.add_argument("--seed", type=int, default=0)
     sim_parent.add_argument(
         "--workers", type=_positive_int("workers"), default=None,
-        help="worker processes (default: WEAKIV_WORKERS or 1)",
+        help="worker processes (default: WEAKIV_WORKERS or 1; at most the "
+        "CPU count)",
     )
 
     p_sim = sub.add_parser(
@@ -167,7 +168,8 @@ def build_parser():
     )
     p_cur.add_argument(
         "--scales", type=_scale_list, required=True,
-        help="comma-separated first-stage scale multipliers",
+        help="comma-separated first-stage scales; each one replaces the "
+        "design's scale_e (it is not a multiplier of it)",
     )
     p_cur.set_defaults(func=cmd_curves)
     return parser

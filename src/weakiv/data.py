@@ -162,7 +162,8 @@ def load_csv(path, y, x, z, controls=(), cluster=None):
 
     `y`, `x` name single columns; `z` and `controls` are sequences of column
     names; `cluster` optionally names a label column (values kept as opaque
-    strings). Empty cells and non-numeric cells are errors reported with their
+    strings). A bound name that appears more than once in the header is an
+    error. Empty cells and non-numeric cells are errors reported with their
     data row (1-based, header excluded) and column.
     """
     z = list(z)
@@ -183,6 +184,12 @@ def load_csv(path, y, x, z, controls=(), cluster=None):
         for name in needed:
             if name not in index:
                 raise InputError(f"{path}: missing column {name!r}")
+            positions = [i + 1 for i, h in enumerate(header) if h == name]
+            if len(positions) > 1:
+                raise InputError(
+                    f"{path}: column {name!r} appears more than once in the header "
+                    f"(columns {', '.join(map(str, positions))})"
+                )
         rows = list(reader)
     if not rows:
         raise InputError(f"{path}: no data rows")

@@ -28,6 +28,7 @@ __all__ = [
     "ols",
     "residual_cov",
     "wald_test",
+    "weight_matrix",
 ]
 
 _FLAVORS = ("hc0", "cluster")
@@ -35,6 +36,26 @@ _FLAVORS = ("hc0", "cluster")
 
 def _sym(m):
     return 0.5 * (m + m.T)
+
+
+def _spd(omega, k=None):
+    """Symmetrized copy of a weight matrix after checking that it is square
+    (k x k when `k` is given), symmetric and positive definite."""
+    omega = np.asarray(omega, dtype=float)
+    square = omega.ndim == 2 and omega.shape[0] == omega.shape[1]
+    if not square or k not in (None, omega.shape[0]):
+        want = "square" if k is None else f"{k}x{k}"
+        raise InputError(
+            f"omega has the wrong shape {omega.shape}: expected a {want} matrix"
+        )
+    if not np.allclose(omega, omega.T, rtol=1e-10, atol=1e-12):
+        raise InputError("omega must be symmetric")
+    omega = _sym(omega)
+    try:
+        np.linalg.cholesky(omega)
+    except np.linalg.LinAlgError:
+        raise InputError("omega must be positive definite") from None
+    return omega
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,16 +86,7 @@ class WeightSpec:
         if kind == "custom":
             if self.omega is None:
                 raise InputError("custom weight requires an omega matrix")
-            omega = np.asarray(self.omega, dtype=float)
-            if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
-                raise InputError("omega must be a square matrix")
-            if not np.allclose(omega, omega.T, rtol=1e-10, atol=1e-12):
-                raise InputError("omega must be symmetric")
-            try:
-                np.linalg.cholesky(_sym(omega))
-            except np.linalg.LinAlgError:
-                raise InputError("omega must be positive definite") from None
-            object.__setattr__(self, "omega", _sym(omega))
+            object.__setattr__(self, "omega", _spd(self.omega))
         elif self.omega is not None:
             raise InputError(f"weight kind {kind!r} does not take an omega matrix")
 
@@ -247,6 +259,26 @@ def _sandwich(z, t, u, denom, labels, dof_correction):
     return np.sqrt(max(var, 0.0))
 
 
+def weight_matrix(pd, spec, cov=None):
+    """The GMM weight matrix Omega that `spec` names for the data `pd`.
+
+    "2sls" gives (Z'Z/n)^{-1}; "gmmf" gives the inverse of the first-stage
+    moment covariance block `cov.v2v2`, so it needs `cov`; "custom" gives the
+    validated `spec.omega`. The two inverses are returned as computed, not
+    symmetrized; callers that need exact symmetry symmetrize.
+    """
+    if spec.kind == "custom":
+        return spec.omega
+    if spec.kind == "2sls":
+        m, what = pd.z.T @ pd.z / pd.n, "instrument cross-product matrix"
+    else:
+        m, what = cov.v2v2, "first-stage moment covariance"
+    try:
+        return np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        raise NumericalError(f"{what} is singular") from None
+
+
 def estimate(pd, spec, flavor="hc0", dof_correction=False):
     """Point estimate with robust (sandwich) and nonrobust standard errors.
 
@@ -259,21 +291,10 @@ def estimate(pd, spec, flavor="hc0", dof_correction=False):
     z, x, y, n = pd.z, pd.x, pd.y, pd.n
     ztx = z.T @ x
     zty = z.T @ y
-    if spec.kind == "2sls":
-        qn = z.T @ z / n
-        try:
-            omega = np.linalg.inv(qn)
-        except np.linalg.LinAlgError:
-            raise NumericalError("instrument cross-product matrix is singular") from None
-    elif spec.kind == "gmmf":
+    cov = None
+    if spec.kind == "gmmf":
         cov = estimate_moment_cov(pd, flavor=flavor, dof_correction=dof_correction)
-        try:
-            omega = np.linalg.inv(cov.v2v2)
-        except np.linalg.LinAlgError:
-            raise NumericalError("first-stage moment covariance is singular") from None
-    else:
-        omega = spec.omega
-    omega = _sym(omega)
+    omega = _sym(weight_matrix(pd, spec, cov))
     t = omega @ ztx
     denom = float(ztx @ t)
     if denom <= 0.0:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import NumericalError
+from .estimators import WeightSpec, _spd, weight_matrix
 
 __all__ = [
     "FStatValue",
@@ -68,27 +69,14 @@ def f_robust(pd, w2):
 def f_effective(pd, w2):
     w2 = np.asarray(w2, dtype=float)
     xpx, _ = _proj_quad(pd)
-    qn = pd.z.T @ pd.z / pd.n
-    try:
-        qn_inv = np.linalg.inv(qn)
-    except np.linalg.LinAlgError:
-        raise NumericalError("instrument cross-product matrix is singular") from None
-    denom = float(np.trace(w2 @ qn_inv))
+    denom = float(np.trace(w2 @ weight_matrix(pd, WeightSpec("2sls"))))
     if denom <= 0.0:
         raise NumericalError("nonpositive trace in effective F denominator")
     return FStatValue("effective", xpx / denom)
 
 
 def f_generalized(pd, cov, omega):
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (pd.k_z, pd.k_z):
-        raise InputError("omega has the wrong shape")
-    if not np.allclose(omega, omega.T, rtol=1e-10, atol=1e-12):
-        raise InputError("omega must be symmetric")
-    try:
-        np.linalg.cholesky(0.5 * (omega + omega.T))
-    except np.linalg.LinAlgError:
-        raise InputError("omega must be positive definite") from None
+    omega = _spd(omega, k=pd.k_z)
     ztx = pd.z.T @ pd.x
     denom = pd.n * float(np.trace(cov.v2v2 @ omega))
     if denom <= 0.0:

@@ -26,7 +26,13 @@ from .data import Dataset
 from .distributions import NoncentralChiSq, RngStream, chisq_quantile
 from .errors import InputError, NumericalError, WeakIvError
 from .estimators import ResidualCov
-from .weak_test import Benchmark, TransformedMomentCov, critical_value, worst_case_bias
+from .weak_test import (
+    Benchmark,
+    TransformedMomentCov,
+    _nagar_biases,
+    critical_value,
+    worst_case_bias,
+)
 
 __all__ = [
     "DesignComparison",
@@ -521,6 +527,12 @@ def _resolve_workers(workers):
     return workers
 
 
+def _pool_size(workers, jobs, cpus):
+    """Worker processes to start: never more than the jobs or the CPUs, since
+    a fork pool starts all of its processes at once."""
+    return min(workers, jobs, cpus)
+
+
 def run_sim(
     design,
     reps,
@@ -566,7 +578,8 @@ def run_sim(
             for lo in range(0, reps, chunk)
         ]
         results = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        size = _pool_size(workers, len(jobs), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=size) as pool:
             for part in pool.map(_sim_chunk, jobs):
                 results.extend(part)
     ok = [r for r in results if r is not None]
@@ -733,12 +746,7 @@ def random_design_comparison(
     vu = np.concatenate([part[1] for part in kept])[:count]
     v2 = np.concatenate([part[2] for part in kept])[:count]
     suv = np.concatenate([part[3] for part in kept])[:count]
-    cf = c * c * share
-    total = cf.sum(axis=1, keepdims=True)
-    r = cf / v2
-    rtot = r.sum(axis=1, keepdims=True)
-    nagar_2sls = ((1.0 - 2.0 * cf / total) * suv).sum(axis=1) / total[:, 0]
-    nagar_gmmf = ((1.0 - 2.0 * r / rtot) * (suv / v2)).sum(axis=1) / rtot[:, 0]
+    nagar_2sls, nagar_gmmf = _nagar_biases(c * c * share, v2, suv)
     return DesignComparison(
         count=count,
         attempts=attempts,

@@ -21,11 +21,13 @@ import numpy as np
 from .distributions import NoncentralChiSq, RngStream, chisq_quantile, mvn_sample
 from .errors import InputError, NumericalError
 from .estimators import (
-    MomentCov,
     ResidualCov,
     WeightSpec,
+    _spd,
+    _sym,
     estimate_moment_cov,
     residual_cov,
+    weight_matrix,
 )
 from .fstats import FStatValue, f_effective, f_generalized, f_robust
 
@@ -51,34 +53,10 @@ __all__ = [
 _MOP_CAP_TOL = 1e-6
 
 
-def _sym(m):
-    return 0.5 * (m + m.T)
-
-
-def _check_spd(omega, name):
-    omega = np.asarray(omega, dtype=float)
-    if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
-        raise InputError(f"{name} must be a square matrix")
-    if not np.allclose(omega, omega.T, rtol=1e-10, atol=1e-12):
-        raise InputError(f"{name} must be symmetric")
-    return _sym(omega)
-
-
-def _sym_sqrt(omega, name="omega"):
+def _sym_sqrt(omega):
     """Symmetric positive definite square root via eigendecomposition."""
-    omega = _check_spd(omega, name)
-    vals, vecs = np.linalg.eigh(omega)
-    if vals[0] <= 0.0:
-        raise InputError(f"{name} is not positive definite")
+    vals, vecs = np.linalg.eigh(_spd(omega))
     return (vecs * np.sqrt(vals)) @ vecs.T
-
-
-def _sym_inv_sqrt(m, name="matrix"):
-    m = _check_spd(m, name)
-    vals, vecs = np.linalg.eigh(m)
-    if vals[0] <= 0.0:
-        raise NumericalError(f"{name} is not positive definite")
-    return (vecs / np.sqrt(vals)) @ vecs.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,11 +373,11 @@ def weak_iv_test(
     """Run the full weak-instruments decision procedure for one estimator.
 
     Rejecting means the worst-case approximate relative bias of the estimator
-    is below tau at level alpha. The "gmmf" weight takes a fast path: the
-    transformed lower block is the identity, the effective dof equals k_z, and
-    the critical value is an exact scaled noncentral chi-square quantile.
-    `method` is "patnaik", "mc", or "conservative" (radius fixed at 1/tau,
-    valid and conservative for the mop benchmark only).
+    is below tau at level alpha. Every weight runs the same pipeline on its
+    Omega from `weight_matrix`; the kind only picks the statistic: effective
+    F for "2sls", robust F for "gmmf", generalized F for "custom". `method`
+    is "patnaik", "mc", or "conservative" (radius fixed at 1/tau, valid and
+    conservative for the mop benchmark only).
     """
     if not 0.0 < tau < 1.0:
         raise InputError(f"tau must be in (0, 1), got {tau}")
@@ -411,28 +389,14 @@ def weak_iv_test(
         spec = WeightSpec(spec)
     bench = _resolve_benchmark(benchmark, pd)
     cov = estimate_moment_cov(pd, flavor=flavor, dof_correction=dof_correction)
-    k = pd.k_z
-    fast = spec.kind == "gmmf"
-    if fast:
-        rinv = _sym_inv_sqrt(cov.v2v2, "first-stage moment covariance")
-        tc = TransformedMomentCov(
-            v1v1=rinv @ cov.v1v1 @ rinv,
-            v1v2=rinv @ cov.v1v2 @ rinv,
-            v2v2=np.eye(k),
-            omega=rinv @ rinv,
-        )
-        stat = f_robust(pd, cov.v2v2)
-    elif spec.kind == "2sls":
-        qn = pd.z.T @ pd.z / pd.n
-        try:
-            omega = np.linalg.inv(qn)
-        except np.linalg.LinAlgError:
-            raise NumericalError("instrument cross-product matrix is singular") from None
-        tc = transform_moment_cov(cov, omega)
+    omega = weight_matrix(pd, spec, cov)
+    tc = transform_moment_cov(cov, omega)
+    if spec.kind == "2sls":
         stat = f_effective(pd, cov.v2v2)
+    elif spec.kind == "gmmf":
+        stat = f_robust(pd, cov.v2v2)
     else:
-        tc = transform_moment_cov(cov, spec.omega)
-        stat = f_generalized(pd, cov, spec.omega)
+        stat = f_generalized(pd, cov, omega)
     warnings = ()
     sup = None
     if method == "conservative":
@@ -449,21 +413,11 @@ def weak_iv_test(
             warnings = ("bias-bound search did not converge; using best value found",)
         bias_bound = sup.value
         radius = bias_bound / tau
-    if fast:
-        keff = float(k)
-        if method == "mc":
-            cv = critical_value(
-                tc.v2v2, radius, alpha, "mc",
-                draws=mc_draws, directions=mc_directions, seed=mc_seed,
-            )
-        else:
-            cv = chisq_quantile(NoncentralChiSq(keff, radius * keff), 1.0 - alpha) / keff
-    else:
-        keff = effective_dof(tc.v2v2, radius)
-        cv = critical_value(
-            tc.v2v2, radius, alpha, "patnaik" if method == "conservative" else method,
-            draws=mc_draws, directions=mc_directions, seed=mc_seed,
-        )
+    keff = effective_dof(tc.v2v2, radius)
+    cv = critical_value(
+        tc.v2v2, radius, alpha, "patnaik" if method == "conservative" else method,
+        draws=mc_draws, directions=mc_directions, seed=mc_seed,
+    )
     return WeakIvResult(
         statistic=stat,
         bias_bound=float(bias_bound),
@@ -499,6 +453,18 @@ class GroupedBiasDiagnostics:
     conc_gmmf: float
 
 
+def _nagar_biases(cf, sv2, suv):
+    """Closed-form Nagar biases (2SLS, GMMf) of grouped designs, from the
+    per-group concentrations c^2 f, first-stage variances and structural
+    covariances; the last axis indexes groups, leading axes are designs."""
+    total = cf.sum(axis=-1, keepdims=True)
+    r = cf / sv2
+    rtot = r.sum(axis=-1, keepdims=True)
+    nagar_2sls = ((1.0 - 2.0 * cf / total) * suv).sum(axis=-1) / total[..., 0]
+    nagar_gmmf = ((1.0 - 2.0 * r / rtot) * (suv / sv2)).sum(axis=-1) / rtot[..., 0]
+    return nagar_2sls, nagar_gmmf
+
+
 def nagar_bias_grouped(design):
     """Closed-form approximate biases and concentrations for a grouped design
     with fixed group shares."""
@@ -515,15 +481,10 @@ def nagar_bias_grouped(design):
     total = float(cf.sum())
     if total <= 0.0:
         raise NumericalError("zero concentration: all first-stage coefficients vanish")
-    r = cf / sv2
-    rtot = float(r.sum())
-    conc_2sls = total / float(sv2.sum())
-    conc_gmmf = rtot / len(r)
-    nagar_2sls = float(((1.0 - 2.0 * cf / total) * suv).sum() / total)
-    nagar_gmmf = float(((1.0 - 2.0 * r / rtot) * (suv / sv2)).sum() / rtot)
+    nagar_2sls, nagar_gmmf = _nagar_biases(cf, sv2, suv)
     return GroupedBiasDiagnostics(
-        nagar_2sls=nagar_2sls,
-        nagar_gmmf=nagar_gmmf,
-        conc_2sls=conc_2sls,
-        conc_gmmf=conc_gmmf,
+        nagar_2sls=float(nagar_2sls),
+        nagar_gmmf=float(nagar_gmmf),
+        conc_2sls=total / float(sv2.sum()),
+        conc_gmmf=float((cf / sv2).sum()) / cf.size,
     )

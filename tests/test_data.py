@@ -140,6 +140,13 @@ class TestLoadCsv:
         with pytest.raises(InputError, match=r"empty cell at row 1, column 'b'"):
             load_csv(path, y="a", x="b", z=["c"])
 
+    def test_duplicate_header_name_rejected(self, tmp_path):
+        rows = [f"{i},{2 * i},{i % 3},{i % 5}" for i in range(12)]
+        path = self.write(tmp_path, "y,x,z,z\n" + "\n".join(rows) + "\n")
+        with pytest.raises(InputError, match=r"column 'z' appears more than once "
+                           r"in the header \(columns 3, 4\)"):
+            load_csv(path, y="y", x="x", z=["z"])
+
     def test_duplicate_instrument_column_named(self, tmp_path):
         rng = np.random.default_rng(6)
         lines = ["y,x,z1,z2"]

@@ -24,7 +24,7 @@ from weakiv import (
     weak_iv_test,
 )
 from weakiv.errors import InputError, NumericalError
-from weakiv.grouped_sim import random_design_comparison
+from weakiv.grouped_sim import _pool_size, random_design_comparison
 
 
 def small_structural(n=600, g=5, seed=0):
@@ -282,6 +282,13 @@ class TestRunSim:
         monkeypatch.setenv("WEAKIV_WORKERS", "zero")
         with pytest.raises(InputError, match="WEAKIV_WORKERS"):
             run_sim(design, 2, seed=5)
+
+    def test_pool_size_bounded_by_jobs_and_cpus(self):
+        # arithmetic only: no pool is started here
+        assert _pool_size(5000, 40, 2) == 2
+        assert _pool_size(5000, 3, 64) == 3
+        assert _pool_size(4, 40, 64) == 4
+        assert _pool_size(2, 1, 1) == 1
 
     def test_first_stage_only_summary(self):
         summ = run_sim(load_design("me"), 3, seed=0)

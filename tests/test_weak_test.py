@@ -323,6 +323,22 @@ class TestWeakIvTest:
         assert res.effective_dof == pytest.approx(keff, rel=1e-6)
         assert res.cv == pytest.approx(cv, rel=1e-6)
 
+    @pytest.mark.parametrize("named", ["2sls", "gmmf"])
+    def test_custom_weight_reproduces_named_weight(self, named):
+        rng = np.random.default_rng(26)
+        pd_ = make_pd(rng, n=400, kz=3, het=True)
+        if named == "2sls":
+            omega = np.linalg.inv(pd_.z.T @ pd_.z / pd_.n)
+        else:
+            omega = np.linalg.inv(estimate_moment_cov(pd_).v2v2)
+        want = weak_iv_test(pd_, WeightSpec(named))
+        got = weak_iv_test(pd_, WeightSpec("custom", omega=omega))
+        assert got.statistic.kind == "generalized"
+        for field in ("bias_bound", "radius", "effective_dof", "cv"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-9)
+        assert float(got.statistic) == pytest.approx(float(want.statistic), rel=1e-9)
+        assert got.reject == want.reject
+
     def test_statistic_kinds(self):
         rng = np.random.default_rng(21)
         pd_ = make_pd(rng, n=300, kz=3)
