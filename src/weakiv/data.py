@@ -9,7 +9,9 @@ instruments.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +20,9 @@ from .errors import InputError
 __all__ = ["Dataset", "PartialledData", "load_csv", "partial_out"]
 
 _RANK_RTOL = 1e-10
+
+_BLANK_LINE = re.compile(r"\n[^\S\n]*\n")
+_BARE_CR = re.compile(r"\r(?!\n)")
 
 
 def _as_matrix(a, name):
@@ -65,7 +70,8 @@ class Dataset:
     y: outcome (n,); x: endogenous regressor (n,); z: excluded instruments
     (n, k_z); controls: optional included exogenous columns (n, k_c), intercept
     included by the user; cluster: optional labels, stored as dense integer
-    codes in sorted label order.
+    codes in sorted label order. The arrays are treated as read-only: the
+    partialled view is computed once per Dataset.
     """
 
     y: np.ndarray
@@ -117,10 +123,19 @@ class Dataset:
     def k_z(self):
         return self.z.shape[1]
 
+    @cached_property
+    def _partialled(self):
+        return _partial_out(self)
+
 
 @dataclass(frozen=True, eq=False)
 class PartialledData:
-    """y, x, z with controls residualized away (orthogonal to the controls)."""
+    """y, x, z with controls residualized away (orthogonal to the controls).
+
+    The arrays are treated as read-only: the thin QR of z and the first-stage
+    residuals are computed once, on first use, and shared by every estimator,
+    statistic and test run on this data.
+    """
 
     y: np.ndarray
     x: np.ndarray
@@ -135,14 +150,30 @@ class PartialledData:
     def k_z(self):
         return self.z.shape[1]
 
+    @cached_property
+    def z_qr(self):
+        """Thin QR factors (q, r) of z, unchecked for rank."""
+        return np.linalg.qr(self.z)
+
+    @cached_property
+    def first_stage_residuals(self):
+        """(v1, v2): y and x less their projections on the columns of z."""
+        q, _ = self.z_qr
+        return self.y - q @ (q.T @ self.y), self.x - q @ (q.T @ self.x)
+
 
 def partial_out(data):
     """Residualize y, x, and each instrument column on the controls.
 
     Uses a QR factorization of the control matrix. With no controls this is an
     identity pass-through. The instruments must keep full column rank after
-    partialling.
+    partialling. The result is computed once per Dataset; later calls return
+    the same PartialledData.
     """
+    return data._partialled
+
+
+def _partial_out(data):
     if data.controls is None:
         _check_full_rank(data.z, "instrument matrix")
         return PartialledData(y=data.y, x=data.x, z=data.z, cluster=data.cluster)
@@ -162,9 +193,16 @@ def load_csv(path, y, x, z, controls=(), cluster=None):
 
     `y`, `x` name single columns; `z` and `controls` are sequences of column
     names; `cluster` optionally names a label column (values kept as opaque
-    strings). A bound name that appears more than once in the header is an
-    error. Empty cells and non-numeric cells are errors reported with their
-    data row (1-based, header excluded) and column.
+    strings, stripped of surrounding whitespace). A bound name that appears
+    more than once in the header is an error.
+
+    The data rows are parsed in one C-level pass (`np.loadtxt`). When that
+    pass rejects a cell, or the file has a line it would skip or split
+    differently from the csv module (an empty or whitespace-only line, a bare
+    carriage return), or a cluster label is empty, a per-cell scan reads the
+    file instead. The scan accepts the number forms that only Python's
+    `float` reads (such as `1_000`) and reports an empty or non-numeric cell
+    with its data row (1-based, header excluded) and column.
     """
     z = list(z)
     controls = list(controls)
@@ -190,6 +228,69 @@ def load_csv(path, y, x, z, controls=(), cluster=None):
                     f"{path}: column {name!r} appears more than once in the header "
                     f"(columns {', '.join(map(str, positions))})"
                 )
+        names = [y, x, *z, *controls]
+        label_col = None if cluster is None else index[cluster]
+        parsed = _parse_columns(path, fh.read(), [index[c] for c in names], label_col)
+    if parsed is None:
+        parsed = _scan_cells(path, index, names, cluster)
+    values, cl = parsed
+    k = len(z)
+    ds = Dataset(
+        y=values[:, 0].copy(),
+        x=values[:, 1].copy(),
+        z=np.ascontiguousarray(values[:, 2:2 + k]),
+        controls=np.ascontiguousarray(values[:, 2 + k:]) if controls else None,
+        cluster=cl,
+    )
+    try:
+        partial_out(ds)
+    except InputError as exc:
+        # map a bare column index from the rank check back to the column name
+        msg = str(exc)
+        for j, name in enumerate(z):
+            if f"column index {j}" in msg and "instrument" in msg:
+                raise InputError(
+                    f"{path}: instrument column {name!r} is collinear with the "
+                    "other instruments/controls"
+                ) from None
+        raise
+    return ds
+
+
+def _parse_columns(path, body, cols, label_col):
+    """(values, labels) of the data rows from one np.loadtxt pass: values
+    holds the columns `cols` in order, labels the stripped column `label_col`
+    (None when it is None). `body` is the text after the header. Returns None
+    where the per-cell scan must decide; see load_csv."""
+    # The leading newline stands for the header's, so a blank first data line
+    # is found too.
+    if not body or _BARE_CR.search(body) or _BLANK_LINE.search("\n" + body):
+        return None
+    dtype = [("v", float, (len(cols),))]
+    if label_col is not None:
+        cols = [*cols, label_col]
+        dtype.append(("c", object))
+    with open(path, newline="") as fh:
+        next(csv.reader(fh))
+        try:
+            block = np.loadtxt(fh, dtype=dtype, delimiter=",", usecols=cols,
+                               comments=None, quotechar='"', ndmin=1)
+        except ValueError:
+            return None
+    if label_col is None:
+        return block["v"], None
+    labels = np.array([v.strip() for v in block["c"]], dtype=object)
+    if any(v == "" for v in labels):
+        return None
+    return block["v"], labels
+
+
+def _scan_cells(path, index, names, cluster):
+    """(values, labels) as _parse_columns returns them, read cell by cell
+    with Python's float; raises InputError naming the first bad cell."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         rows = list(reader)
     if not rows:
         raise InputError(f"{path}: no data rows")
@@ -212,10 +313,7 @@ def load_csv(path, y, x, z, controls=(), cluster=None):
                 ) from None
         return out
 
-    y_col = numeric(y)
-    x_col = numeric(x)
-    z_mat = np.column_stack([numeric(name) for name in z])
-    c_mat = np.column_stack([numeric(name) for name in controls]) if controls else None
+    values = np.column_stack([numeric(name) for name in names])
     cl = None
     if cluster is not None:
         ci = index[cluster]
@@ -227,17 +325,4 @@ def load_csv(path, y, x, z, controls=(), cluster=None):
             raise InputError(
                 f"{path}: empty cell at row {r + 1}, column {cluster!r}"
             )
-    ds = Dataset(y=y_col, x=x_col, z=z_mat, controls=c_mat, cluster=cl)
-    try:
-        partial_out(ds)
-    except InputError as exc:
-        # map a bare column index from the rank check back to the column name
-        msg = str(exc)
-        for j, name in enumerate(z):
-            if f"column index {j}" in msg and "instrument" in msg:
-                raise InputError(
-                    f"{path}: instrument column {name!r} is collinear with the "
-                    "other instruments/controls"
-                ) from None
-        raise
-    return ds
+    return values, cl

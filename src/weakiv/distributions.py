@@ -139,7 +139,8 @@ def chisq_quantile(d, p, cdf_tol=1e-10, max_iter=400):
     Bracketed bisection; the bracket starts at
     [0, df + ncp + 10 sqrt(2 df + 4 ncp) + 50] and expands geometrically if it
     does not yet cover `p`. Bisection runs until the interval is resolved to
-    ~1e-12 relative, then the |CDF - p| < `cdf_tol` post-condition is checked.
+    1e-12 relative to its upper end, also for quantiles far below 1, then the
+    |CDF - p| < `cdf_tol` post-condition is checked.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability must be in (0, 1), got {p}")
@@ -156,7 +157,7 @@ def chisq_quantile(d, p, cdf_tol=1e-10, max_iter=400):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-12 * max(1.0, hi) or hi == lo:
+        if hi - lo <= 1e-12 * hi or hi == lo:
             break
     q = 0.5 * (lo + hi)
     if abs(chisq_cdf(d, q) - p) > cdf_tol:

@@ -164,18 +164,12 @@ class WaldResult:
     pvalue: float
 
 
-def _zq(pd):
-    q, r = np.linalg.qr(pd.z)
-    if np.abs(np.diag(r)).min() <= 1e-12 * np.abs(np.diag(r)).max():
-        raise NumericalError("instrument matrix is numerically rank deficient")
-    return q
-
-
 def _first_stage_residuals(pd):
-    q = _zq(pd)
-    v2 = pd.x - q @ (q.T @ pd.x)
-    v1 = pd.y - q @ (q.T @ pd.y)
-    return v1, v2
+    """pd's cached (v1, v2), after checking the rank of its QR of Z."""
+    d = np.abs(np.diag(pd.z_qr[1]))
+    if d.min() <= 1e-12 * d.max():
+        raise NumericalError("instrument matrix is numerically rank deficient")
+    return pd.first_stage_residuals
 
 
 def _cluster_sums(scores, labels):

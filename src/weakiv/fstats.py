@@ -41,19 +41,17 @@ class FStatValue:
 
 
 def _proj_quad(pd):
-    """x' P_Z x via a thin QR of the instruments."""
-    q, _ = np.linalg.qr(pd.z)
-    w = q.T @ pd.x
-    return float(w @ w), q
+    """x' P_Z x via the thin QR of the instruments."""
+    w = pd.z_qr[0].T @ pd.x
+    return float(w @ w)
 
 
 def f_nonrobust(pd):
-    xpx, q = _proj_quad(pd)
-    v2 = pd.x - q @ (q.T @ pd.x)
+    _, v2 = pd.first_stage_residuals
     sigma2 = float(v2 @ v2) / pd.n
     if sigma2 <= 0.0:
         raise NumericalError("zero first-stage residual variance")
-    return FStatValue("nonrobust", xpx / (pd.k_z * sigma2))
+    return FStatValue("nonrobust", _proj_quad(pd) / (pd.k_z * sigma2))
 
 
 def f_robust(pd, w2):
@@ -68,11 +66,10 @@ def f_robust(pd, w2):
 
 def f_effective(pd, w2):
     w2 = np.asarray(w2, dtype=float)
-    xpx, _ = _proj_quad(pd)
     denom = float(np.trace(w2 @ weight_matrix(pd, WeightSpec("2sls"))))
     if denom <= 0.0:
         raise NumericalError("nonpositive trace in effective F denominator")
-    return FStatValue("effective", xpx / denom)
+    return FStatValue("effective", _proj_quad(pd) / denom)
 
 
 def f_generalized(pd, cov, omega):

@@ -229,6 +229,15 @@ class TestSimulateAndCurves:
         assert doc["meta"]["options"]["reps"] == 4
         assert "f_r" in doc["results"]["means"]
 
+    def test_extreme_alpha_exits_0(self, capsys):
+        """alpha near 1 puts the Wald critical value's chi-square quantile
+        far below 1."""
+        code, out, err = run_main(
+            ["simulate", "me_reconstructed", "--reps", "2", "--alpha", "0.9999"],
+            capsys,
+        )
+        assert code == 0, err
+
     def test_curves_single_point(self, capsys):
         code, out, err = run_main(
             ["curves", "homoskedastic", "--scales", "0.04", "--reps", "5",

@@ -168,3 +168,131 @@ class TestLoadCsv:
         path = self.write(tmp_path, "")
         with pytest.raises(InputError, match="empty file"):
             load_csv(path, y="a", x="b", z=["c"])
+
+
+def _write_bytes(tmp_path, text):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode())
+    return str(path)
+
+
+def _rows(count):
+    return [f"{1.0 + i},{2.0 + 3 * i},{(i * 7) % 5},{i % 2}" for i in range(count)]
+
+
+class TestLoadCsvCells:
+    """Cell forms and line layouts that load_csv must accept or reject with
+    the 1-based row of the per-cell scan."""
+
+    @pytest.mark.parametrize(
+        "body, row",
+        [
+            ("\n".join(_rows(1) + [""] + _rows(11)) + "\n", 2),
+            ("\n".join(_rows(1) + ["   "] + _rows(11)) + "\n", 2),
+            ("\r\n".join(_rows(1) + ["\t "] + _rows(11)) + "\r\n", 2),
+            ("\r\n".join(_rows(4)) + "\r\n\r\n", 5),
+            ("\n".join(_rows(12)) + "\n\n", 13),
+            ("\n".join(_rows(3)) + "\r\r\n" + "\n".join(_rows(9)) + "\n", 4),
+            ("\n" + "\n".join(_rows(12)) + "\n", 1),
+        ],
+        ids=["blank", "spaces", "crlf-tab", "crlf-trailing", "lf-trailing",
+             "bare-cr", "leading"],
+    )
+    def test_blank_line_is_an_empty_cell(self, tmp_path, body, row):
+        path = _write_bytes(tmp_path, "y,x,z,g\n" + body)
+        with pytest.raises(InputError, match=rf"empty cell at row {row}, column 'y'$"):
+            load_csv(path, y="y", x="x", z=["z"])
+
+    def test_short_row_is_an_empty_cell(self, tmp_path):
+        rows = _rows(12)
+        rows[6] = "1.0,2.0"
+        path = _write_bytes(tmp_path, "y,x,z,g\n" + "\n".join(rows) + "\n")
+        with pytest.raises(InputError, match=r"empty cell at row 7, column 'z'$"):
+            load_csv(path, y="y", x="x", z=["z"])
+
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            ('""', r"empty cell at row 9, column 'z'$"),
+            ("  ", r"empty cell at row 9, column 'z'$"),
+            ("0x10", r"non-numeric cell '0x10' at row 9, column 'z'$"),
+            (' "2"', r"non-numeric cell '\"2\"' at row 9, column 'z'$"),
+        ],
+    )
+    def test_bad_cell_messages(self, tmp_path, cell, message):
+        rows = _rows(12)
+        rows[8] = f"1.0,2.0,{cell},1"
+        path = _write_bytes(tmp_path, "y,x,z,g\n" + "\n".join(rows) + "\n")
+        with pytest.raises(InputError, match=message):
+            load_csv(path, y="y", x="x", z=["z"])
+
+    def test_empty_cluster_label_reported(self, tmp_path):
+        rows = [r + f",s{i % 3}" for i, r in enumerate(_rows(12))]
+        rows[10] = rows[10].rsplit(",", 1)[0] + ", "
+        path = _write_bytes(tmp_path, "y,x,z,g,state\n" + "\n".join(rows) + "\n")
+        with pytest.raises(InputError, match=r"empty cell at row 11, column 'state'$"):
+            load_csv(path, y="y", x="x", z=["z"], cluster="state")
+
+    def test_padded_and_quoted_numbers_load(self, tmp_path):
+        rows = _rows(12)
+        rows[0] = ' 1.5 ,"2.5",  "3.5"  ,1'
+        rows[1] = '\t-4e-1\t,"  6 ","7" ,0'
+        path = _write_bytes(tmp_path, "y,x,z,g\r\n" + "\r\n".join(rows) + "\r\n")
+        with pytest.raises(InputError, match=r"non-numeric cell '\"3.5\"' at row 1"):
+            load_csv(path, y="y", x="x", z=["z"])
+        ds = load_csv(path, y="y", x="x", z=["g"])
+        assert ds.y[:2].tolist() == [1.5, -0.4]
+        assert ds.x[:2].tolist() == [2.5, 6.0]
+        assert ds.z[:2, 0].tolist() == [1.0, 0.0]
+
+    def test_forms_only_python_float_takes(self, tmp_path):
+        rows = _rows(12)
+        rows[3] = "1_000,\u0664\u0662,1,0"
+        path = _write_bytes(tmp_path, "y,x,z,g\n" + "\n".join(rows) + "\n")
+        ds = load_csv(path, y="y", x="x", z=["z"])
+        assert ds.y[3] == 1000.0
+        assert ds.x[3] == 42.0
+
+    def test_padded_and_quoted_cluster_labels(self, tmp_path):
+        labels = [" a", '"b,c"', "a ", '" b,c "', "d", '"a"'] * 2
+        rows = [f"{r},{lab}" for r, lab in zip(_rows(12), labels)]
+        path = _write_bytes(tmp_path, "y,x,z,g,state\n" + "\n".join(rows) + "\n")
+        ds = load_csv(path, y="y", x="x", z=["z"], cluster="state")
+        assert ds.cluster.tolist() == [0, 1, 0, 1, 2, 0] * 2
+
+    def test_bare_cr_line_endings_load(self, tmp_path):
+        path = _write_bytes(tmp_path, "y,x,z,g\r" + "\r".join(_rows(12)) + "\r")
+        ds = load_csv(path, y="y", x="x", z=["z"])
+        assert ds.n == 12
+        assert ds.x[-1] == 35.0
+
+    def test_fast_parse_and_cell_scan_bit_equal(self, tmp_path):
+        """Every number reaches the same double through the C parser and
+        through Python's float: one file parses fully in C, its twin differs
+        by one cell that only float() reads, which sends it to the scan."""
+        rng = np.random.default_rng(11)
+        n, k = 400, 5
+        vals = rng.standard_normal((n, k + 2)) * 10.0 ** rng.integers(-8, 9, (n, k + 2))
+        vals[5, 3] = 1000.0
+        forms = [repr, lambda v: f"{v:.17g}", lambda v: f"{v:.6e}",
+                 lambda v: f" {v!r} ", lambda v: f'"{v!r}"']
+        cells = [[forms[(i + j) % len(forms)](v) for j, v in enumerate(row)]
+                 for i, row in enumerate(vals.tolist())]
+        header = "y,x," + ",".join(f"z{j}" for j in range(k)) + ",state"
+        lines = [",".join(row) + f",g{i % 9}" for i, row in enumerate(cells)]
+        fast = _write_bytes(tmp_path, header + "\n" + "\n".join(lines) + "\n")
+        cells[5][3] = "1_000"
+        lines[5] = ",".join(cells[5]) + ",g5"
+        twin = tmp_path / "twin.csv"
+        twin.write_bytes((header + "\n" + "\n".join(lines) + "\n").encode())
+        zs = [f"z{j}" for j in range(k)]
+        a = load_csv(fast, y="y", x="x", z=zs, cluster="state")
+        b = load_csv(str(twin), y="y", x="x", z=zs, cluster="state")
+        parsed = np.array([[float(c.strip().strip('"')) for c in row] for row in cells])
+        parsed[5, 3] = 1000.0
+        for ds in (a, b):
+            assert ds.y.tobytes() == parsed[:, 0].tobytes()
+            assert ds.x.tobytes() == parsed[:, 1].tobytes()
+            assert ds.z.tobytes() == np.ascontiguousarray(parsed[:, 2:]).tobytes()
+            assert ds.z.flags.c_contiguous
+            assert ds.cluster.tolist() == [i % 9 for i in range(n)]

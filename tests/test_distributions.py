@@ -70,6 +70,16 @@ class TestNoncentralChiSq:
             )
             assert chisq_quantile(d, p) == pytest.approx(want, rel=1e-8, abs=1e-8)
 
+    @pytest.mark.parametrize("df", [0.3, 0.7, 1.0, 2.5, 10.0, 40.0])
+    @pytest.mark.parametrize("ncp", [0.0, 1.0, 20.0, 170.0, 1000.0, 4200.0, 1e4])
+    def test_quantile_cdf_oracle_wide_range(self, df, ncp):
+        """scipy's CDF at our quantile is p, from tiny quantiles (df < 1,
+        p = 1e-4) up to the noncentralities small tau reaches."""
+        d = NoncentralChiSq(df, ncp)
+        for p in [1e-4, 0.05, 0.5, 0.95, 0.999]:
+            q = chisq_quantile(d, p)
+            assert abs(scipy.stats.ncx2.cdf(q, df, ncp) - p) <= 1e-9
+
     def test_published_central_quantiles(self):
         known = {
             (1.0, 0.95): 3.841459,

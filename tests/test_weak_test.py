@@ -381,6 +381,33 @@ class TestWeakIvTest:
         with pytest.raises(InputError, match="unknown benchmark"):
             weak_iv_test(pd_, WeightSpec("2sls"), benchmark="stock-yogo")
 
+    def test_z_factored_once(self, monkeypatch):
+        """Both tests on one dataset share a single QR of Z; the results
+        equal those on fresh copies of the data."""
+        from weakiv import PartialledData
+
+        rng = np.random.default_rng(28)
+        pd_ = make_pd(rng, n=300, kz=3, het=True, with_cluster=True)
+        fresh = [PartialledData(y=pd_.y, x=pd_.x, z=pd_.z, cluster=pd_.cluster)
+                 for _ in range(2)]
+        factored = []
+        qr = np.linalg.qr
+
+        def counting_qr(a, *args, **kwargs):
+            factored.append(a)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        shared = [weak_iv_test(pd_, WeightSpec(kind), flavor="cluster")
+                  for kind in ("2sls", "gmmf")]
+        assert len(factored) == 1
+        assert factored[0] is pd_.z
+        for got, kind, data in zip(shared, ("2sls", "gmmf"), fresh):
+            want = weak_iv_test(data, WeightSpec(kind), flavor="cluster")
+            for field in ("bias_bound", "radius", "effective_dof", "cv", "reject"):
+                assert getattr(got, field) == getattr(want, field)
+            assert float(got.statistic) == float(want.statistic)
+
     def test_singular_instruments_numerical_error(self):
         from weakiv import PartialledData
 
