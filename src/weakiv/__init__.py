@@ -35,7 +35,6 @@ from .fstats import (
 )
 from .grouped_sim import (
     GroupedDesign,
-    RepStats,
     SimSummary,
     available_designs,
     generate,

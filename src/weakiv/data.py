@@ -132,9 +132,9 @@ class Dataset:
 class PartialledData:
     """y, x, z with controls residualized away (orthogonal to the controls).
 
-    The arrays are treated as read-only: the thin QR of z and the first-stage
-    residuals are computed once, on first use, and shared by every estimator,
-    statistic and test run on this data.
+    The arrays are treated as read-only: the thin QR of z, the first-stage
+    residuals and the moment covariance estimates are computed once, on first
+    use, and shared by every estimator, statistic and test run on this data.
     """
 
     y: np.ndarray
@@ -160,6 +160,12 @@ class PartialledData:
         """(v1, v2): y and x less their projections on the columns of z."""
         q, _ = self.z_qr
         return self.y - q @ (q.T @ self.y), self.x - q @ (q.T @ self.x)
+
+    @cached_property
+    def moment_covs(self):
+        """`estimate_moment_cov` results made so far, by (flavor,
+        dof_correction)."""
+        return {}
 
 
 def partial_out(data):

@@ -225,16 +225,24 @@ def estimate_moment_cov(pd, flavor="hc0", beta_for_v1=None, dof_correction=False
     With `beta_for_v1` set, the first residual is the structural one
     y - beta*x instead of the reduced-form projection residual. No
     degrees-of-freedom correction is applied unless `dof_correction` is set
-    (then n/(n - k_z), or G/(G - 1) for the cluster flavor).
+    (then n/(n - k_z), or G/(G - 1) for the cluster flavor). Without
+    `beta_for_v1` the estimate is made once per `pd`, flavor and correction,
+    and later calls return the same MomentCov.
     """
     labels = _resolve_flavor(pd, flavor)
+    key = (flavor, bool(dof_correction))
+    if beta_for_v1 is None and key in pd.moment_covs:
+        return pd.moment_covs[key]
     v1, v2 = _first_stage_residuals(pd)
     if beta_for_v1 is not None:
         v1 = pd.y - float(beta_for_v1) * pd.x
     blocks = _meat(pd.z, [v1, v2], labels, dof_correction)
-    return MomentCov(
+    cov = MomentCov(
         v1v1=blocks[(0, 0)], v1v2=blocks[(0, 1)], v2v2=blocks[(1, 1)], flavor=flavor
     )
+    if beta_for_v1 is None:
+        pd.moment_covs[key] = cov
+    return cov
 
 
 def residual_cov(pd):

@@ -5,7 +5,8 @@ pipeline reduces to per-group sums: 2SLS and GMMf are weighted averages of the
 per-group Wald ratios, the F-statistics are (weighted) means of per-group
 F-statistics, and the moment-covariance blocks are diagonal. Replication r
 draws from an independent counter-based substream (seed, r), which makes
-results invariant to the worker count.
+results invariant to the worker count. A chunk of replications is drawn and
+reduced to group moments one replication at a time, then tested all at once.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import dataclasses
 import math
 import os
 import warnings as _pywarnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
@@ -25,20 +27,12 @@ import yaml
 from .data import Dataset
 from .distributions import NoncentralChiSq, RngStream, chisq_quantile
 from .errors import InputError, NumericalError, WeakIvError
-from .estimators import ResidualCov
-from .weak_test import (
-    Benchmark,
-    TransformedMomentCov,
-    _nagar_biases,
-    critical_value,
-    worst_case_bias,
-)
+from .weak_test import _diagonal_worst_case_bias, _keff, _nagar_biases, critical_value
 
 __all__ = [
     "DesignComparison",
     "GroupStats",
     "GroupedDesign",
-    "RepStats",
     "SimSummary",
     "available_designs",
     "generate",
@@ -50,6 +44,9 @@ __all__ = [
 ]
 
 _MAX_REDRAWS = 10
+_CHUNK_REPS = 1024
+"""Most replications one chunk holds; bounds the memory of its columns."""
+_FAILURE_STAGES = ("draw", "moments", "moment_cov", "bias_bound", "critical_value")
 
 
 def _as_float_vector(value, g, name):
@@ -233,7 +230,7 @@ def _fixed_counts(n, probs):
     return base
 
 
-def _draw_labels(design, gen):
+def _draw_labels(design, gen, tally=None):
     g = design.G
     if design.sizes == "fixed":
         return np.repeat(np.arange(g), _fixed_counts(design.n, design.group_probs))
@@ -242,6 +239,8 @@ def _draw_labels(design, gen):
         if np.bincount(labels, minlength=g).min() > 0:
             return labels
         if attempt < _MAX_REDRAWS:
+            if tally is not None:
+                tally["redraws"] += 1
             _pywarnings.warn(
                 f"drew an empty group; redrawing ({attempt + 1}/{_MAX_REDRAWS})",
                 stacklevel=2,
@@ -252,8 +251,10 @@ def _draw_labels(design, gen):
     )
 
 
-def _draw(design, gen):
-    labels = _draw_labels(design, gen)
+def _draw(design, gen, tally=None):
+    """One dataset (labels, x, y); y is None for first-stage-only designs.
+    Empty-group redraws are counted in `tally["redraws"]` when given."""
+    labels = _draw_labels(design, gen, tally)
     pi = design.pi
     if design.has_structural:
         l11 = np.sqrt(design.var_u)
@@ -394,111 +395,141 @@ def group_stats(data, labels=None):
     )
 
 
-@dataclass(frozen=True, eq=False)
-class RepStats:
-    """One replication's statistics; the structural fields are None for
-    first-stage-only designs."""
-
-    f_stat: float
-    f_eff: float
-    f_r: float
-    f_per_group: np.ndarray
-    weights_2sls: np.ndarray
-    weights_gmmf: np.ndarray
-    cv_eff: float | None = None
-    cv_r: float | None = None
-    reject_eff: bool | None = None
-    reject_r: bool | None = None
-    beta_ols: float | None = None
-    beta_2sls: float | None = None
-    beta_gmmf: float | None = None
-    wald_2sls: bool | None = None
-    wald_gmmf: bool | None = None
+_SUMMARY_FIELDS = ("f_stat", "f_eff", "f_r", "f_per_group", "weights_2sls", "weights_gmmf")
+_STRUCTURAL_FIELDS = (
+    "counts", "mean_x", "var_x", "var_y", "cov_xy", "sxx", "syy", "sxy",
+    "pooled_var_x", "sum_nxb2", "gmmf_den", "beta_ols", "beta_2sls", "beta_gmmf",
+)
 
 
-def _one_rep(design, seed, rep, tau, alpha, benchmark, method, wald_cv):
-    gen = RngStream(seed, rep).generator()
-    labels, x, y = _draw(design, gen)
-    g = design.G
-    m = _group_moments(labels, g, x, y)
-    if y is None:
-        return RepStats(
-            f_stat=m.f_stat,
-            f_eff=m.f_eff,
-            f_r=m.f_r,
-            f_per_group=m.f_per_group,
-            weights_2sls=m.weights_2sls,
-            weights_gmmf=m.weights_gmmf,
-        )
-    n = labels.size
+def _moment_columns(design, seed, rep_ids, tally):
+    """Stage 1: draw each replication from its own substream and compute its
+    group moments. Returns the moments of the replications that got this far
+    as columns, one row per replication in order: (R,) for scalars, (R, G)
+    for per-group vectors; None if none did. Failures are counted in `tally`."""
+    fields = _SUMMARY_FIELDS + (_STRUCTURAL_FIELDS if design.has_structural else ())
+    rows = []
+    for rep in rep_ids:
+        gen = RngStream(seed, rep).generator()
+        try:
+            labels, x, y = _draw(design, gen, tally)
+        except WeakIvError:
+            tally["draw"] += 1
+            continue
+        try:
+            m = _group_moments(labels, design.G, x, y)
+        except WeakIvError:
+            tally["moments"] += 1
+            continue
+        rows.append([getattr(m, k) for k in fields])
+    if not rows:
+        return None
+    return {k: np.array(col) for k, col in zip(fields, zip(*rows))}
+
+
+def _critical_values(v2v2, radius, alpha, method, valid):
+    """Critical values of the replications with diagonal transformed lower
+    blocks `v2v2` (R, G) and noncentrality radii `radius`, where `valid`;
+    NaN elsewhere and where the computation fails. Patnaik critical values of
+    all replications come from one batched quantile."""
+    cv = np.full(radius.shape, np.nan)
+    idx = np.flatnonzero(valid)
+    if method == "mc":
+        for i in idx:
+            try:
+                cv[i] = critical_value(np.diag(v2v2[i]), radius[i], alpha, "mc")
+            except WeakIvError:
+                pass
+    elif idx.size:
+        w = v2v2[idx]
+        keff = _keff(w.sum(axis=1), (w * w).sum(axis=1), w.max(axis=1), radius[idx])
+        law = NoncentralChiSq(keff, radius[idx] * keff)
+        cv[idx] = chisq_quantile(law, 1.0 - alpha) / keff
+    return cv
+
+
+def _rep_stats(design, m, tau, alpha, benchmark, method, wald_cv, tally):
+    """Stage 2: the weak-instruments tests and Wald tests of every replication
+    of a chunk at once, from its moment columns `m`. Returns the columns of
+    the replications that succeed; failures are counted in `tally` under the
+    first stage that fails, in the order a single replication runs them."""
+    failed = np.zeros(m["f_stat"].shape, dtype=bool)
+
+    def fail(stage, mask):
+        new = mask & ~failed
+        tally[stage] += int(new.sum())
+        failed[new] = True
+
+    var_x, var_y, cov_xy = m["var_x"], m["var_y"], m["cov_xy"]
+    n = design.n
+    resid = None
     if benchmark == "ls":
-        bench = Benchmark(
-            "ls",
-            ResidualCov(
-                float((m.counts * m.var_y).sum()) / n,
-                float((m.counts * m.cov_xy).sum()) / n,
-                m.pooled_var_x,
-            ),
+        resid = (
+            (m["counts"] * var_y).sum(axis=1) / n,
+            (m["counts"] * cov_xy).sum(axis=1) / n,
+            m["pooled_var_x"],
         )
-    else:
-        bench = Benchmark("mop")
-    tc_eff = TransformedMomentCov(
-        np.diag(m.var_y), np.diag(m.cov_xy), np.diag(m.var_x)
+        # the singularity test of ResidualCov
+        fail("moment_cov", resid[0] * resid[2] - resid[1] * resid[1] <= 1e-12)
+    # the diagonal transformed covariances are positive definite group by group
+    fail("moment_cov", np.any(var_y * var_x - cov_xy * cov_xy <= 0.0, axis=1))
+    ones = np.ones_like(var_x)
+    bias_eff, ok_eff = _diagonal_worst_case_bias(var_y, cov_xy, var_x, benchmark, resid)
+    bias_r, ok_r = _diagonal_worst_case_bias(
+        var_y / var_x, cov_xy / var_x, ones, benchmark, resid
     )
-    cv_eff = critical_value(
-        tc_eff.v2v2, worst_case_bias(tc_eff, bench).value / tau, alpha, method
-    )
-    tc_r = TransformedMomentCov(
-        np.diag(m.var_y / m.var_x), np.diag(m.cov_xy / m.var_x), np.eye(g)
-    )
-    cv_r = critical_value(
-        tc_r.v2v2, worst_case_bias(tc_r, bench).value / tau, alpha, method
-    )
-    su_2sls = m.syy - 2.0 * m.beta_2sls * m.sxy + m.beta_2sls**2 * m.sxx
-    var_2sls = float((m.mean_x * m.mean_x * su_2sls).sum()) / m.sum_nxb2**2
-    su_gmmf = m.syy - 2.0 * m.beta_gmmf * m.sxy + m.beta_gmmf**2 * m.sxx
-    var_gmmf = (
-        float(((m.mean_x / m.var_x) ** 2 * su_gmmf).sum()) / m.gmmf_den**2
-    )
-    return RepStats(
-        f_stat=m.f_stat,
-        f_eff=m.f_eff,
-        f_r=m.f_r,
-        f_per_group=m.f_per_group,
-        weights_2sls=m.weights_2sls,
-        weights_gmmf=m.weights_gmmf,
+    cv_eff = _critical_values(var_x, bias_eff / tau, alpha, method, ok_eff & ~failed)
+    cv_r = _critical_values(ones, bias_r / tau, alpha, method, ok_r & ~failed)
+    fail("bias_bound", ~ok_eff)
+    fail("critical_value", np.isnan(cv_eff))
+    fail("bias_bound", ~ok_r)
+    fail("critical_value", np.isnan(cv_r))
+
+    b2, bg = m["beta_2sls"], m["beta_gmmf"]
+    mean_x, sxx, syy, sxy = m["mean_x"], m["sxx"], m["syy"], m["sxy"]
+    su_2sls = syy - 2.0 * b2[:, None] * sxy + b2[:, None] ** 2 * sxx
+    var_2sls = (mean_x * mean_x * su_2sls).sum(axis=1) / m["sum_nxb2"] ** 2
+    su_gmmf = syy - 2.0 * bg[:, None] * sxy + bg[:, None] ** 2 * sxx
+    var_gmmf = ((mean_x / var_x) ** 2 * su_gmmf).sum(axis=1) / m["gmmf_den"] ** 2
+    out = {k: m[k] for k in _SUMMARY_FIELDS}
+    out.update(
         cv_eff=cv_eff,
         cv_r=cv_r,
-        reject_eff=bool(m.f_eff > cv_eff),
-        reject_r=bool(m.f_r > cv_r),
-        beta_ols=m.beta_ols,
-        beta_2sls=m.beta_2sls,
-        beta_gmmf=m.beta_gmmf,
-        wald_2sls=bool((m.beta_2sls - design.beta) ** 2 / var_2sls > wald_cv),
-        wald_gmmf=bool((m.beta_gmmf - design.beta) ** 2 / var_gmmf > wald_cv),
+        weak_eff=m["f_eff"] > cv_eff,
+        weak_r=m["f_r"] > cv_r,
+        beta_ols=m["beta_ols"],
+        beta_2sls=b2,
+        beta_gmmf=bg,
+        wald_2sls=(b2 - design.beta) ** 2 / var_2sls > wald_cv,
+        wald_gmmf=(bg - design.beta) ** 2 / var_gmmf > wald_cv,
     )
+    return {k: v[~failed] for k, v in out.items()}
 
 
 def _sim_chunk(args):
+    """Replications `rep_ids`: (columns of the successful ones or None, tally
+    of failures by stage and of empty-group redraws)."""
     design, rep_ids, seed, tau, alpha, benchmark, method, wald_cv = args
-    out = []
-    for rep in rep_ids:
-        try:
-            out.append(_one_rep(design, seed, rep, tau, alpha, benchmark, method, wald_cv))
-        except WeakIvError:
-            out.append(None)
-    return out
+    tally = Counter()
+    cols = _moment_columns(design, seed, rep_ids, tally)
+    if cols is not None and design.has_structural:
+        cols = _rep_stats(design, cols, tau, alpha, benchmark, method, wald_cv, tally)
+    return cols, tally
 
 
 @dataclass(frozen=True, eq=False)
 class SimSummary:
     """Monte Carlo summary: means and (when at least two replications
     succeeded) standard deviations of the per-replication statistics,
-    rejection rates, and per-group mean vectors."""
+    rejection rates, and per-group mean vectors. `failures` splits `failed`
+    by the stage where each replication failed (draw, moments, moment_cov,
+    bias_bound, critical_value); `redraws` counts the empty-group redraws."""
 
     design_name: str
     reps: int
     failed: int
+    failures: dict
+    redraws: int
     seed: int
     tau: float
     alpha: float
@@ -550,7 +581,7 @@ def run_sim(
     (2SLS) and robust-F (GMMf) tests, the three estimators, and robust Wald
     rejections of the true coefficient; first-stage-only designs yield the
     F-statistics and weights only. Failed replications are counted in
-    `failed` and excluded from the summaries.
+    `failed`, and by stage in `failures`, and excluded from the summaries.
     """
     reps = int(reps)
     if reps < 1:
@@ -565,56 +596,54 @@ def run_sim(
         raise InputError(f"alpha must be in (0, 1), got {alpha}")
     workers = _resolve_workers(workers)
     seed = int(seed)
-    wald_cv = chisq_quantile(NoncentralChiSq(1.0), 1.0 - alpha)
+    wald_cv = None
+    if design.has_structural:
+        wald_cv = chisq_quantile(NoncentralChiSq(1.0), 1.0 - alpha)
+    chunk = _CHUNK_REPS if workers == 1 else math.ceil(reps / (4 * workers))
+    chunk = min(chunk, _CHUNK_REPS)
+    jobs = [
+        (design, range(lo, min(lo + chunk, reps)), seed, tau, alpha,
+         benchmark, method, wald_cv)
+        for lo in range(0, reps, chunk)
+    ]
     if workers == 1:
-        results = _sim_chunk(
-            (design, range(reps), seed, tau, alpha, benchmark, method, wald_cv)
-        )
+        parts = list(map(_sim_chunk, jobs))
     else:
-        chunk = max(1, math.ceil(reps / (4 * workers)))
-        jobs = [
-            (design, range(lo, min(lo + chunk, reps)), seed, tau, alpha,
-             benchmark, method, wald_cv)
-            for lo in range(0, reps, chunk)
-        ]
-        results = []
         size = _pool_size(workers, len(jobs), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=size) as pool:
-            for part in pool.map(_sim_chunk, jobs):
-                results.extend(part)
-    ok = [r for r in results if r is not None]
-    failed = reps - len(ok)
-    if not ok:
+            parts = list(pool.map(_sim_chunk, jobs))
+    tally = sum((t for _, t in parts), Counter())
+    done = [c for c, _ in parts if c is not None]
+    succeeded = sum(c["f_stat"].size for c in done)
+    if not succeeded:
         raise NumericalError("every replication failed")
+    columns = {k: np.concatenate([c[k] for c in done]) for k in done[0]}
     structural = design.has_structural
     scalar_keys = ["f_stat", "f_eff", "f_r"]
     if structural:
         scalar_keys += ["cv_eff", "cv_r", "beta_ols", "beta_2sls", "beta_gmmf"]
-    columns = {k: np.array([getattr(r, k) for r in ok]) for k in scalar_keys}
-    means = {k: float(v.mean()) for k, v in columns.items()}
+    means = {k: float(columns[k].mean()) for k in scalar_keys}
     sds = (
-        {k: float(v.std(ddof=1)) for k, v in columns.items()}
-        if len(ok) >= 2
+        {k: float(columns[k].std(ddof=1)) for k in scalar_keys}
+        if succeeded >= 2
         else None
     )
     if structural:
         rejection_rates = {
-            "weak_eff": float(np.mean([r.reject_eff for r in ok])),
-            "weak_r": float(np.mean([r.reject_r for r in ok])),
-            "wald_2sls": float(np.mean([r.wald_2sls for r in ok])),
-            "wald_gmmf": float(np.mean([r.wald_gmmf for r in ok])),
+            k: float(np.mean(columns[k]))
+            for k in ("weak_eff", "weak_r", "wald_2sls", "wald_gmmf")
         }
     else:
         rejection_rates = {}
     group_means = {
-        "f_per_group": np.mean([r.f_per_group for r in ok], axis=0),
-        "weights_2sls": np.mean([r.weights_2sls for r in ok], axis=0),
-        "weights_gmmf": np.mean([r.weights_gmmf for r in ok], axis=0),
+        k: columns[k].mean(axis=0) for k in ("f_per_group", "weights_2sls", "weights_gmmf")
     }
     return SimSummary(
         design_name=design.name,
         reps=reps,
-        failed=failed,
+        failed=reps - succeeded,
+        failures={stage: tally[stage] for stage in _FAILURE_STAGES},
+        redraws=tally["redraws"],
         seed=seed,
         tau=tau,
         alpha=alpha,

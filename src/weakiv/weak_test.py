@@ -170,21 +170,44 @@ class SupResult:
     converged: bool
 
 
+def _benchmark_coeffs(s11, s12, s22):
+    """Coefficients (d0, d1) of the squared benchmark d0 + d1*beta + beta^2,
+    elementwise, from its scale moments: the traces of the transformed blocks
+    (v1v1, v1v2, v2v2) under "mop", the pooled residual covariance under "ls";
+    and where that square is not positive for every beta (degenerate)."""
+    d0 = s11 / s22
+    d1 = -2.0 * s12 / s22
+    return d0, d1, d1 * d1 - 4.0 * d0 >= 0.0
+
+
 def _denominator_coeffs(tc, bench):
     """Coefficients (d0, d1) of the squared benchmark d0 + d1*beta + beta^2."""
-    t = float(np.trace(tc.v2v2))
     if bench.kind == "mop":
-        d0 = float(np.trace(tc.v1v1)) / t
-        d1 = -2.0 * float(np.trace(tc.v1v2)) / t
+        moments = tuple(float(np.trace(b)) for b in (tc.v1v1, tc.v1v2, tc.v2v2))
     else:
         rc = bench.resid_cov
-        d0 = rc.v1v1 / rc.v2v2
-        d1 = -2.0 * rc.v1v2 / rc.v2v2
-    if d1 * d1 - 4.0 * d0 >= 0.0:
+        moments = (rc.v1v1, rc.v1v2, rc.v2v2)
+    d0, d1, degenerate = _benchmark_coeffs(*moments)
+    if degenerate:
         raise NumericalError(
             "benchmark scale is not positive for all beta (degenerate covariance)"
         )
     return d0, d1
+
+
+def _beta_step(a, b, d0, d1):
+    """Max over beta of (a + b*beta)^2 / (d0 + d1*beta + beta^2), elementwise:
+    the root of the linear stationarity equation, or the beta -> +-inf limit
+    b^2 when that is larger (returned with beta = inf)."""
+    den = b * d1 - 2.0 * a
+    safe = np.abs(den) > 1e-300
+    beta_star = np.where(safe, (a * d1 - 2.0 * b * d0) / np.where(safe, den, 1.0), 0.0)
+    with np.errstate(all="ignore"):
+        f_star = (a + b * beta_star) ** 2 / (d0 + d1 * beta_star + beta_star**2)
+    f_star = np.where(np.isfinite(f_star), f_star, 0.0)
+    f_lim = b * b
+    use_lim = f_lim > f_star
+    return np.where(use_lim, f_lim, f_star), np.where(use_lim, np.inf, beta_star)
 
 
 def worst_case_bias(tc, bench, opts=None):
@@ -225,19 +248,8 @@ def worst_case_bias(tc, bench, opts=None):
         b = (2.0 * np.einsum("ij,jk,ik->i", c, w2, c) - t) / t
         return a, b
 
-    def beta_step(a, b):
-        den = b * d1 - 2.0 * a
-        safe = np.abs(den) > 1e-300
-        beta_star = np.where(safe, (a * d1 - 2.0 * b * d0) / np.where(safe, den, 1.0), 0.0)
-        with np.errstate(all="ignore"):
-            f_star = (a + b * beta_star) ** 2 / (d0 + d1 * beta_star + beta_star**2)
-        f_star = np.where(np.isfinite(f_star), f_star, 0.0)
-        f_lim = b * b
-        use_lim = f_lim > f_star
-        return np.where(use_lim, f_lim, f_star), np.where(use_lim, np.inf, beta_star)
-
     a, b = ab_of(dirs)
-    f, beta = beta_step(a, b)
+    f, beta = _beta_step(a, b, d0, d1)
     converged = np.zeros(m, dtype=bool)
     active = np.ones(m, dtype=bool)
     for _ in range(opts.max_iter):
@@ -257,7 +269,7 @@ def worst_case_bias(tc, bench, opts=None):
         if (~finite).any():
             c_new[~finite] = lim_dir
         a, b = ab_of(c_new)
-        f_new, beta_new = beta_step(a, b)
+        f_new, beta_new = _beta_step(a, b, d0, d1)
         done = np.abs(f_new - f[idx]) <= opts.tol * np.maximum(1.0, np.abs(f[idx]))
         f[idx] = np.maximum(f_new, f[idx])
         beta[idx] = beta_new
@@ -281,15 +293,48 @@ def worst_case_bias(tc, bench, opts=None):
     )
 
 
+def _diagonal_worst_case_bias(v1v1, v1v2, v2v2, kind, resid=None):
+    """`worst_case_bias(...).value` of R transformed moment covariances whose
+    blocks are diagonal, given as (R, G) arrays of the diagonals.
+
+    The extreme eigenvector of a diagonal S12(beta) is a coordinate axis, so
+    the sup over unit directions is a max over the G axes, and each axis takes
+    the closed-form beta step. `kind` is the benchmark; "ls" needs `resid`,
+    the (v1v1, v1v2, v2v2) pooled residual covariances as (R,) arrays.
+    Returns (value, ok): ok is False where worst_case_bias would raise, for a
+    degenerate benchmark or a "mop" value above its cap of 1.
+    """
+    t = v2v2.sum(axis=1)
+    tr12 = v1v2.sum(axis=1)
+    moments = (v1v1.sum(axis=1), tr12, t) if kind == "mop" else resid
+    d0, d1, degenerate = _benchmark_coeffs(*moments)
+    a = (tr12[:, None] - 2.0 * v1v2) / t[:, None]
+    b = (2.0 * v2v2 - t[:, None]) / t[:, None]
+    f, _ = _beta_step(a, b, d0[:, None], d1[:, None])
+    value = np.sqrt(np.maximum(f.max(axis=1), 0.0))
+    ok = ~degenerate
+    if kind == "mop":
+        ok &= value <= 1.0 + _MOP_CAP_TOL
+    return value, ok
+
+
+def _keff(t, t2, lmax, radius):
+    """Patnaik effective dof from tr W, tr W^2 and the largest eigenvalue of
+    the transformed lower block W."""
+    return t * t * (1.0 + 2.0 * radius) / (t2 + 2.0 * radius * t * lmax)
+
+
 def effective_dof(w2t, radius):
     """Moment-matched effective degrees of freedom for the critical value."""
     w2t = np.asarray(w2t, dtype=float)
     if radius < 0.0:
         raise InputError(f"radius must be nonnegative, got {radius}")
-    t = float(np.trace(w2t))
-    t2 = float(np.sum(w2t * w2t))
-    lmax = float(np.linalg.eigvalsh(w2t)[-1])
-    return t * t * (1.0 + 2.0 * radius) / (t2 + 2.0 * radius * t * lmax)
+    return _keff(
+        float(np.trace(w2t)),
+        float(np.sum(w2t * w2t)),
+        float(np.linalg.eigvalsh(w2t)[-1]),
+        radius,
+    )
 
 
 def critical_value(

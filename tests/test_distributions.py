@@ -80,6 +80,47 @@ class TestNoncentralChiSq:
             q = chisq_quantile(d, p)
             assert abs(scipy.stats.ncx2.cdf(q, df, ncp) - p) <= 1e-9
 
+    @pytest.mark.parametrize("df", [0.3, 1.0, 2.5, 10.0])
+    @pytest.mark.parametrize("ncp", [0.0, 1.0, 20.0, 170.0, 1000.0, 1e4])
+    def test_quantile_cdf_oracle_extreme_p(self, df, ncp):
+        """scipy's CDF at our quantile is p for p = 1e-9 and 1 - 1e-9."""
+        d = NoncentralChiSq(df, ncp)
+        for p in (1e-9, 1.0 - 1e-9):
+            q = chisq_quantile(d, p)
+            assert abs(scipy.stats.ncx2.cdf(q, df, ncp) - p) <= 1e-9
+
+    def test_batch_equals_laws_alone(self):
+        """A law's quantile and CDF are bit-equal alone and inside a shuffled
+        batch that spans several blocks of series terms."""
+        rng = np.random.default_rng(17)
+        df = rng.uniform(0.3, 12.0, 48)
+        ncp = np.concatenate([[0.0, 1e4], rng.uniform(0.0, 200.0, 30),
+                              rng.uniform(200.0, 1e4, 16)])
+        p = rng.uniform(0.01, 0.99, 48)
+        alone = [chisq_quantile(NoncentralChiSq(a, b), c) for a, b, c in zip(df, ncp, p)]
+        cdf_alone = [chisq_cdf(NoncentralChiSq(a, b), q) for a, b, q in zip(df, ncp, alone)]
+        perm = rng.permutation(48)
+        batch = NoncentralChiSq(df[perm], ncp[perm])
+        q = chisq_quantile(batch, p[perm])
+        assert q.tolist() == [alone[i] for i in perm]
+        assert chisq_cdf(batch, q).tolist() == [cdf_alone[i] for i in perm]
+
+    def test_scalar_calls_return_floats(self):
+        d = NoncentralChiSq(3.0, 5.0)
+        assert type(chisq_quantile(d, 0.95)) is float
+        assert type(chisq_cdf(d, 4.0)) is float
+        assert type(d.cdf(-1.0)) is float
+        assert type(d.quantile(0.5)) is float
+        assert type(chisq_quantile(NoncentralChiSq(np.float64(2.0)), 0.5)) is float
+        assert type(lower_gamma_regularized(2.0, 1.0)) is float
+
+    def test_batch_failure_is_per_law(self):
+        """Where the scalar call raises, the batch call marks the law NaN."""
+        with pytest.raises(NumericalError):
+            chisq_quantile(NoncentralChiSq(2.0, 1.0), 0.5, cdf_tol=-1.0)
+        q = chisq_quantile(NoncentralChiSq(np.array([2.0, 3.0]), 1.0), 0.5, cdf_tol=-1.0)
+        assert np.isnan(q).all()
+
     def test_published_central_quantiles(self):
         known = {
             (1.0, 0.95): 3.841459,

@@ -24,6 +24,7 @@ from weakiv import (
     weak_iv_test,
 )
 from weakiv.errors import InputError, NumericalError
+from weakiv import grouped_sim
 from weakiv.grouped_sim import _pool_size, random_design_comparison
 
 
@@ -322,6 +323,47 @@ class TestRunSim:
             warnings_mod.simplefilter("ignore")
             with pytest.raises(NumericalError, match="every replication failed"):
                 run_sim(design, 2, seed=0)
+
+    def test_failures_counted_by_stage(self):
+        """A rare group: some replications exhaust their redraws, others
+        leave it with one observation and zero variance; the stage counts sum
+        to `failed` and do not depend on the worker count."""
+        probs = np.full(4, (1 - 0.004) / 3)
+        probs[0] = 0.004
+        design = GroupedDesign(
+            pi0=np.ones(4), var_v2=np.ones(4), n=40, group_probs=probs,
+            var_u=1.0, cov_uv2=0.3,
+        )
+        with warnings_mod.catch_warnings():
+            warnings_mod.simplefilter("ignore")
+            summ = run_sim(design, 40, seed=0)
+            two = run_sim(design, 40, seed=0, workers=2)
+        assert list(summ.failures) == [
+            "draw", "moments", "moment_cov", "bias_bound", "critical_value"
+        ]
+        assert sum(summ.failures.values()) == summ.failed < summ.reps
+        assert summ.failures["draw"] > 0 and summ.failures["moments"] > 0
+        assert summ.redraws >= 10 * summ.failures["draw"]
+        assert (two.failures, two.redraws) == (summ.failures, summ.redraws)
+        assert two.means == summ.means
+
+    def test_failed_quantile_fails_its_replication_only(self, monkeypatch):
+        design = small_structural()
+        base = run_sim(design, 5, seed=4)
+        assert base.failures == dict.fromkeys(base.failures, 0)
+        assert base.redraws == 0
+        quantile = grouped_sim.chisq_quantile
+
+        def first_law_fails(d, p, **kwargs):
+            q = quantile(d, p, **kwargs)
+            if np.ndim(d.df):
+                q[0] = np.nan
+            return q
+
+        monkeypatch.setattr(grouped_sim, "chisq_quantile", first_law_fails)
+        summ = run_sim(design, 5, seed=4)
+        assert summ.failed == 1
+        assert summ.failures["critical_value"] == 1
 
     def test_empty_group_redraw_warns(self):
         probs = np.full(4, (1 - 1e-12) / 3)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_pd, random_spd, random_transformed_cov
 from weakiv import (
@@ -24,7 +26,7 @@ from weakiv import (
     weak_iv_test,
     worst_case_bias,
 )
-from weakiv.weak_test import _denominator_coeffs
+from weakiv.weak_test import _denominator_coeffs, _diagonal_worst_case_bias
 from weakiv.errors import InputError, NumericalError
 
 
@@ -230,6 +232,60 @@ class TestWorstCaseBias:
             assert val == pytest.approx(target, abs=1e-6)
 
 
+def diagonal_blocks():
+    """(v1v1, v1v2, v2v2) diagonals of a positive definite transformed
+    covariance with 2 to 12 groups."""
+    def blocks(g):
+        var = st.lists(st.floats(0.05, 20.0), min_size=g, max_size=g)
+        corr = st.lists(st.floats(-0.99, 0.99), min_size=g, max_size=g)
+        return st.tuples(var, corr, var)
+
+    def build(parts):
+        v1v1, corr, v2v2 = (np.array(x) for x in parts)
+        return v1v1, corr * np.sqrt(v1v1 * v2v2), v2v2
+
+    return st.integers(2, 12).flatmap(blocks).map(build)
+
+
+class TestDiagonalWorstCaseBias:
+    @pytest.mark.parametrize("kind", ["mop", "ls"])
+    @given(
+        blocks=diagonal_blocks(),
+        resid=st.tuples(st.floats(0.1, 5.0), st.floats(-0.95, 0.95), st.floats(0.1, 5.0)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_matches_search(self, kind, blocks, resid):
+        """The max over coordinate axes equals the general ascent on the
+        diagonal matrices, and fails exactly where the search raises."""
+        v1v1, v1v2, v2v2 = blocks
+        rc = ResidualCov(resid[0], resid[1] * np.sqrt(resid[0] * resid[2]), resid[2])
+        bench = Benchmark(kind, rc if kind == "ls" else None)
+        rc_cols = tuple(np.array([v]) for v in (rc.v1v1, rc.v1v2, rc.v2v2))
+        value, ok = _diagonal_worst_case_bias(
+            v1v1[None], v1v2[None], v2v2[None], kind, rc_cols if kind == "ls" else None
+        )
+        tc = TransformedMomentCov(np.diag(v1v1), np.diag(v1v2), np.diag(v2v2))
+        try:
+            want = worst_case_bias(tc, bench).value
+        except NumericalError:
+            assert not ok[0]
+            return
+        assert ok[0]
+        # the search's random starts carry rounding noise (~1e-16) where the
+        # bound is exactly 0, e.g. equal groups without endogeneity
+        assert value[0] == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+    def test_rows_are_independent(self):
+        rng = np.random.default_rng(31)
+        v1v1, v2v2 = rng.uniform(0.5, 3.0, (2, 7, 5))
+        v1v2 = rng.uniform(-0.9, 0.9, (7, 5)) * np.sqrt(v1v1 * v2v2)
+        value, ok = _diagonal_worst_case_bias(v1v1, v1v2, v2v2, "mop")
+        for r in range(7):
+            alone, _ = _diagonal_worst_case_bias(v1v1[r:r + 1], v1v2[r:r + 1], v2v2[r:r + 1], "mop")
+            assert alone[0] == value[r]
+        assert ok.all()
+
+
 class TestEffectiveDof:
     def test_identity_gives_dimension(self):
         for k in (1, 3, 10):
@@ -407,6 +463,30 @@ class TestWeakIvTest:
             for field in ("bias_bound", "radius", "effective_dof", "cv", "reject"):
                 assert getattr(got, field) == getattr(want, field)
             assert float(got.statistic) == float(want.statistic)
+
+    def test_moment_cov_estimated_once(self, monkeypatch):
+        """The 2sls and gmmf tests on one dataset share one clustered moment
+        covariance: two cluster sums (one per residual), not four."""
+        from weakiv import estimators
+
+        rng = np.random.default_rng(29)
+        pd_ = make_pd(rng, n=300, kz=3, het=True, with_cluster=True)
+        summed = []
+        cluster_sums = estimators._cluster_sums
+
+        def counting_sums(scores, labels):
+            summed.append(scores.shape)
+            return cluster_sums(scores, labels)
+
+        monkeypatch.setattr(estimators, "_cluster_sums", counting_sums)
+        for kind in ("2sls", "gmmf"):
+            weak_iv_test(pd_, WeightSpec(kind), flavor="cluster")
+        assert len(summed) == 2
+        cov = estimate_moment_cov(pd_, flavor="cluster")
+        assert estimate_moment_cov(pd_, flavor="cluster") is cov
+        assert estimate_moment_cov(pd_, flavor="cluster", dof_correction=True) is not cov
+        imposed = estimate_moment_cov(pd_, flavor="cluster", beta_for_v1=0.5)
+        assert imposed is not estimate_moment_cov(pd_, flavor="cluster", beta_for_v1=0.5)
 
     def test_singular_instruments_numerical_error(self):
         from weakiv import PartialledData
