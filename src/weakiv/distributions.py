@@ -115,8 +115,7 @@ def lower_gamma_regularized(a, x, tol=1e-15, max_iter=20000):
     if np.any(x_arr < 0):
         raise ValueError(f"argument must be nonnegative, got {x}")
     a1, x1 = np.atleast_1d(a_arr).ravel(), np.atleast_1d(x_arr).ravel()
-    lgamma_a = np.array([math.lgamma(v) for v in a1.tolist()])
-    p = _lower_gamma(a1, x1, lgamma_a, tol, max_iter)
+    p = _lower_gamma(a1, x1, _lgamma(a1), tol, max_iter)
     if a_arr.ndim:
         return p.reshape(a_arr.shape)
     if math.isnan(p[0]):
@@ -163,42 +162,116 @@ class NoncentralChiSq:
         return _Series(np.atleast_1d(0.5 * self.df), np.atleast_1d(0.5 * self.ncp))
 
 
-def _nterms(lam):
-    """Poisson terms summed at first for rate `lam`; 1 for a central law."""
-    return np.where(
+def _window(lam):
+    """First and one-past-last Poisson index summed at first for rate `lam`:
+    from 10 sd below the mean, or from 0 for lam up to about 100, to 10 sd
+    plus 64 above it (at least 64; a central law sums j = 0 alone)."""
+    start = np.maximum(0.0, np.floor(lam - 10.0 * np.sqrt(lam + 1.0))).astype(int)
+    end = np.where(
         lam > 0.0,
         np.maximum(64, (lam + 10.0 * np.sqrt(lam + 1.0) + 64.0).astype(int)),
         1,
     )
+    return start, end
+
+
+def _poisson_outside(lam, start, end):
+    """Chernoff bounds on the Poisson(lam) mass below `start` and at or past
+    `end`: on either side of lam, the mass beyond k is at most
+    exp(k - lam + k log(lam / k))."""
+    def bound(k):
+        with np.errstate(divide="ignore"):
+            return np.exp(k - lam + k * np.log(lam / k))
+
+    return np.where(start > 0, bound(np.maximum(start, 1)), 0.0), bound(end)
+
+
+def _lgamma(v):
+    """log Gamma, elementwise over a 1-d array."""
+    return np.array([math.lgamma(t) for t in v.tolist()])
+
+
+def _log_poisson(k, lam):
+    """log(lam^k e^-lam / Gamma(k+1)) for real k >= 15 and lam > 0, in Loader's
+    saddle-point form -stirlerr(k) - bd0(k, lam) - log(2 pi k) / 2. Its error
+    is a few roundings of terms of size |k - lam|, not of size k log lam."""
+    # stirlerr(k) = lgamma(k+1) - (k + 1/2) log k + k - log(2 pi) / 2, by its
+    # asymptotic series, exact to rounding for k >= 15
+    k2 = k * k
+    stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * k2)) / k2) / k2) / k
+    bd0 = k * np.log1p((k - lam) / lam) - (k - lam)
+    return -stirlerr - bd0 - 0.5 * np.log(2 * math.pi * k)
+
+
+def _log_gamma_table(base, ref, anchor, width):
+    """Rows T_m = log Gamma(base+m+1) - (base+m) log ref for m = 0..width-1.
+
+    A row with anchor 0 (and ref 1) is lgamma(base+1) plus a running sum of
+    log(base+i). Any other row (base + anchor >= 15) takes T at column
+    `anchor` from Loader's form of the Poisson density and the rest by
+    running sums of log((base+i)/ref) outward from that column; with
+    base + anchor near ref these terms are near 0 there, so the rounding error
+    grows with the distance from the anchor instead of with base log ref."""
+    first = _lgamma(base + 1.0)
+    far = anchor > 0
+    k, r = base[far] + anchor[far], ref[far]
+    first[far] = -_log_poisson(k, r) - r
+    # the block's widest tables are the memory budget: the steps below work
+    # in place on two of them, the running sums inside the result
+    out = np.zeros((base.size, width))
+    d = out[:, 1:]
+    np.add(base[:, None], np.arange(1.0, width), out=d)
+    d /= ref[:, None]
+    np.log(d, out=d)
+    up = np.arange(1, width) > anchor[:, None]
+    back = np.where(up, 0.0, d)
+    d[~up] = 0.0
+    np.cumsum(d, axis=1, out=d)
+    out += first[:, None]
+    # T_c = T_anchor - (d_{c+1} + ... + d_anchor) for c < anchor
+    np.cumsum(back[:, ::-1], axis=1, out=back[:, ::-1])
+    out[:, :-1] -= back
+    return out
 
 
 class _Series:
-    """The x-free parts of the Poisson mixture of a block of laws: Poisson
-    weights w_j and log-gamma normalizers log Gamma(a+m+1), one row per law,
-    padded to the longest row. Entries past a law's own term count are
-    computed but never read, so a law's CDF does not depend on its block."""
+    """The x-free parts of the Poisson mixture of a block of laws over each
+    law's window of indices j = start..end-1 (`_window`): Poisson weights w_j
+    and log-gamma normalizers log Gamma(a+j+1) - (a+j) log ref_u, one row per
+    law, padded to the widest window. Entries past a law's own window are
+    computed but never read, so a law's CDF does not depend on its block.
 
-    def __init__(self, a, lam, nterms=None):
+    A law whose own window starts at 0 (lam up to about 100) keeps ref_u = 1
+    and log j! as a running sum of log j. Any other law, also when a retry
+    sums it from j = 0, takes its logs relative to the Poisson mean (ref_w =
+    lam for the weights, ref_u = a + lam for the gamma terms) and anchors its
+    running sums at the mode (`_log_gamma_table`), so that rounding errors
+    scale with the distance from the mode, not with lam log lam."""
+
+    def __init__(self, a, lam, window=None):
         self.a, self.lam = a, lam
-        self.nterms = _nterms(lam) if nterms is None else nterms
-        self.last = self.nterms - 1
-        self.lgamma_a = np.array([math.lgamma(v) for v in a.tolist()])
-        width = int(self.nterms.max()) if a.size else 1
-        j = np.arange(width, dtype=float)
-        log_jfact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, width)))))
-        log_lam = np.log(np.where(lam > 0.0, lam, 1.0))
-        self.w = np.exp(-lam[:, None] + j * log_lam[:, None] - log_jfact)
-        lgamma_a1 = np.array([math.lgamma(v + 1.0) for v in a.tolist()])
-        log_gam = np.zeros((a.size, max(width - 1, 0)))
-        np.cumsum(np.log(a[:, None] + np.arange(1.0, width - 1.0)), axis=1,
-                  out=log_gam[:, 1:])
-        self.log_gam = lgamma_a1[:, None] + log_gam
-        rows = np.arange(a.size)
-        self.tail = np.maximum(0.0, 1.0 - np.cumsum(self.w, axis=1)[rows, self.last])
+        j0, self.end = _window(lam) if window is None else window
+        self.last = self.end - j0 - 1
+        width = int(self.last.max()) + 1 if a.size else 1
+        start = j0.astype(float)
+        self.a0 = a + start
+        self.lgamma_a0 = _lgamma(self.a0)
+        win = _window(lam)[0] > 0
+        anchor = np.where(win, np.floor(lam) - start, 0.0)
+        ref_w, self.ref_u = np.where(win, lam, 1.0), np.where(win, a + lam, 1.0)
+        log_lam = np.log(np.where(lam > 0.0, lam / ref_w, 1.0))
+        w = start[:, None] + np.arange(width, dtype=float)
+        w *= log_lam[:, None]
+        w += -lam[:, None]
+        w -= _log_gamma_table(start, ref_w, anchor, width)
+        self.w = np.exp(w, out=w)
+        self.log_gam = _log_gamma_table(self.a0, self.ref_u, anchor, width - 1)
+        self.left, self.right = _poisson_outside(lam, j0, self.end)
 
     def take(self, idx):
         sub = object.__new__(_Series)
-        for name in ("a", "lam", "nterms", "last", "lgamma_a", "w", "log_gam", "tail"):
+        for name in ("a", "lam", "end", "last", "a0", "lgamma_a0", "ref_u", "w", "log_gam",
+                     "left", "right"):
             setattr(sub, name, getattr(self, name)[idx])
         return sub
 
@@ -206,10 +279,11 @@ class _Series:
         """CDF at x > 0 (one value per law), and whether each law's series
         reached its tail bound."""
         y = 0.5 * x
-        p0 = _lower_gamma(self.a, y, self.lgamma_a)
-        # u_m = y^(a+m) e^{-y} / Gamma(a+m+1) for m = 0..nterms-2
-        u = self.a[:, None] + np.arange(self.log_gam.shape[1], dtype=float)
-        u *= np.log(y)[:, None]
+        p0 = _lower_gamma(self.a0, y, self.lgamma_a0)
+        # u_m = y^(a0+m) e^{-y} / Gamma(a0+m+1)
+        #     = exp((a0+m) log(y / ref_u) - y - log_gam_m) for m = 0..width-2
+        u = self.a0[:, None] + np.arange(self.log_gam.shape[1], dtype=float)
+        u *= np.log(y / self.ref_u)[:, None]
         u -= y[:, None]
         u -= self.log_gam
         with np.errstate(over="ignore", under="ignore"):
@@ -220,7 +294,9 @@ class _Series:
         np.subtract(p0[:, None], p, out=p)
         np.clip(p, 0.0, 1.0, out=p)
         rows = np.arange(p.shape[0])
-        reached = self.tail * p[rows, self.last] <= tail_tol
+        # the terms past the window weigh at most `right` and are at most the
+        # last P; those before it weigh at most `left`
+        reached = self.left + self.right * p[rows, self.last] <= tail_tol
         # a row cumsum read at each law's own last term sums the law in an
         # order that the padding of its block cannot change
         p *= self.w
@@ -238,12 +314,13 @@ def _take(d, idx):
 
 def _blocks(d):
     """(index, law) pairs splitting the laws of `d` into blocks of at most
-    _BLOCK_TERMS series terms (one law may exceed it alone); laws of similar
-    length share a block."""
+    _BLOCK_TERMS window terms (one law may exceed it alone); laws of similar
+    window width share a block."""
     if np.ndim(d.df) == 0 or "_series" in d.__dict__:
         yield slice(None), d
         return
-    nterms = _nterms(0.5 * d.ncp)
+    start, end = _window(0.5 * d.ncp)
+    nterms = end - start
     if nterms.size * int(nterms.max(initial=1)) <= _BLOCK_TERMS:
         yield slice(None), d
         return
@@ -260,16 +337,17 @@ def _blocks(d):
 
 def _mixture_cdf(series, x, tail_tol):
     """Block CDF at x > 0. A law whose series misses its tail bound is summed
-    again, alone, over twice as many terms, up to 60 attempts in all, else
-    NaN."""
+    again, alone, from j = 0 to twice its last end, up to 60 attempts in all,
+    else NaN."""
     out, reached = series.cdf(x, tail_tol)
     for i in np.flatnonzero(~reached).tolist():
         one = slice(i, i + 1)
-        nterms = series.nterms[one]
+        end = series.end[one]
         out[i] = np.nan
         for _ in range(59):
-            nterms = 2 * nterms
-            value, ok = _Series(series.a[one], series.lam[one], nterms).cdf(x[one], tail_tol)
+            end = 2 * end
+            window = (np.zeros_like(end), end)
+            value, ok = _Series(series.a[one], series.lam[one], window).cdf(x[one], tail_tol)
             if ok[0]:
                 out[i] = value[0]
                 break
@@ -279,15 +357,21 @@ def _mixture_cdf(series, x, tail_tol):
 def chisq_cdf(d, x, tail_tol=1e-13):
     """CDF of the (non)central chi-square `d` at `x`.
 
-    Poisson mixture sum_j w_j P(df/2 + j, x/2) with w_j Poisson(ncp/2) weights.
-    The gamma-CDF sequence is generated by the downward recurrence
+    Poisson mixture sum_j w_j P(df/2 + j, x/2) with w_j Poisson(ncp/2) weights,
+    summed over a window of j around the Poisson mean lam = ncp/2: from
+    lam - 10 sqrt(lam + 1) (or 0) to lam + 10 sqrt(lam + 1) + 64 (`_window`).
+    The first gamma CDF of the window comes from `lower_gamma_regularized`'s
+    iteration; the rest by the downward recurrence
     P(a+1, y) = P(a, y) - y^a e^{-y} / Gamma(a+1), vectorized as a cumulative
-    sum; the series is truncated once the remaining Poisson mass times the last
-    CDF value drops below `tail_tol`. The weights and normalizers are built
-    once per law object and reused by later calls. For a batch `d`, `x`
-    broadcasts against its laws and the result is an array, NaN where a law's
-    series did not converge; a scalar law gives a float or raises
-    NumericalError.
+    sum. The Poisson mass outside the window is bounded in closed form
+    (Chernoff: beyond k on either side of lam it is at most
+    exp(k - lam + k log(lam / k))); the sum is accepted when the mass before
+    the window plus the mass after it times the last gamma CDF is at most
+    `tail_tol`, else the law is summed again from j = 0 over a doubled window
+    end. The weights and normalizers are built once per law object and
+    reused by later calls. For a batch `d`, `x` broadcasts against its laws
+    and the result is an array, NaN where a law's series did not converge; a
+    scalar law gives a float or raises NumericalError.
     """
     x = np.atleast_1d(np.broadcast_to(np.asarray(x, dtype=float), np.shape(d.df)))
     out = np.zeros(x.shape)

@@ -427,6 +427,23 @@ def _moment_columns(design, seed, rep_ids, tally):
     return {k: np.array(col) for k, col in zip(fields, zip(*rows))}
 
 
+def _wald_critical_value(alpha):
+    """The chi-square(1) quantile at 1 - alpha: z^2 with erfc(z / sqrt 2) =
+    alpha. Newton's method on log erfc, which is concave, from the Chernoff
+    bound z = sqrt(-2 log(alpha / 2)) above the root, so every step stays
+    above it and the iterates fall to it; exact to rounding in 3-6 steps
+    for alpha from 0.9999 to 1e-300."""
+    z = math.sqrt(-2.0 * math.log(alpha / 2.0))
+    for _ in range(60):
+        t = z / math.sqrt(2.0)
+        tail = math.erfc(t)
+        step = math.log(tail / alpha) * tail / (math.sqrt(2.0 / math.pi) * math.exp(-t * t))
+        z += step
+        if step > -1e-15 * z:
+            break
+    return z * z
+
+
 def _critical_values(v2v2, radius, alpha, method, valid):
     """Critical values of the replications with diagonal transformed lower
     blocks `v2v2` (R, G) and noncentrality radii `radius`, where `valid`;
@@ -598,7 +615,7 @@ def run_sim(
     seed = int(seed)
     wald_cv = None
     if design.has_structural:
-        wald_cv = chisq_quantile(NoncentralChiSq(1.0), 1.0 - alpha)
+        wald_cv = _wald_critical_value(alpha)
     chunk = _CHUNK_REPS if workers == 1 else math.ceil(reps / (4 * workers))
     chunk = min(chunk, _CHUNK_REPS)
     jobs = [

@@ -285,3 +285,11 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip()
+
+    def test_cli_import_leaves_scipy_out(self):
+        """scipy is a test-only oracle: the runtime imports numpy and pyyaml."""
+        code = "import sys, weakiv.cli; print(sorted({m.split('.')[0] for m in sys.modules}))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "'scipy'" not in proc.stdout
+        assert "'numpy'" in proc.stdout

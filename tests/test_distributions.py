@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakiv import NoncentralChiSq, RngStream, chisq_cdf, chisq_quantile, mvn_sample
+from weakiv import distributions
 from weakiv.distributions import lower_gamma_regularized
 from weakiv.errors import NumericalError
 
@@ -52,6 +53,18 @@ class TestNoncentralChiSq:
             )
             assert d.cdf(x) == pytest.approx(want, abs=1e-10)
 
+    @pytest.mark.parametrize("df", [1.0, 2.7, 10.0, 24.5])
+    @pytest.mark.parametrize("ncp", [1e3, 4200.0, 1e4, 1e5])
+    def test_cdf_matches_scipy_large_ncp(self, df, ncp):
+        """The windowed series matches scipy from mean - 8 sd to mean + 8 sd
+        at the noncentralities of the high-endogeneity designs and beyond."""
+        d = NoncentralChiSq(df, ncp)
+        mean = df + ncp
+        sd = math.sqrt(2 * df + 4 * ncp)
+        for k in range(-8, 9):
+            x = mean + k * sd
+            assert d.cdf(x) == pytest.approx(scipy.stats.ncx2.cdf(x, df, ncp), abs=1e-10)
+
     def test_cdf_edge_values(self):
         d = NoncentralChiSq(3.0, 5.0)
         assert d.cdf(0.0) == 0.0
@@ -88,6 +101,48 @@ class TestNoncentralChiSq:
         for p in (1e-9, 1.0 - 1e-9):
             q = chisq_quantile(d, p)
             assert abs(scipy.stats.ncx2.cdf(q, df, ncp) - p) <= 1e-9
+
+    @pytest.mark.parametrize("df, ncp", [(2.0, 1e5), (2.0, 2e5)])
+    def test_quantile_cdf_oracle_large_ncp(self, df, ncp):
+        """scipy's CDF at our quantile is p at noncentralities far past the
+        shipped designs."""
+        d = NoncentralChiSq(df, ncp)
+        for p in [1e-4, 0.05, 0.5, 0.95, 0.999]:
+            q = chisq_quantile(d, p)
+            assert abs(scipy.stats.ncx2.cdf(q, df, ncp) - p) <= 1e-9
+
+    @pytest.fixture
+    def series_built(self, monkeypatch):
+        """The arguments of every series table built while the test runs."""
+        built = []
+        init = distributions._Series.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(distributions._Series, "__init__", counting_init)
+        return built
+
+    def test_tail_bounds_need_no_resum(self, series_built):
+        """At ncp near 4000 every law reaches its tail bound in its block:
+        a quantile builds one series per block and re-sums no law alone."""
+        d = NoncentralChiSq(np.full(100, 10.0), np.linspace(3700.0, 4100.0, 100))
+        blocks = len(list(distributions._blocks(d)))
+        q = chisq_quantile(d, 0.95)
+        assert np.isfinite(q).all()
+        assert len(series_built) == blocks
+
+    def test_tiny_tail_tol_resums_from_zero(self, series_built):
+        """A tail tolerance below the Chernoff bound of the mass before the
+        window re-sums the law from j = 0, and agrees with the default."""
+        for df, ncp in [(3.0, 300.0), (3.0, 4000.0), (10.0, 1e4)]:
+            for x in (ncp - 100.0, df + ncp, ncp + 200.0):
+                series_built.clear()
+                tight = NoncentralChiSq(df, ncp).cdf(x, tail_tol=1e-40)
+                (start, _), = [args[2] for args in series_built[1:]]
+                assert start.tolist() == [0]
+                assert tight == pytest.approx(NoncentralChiSq(df, ncp).cdf(x), abs=1e-12)
 
     def test_batch_equals_laws_alone(self):
         """A law's quantile and CDF are bit-equal alone and inside a shuffled

@@ -1,8 +1,10 @@
 import dataclasses
+import math
 import warnings as warnings_mod
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from weakiv import (
     GroupedDesign,
@@ -25,7 +27,7 @@ from weakiv import (
 )
 from weakiv.errors import InputError, NumericalError
 from weakiv import grouped_sim
-from weakiv.grouped_sim import _pool_size, random_design_comparison
+from weakiv.grouped_sim import _pool_size, _wald_critical_value, random_design_comparison
 
 
 def small_structural(n=600, g=5, seed=0):
@@ -290,6 +292,14 @@ class TestRunSim:
         assert _pool_size(5000, 3, 64) == 3
         assert _pool_size(4, 40, 64) == 4
         assert _pool_size(2, 1, 1) == 1
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.05, 0.01, 1e-4, 1e-6])
+    def test_wald_critical_value_closed_form(self, alpha):
+        """The chi-square(1) quantile from the normal quantile matches scipy,
+        and the normal two-sided tail at it is alpha."""
+        cv = _wald_critical_value(alpha)
+        assert cv == pytest.approx(scipy.stats.chi2.ppf(1.0 - alpha, 1), rel=1e-10)
+        assert abs(math.erf(math.sqrt(cv / 2.0)) - (1.0 - alpha)) <= 1e-12
 
     def test_first_stage_only_summary(self):
         summ = run_sim(load_design("me"), 3, seed=0)
