@@ -91,8 +91,13 @@ def _lower_gamma(a, x, lgamma_a, tol=1e-15, max_iter=20000):
     the iteration did not converge."""
     out = np.zeros(x.shape)
     pos = x > 0.0
-    with np.errstate(divide="ignore"):
+    # x^a e^-x / Gamma(a) is a times the Poisson(x) pmf at a; at large a the
+    # first form cancels to rounding errors of size a log x, Loader's form of
+    # the pmf does not (it is -inf, as it should be, for subnormal x)
+    big = pos & (a >= 15.0)
+    with np.errstate(divide="ignore", over="ignore"):
         log_prefac = -x + a * np.log(x) - lgamma_a
+        log_prefac[big] = np.log(a[big]) + _log_poisson(a[big], x[big])
     series = pos & (x < a + 1.0)
     for branch, mask in ((_gamma_series, series), (_gamma_fraction, pos & ~series)):
         if mask.any():
@@ -204,18 +209,20 @@ def _log_poisson(k, lam):
 
 
 def _log_gamma_table(base, ref, anchor, width):
-    """Rows T_m = log Gamma(base+m+1) - (base+m) log ref for m = 0..width-1.
+    """Rows T_m = log Gamma(base+m+1) - (base+m) log ref - c for
+    m = 0..width-1, where c = ref on a row with an anchor and 0 otherwise.
 
     A row with anchor 0 (and ref 1) is lgamma(base+1) plus a running sum of
     log(base+i). Any other row (base + anchor >= 15) takes T at column
     `anchor` from Loader's form of the Poisson density and the rest by
     running sums of log((base+i)/ref) outward from that column; with
     base + anchor near ref these terms are near 0 there, so the rounding error
-    grows with the distance from the anchor instead of with base log ref."""
+    grows with the distance from the anchor instead of with base log ref.
+    Leaving out c keeps these rows small: T_m + ref would cancel to rounding
+    errors of size ref in the caller."""
     first = _lgamma(base + 1.0)
     far = anchor > 0
-    k, r = base[far] + anchor[far], ref[far]
-    first[far] = -_log_poisson(k, r) - r
+    first[far] = -_log_poisson(base[far] + anchor[far], ref[far])
     # the block's widest tables are the memory budget: the steps below work
     # in place on two of them, the running sums inside the result
     out = np.zeros((base.size, width))
@@ -237,16 +244,19 @@ def _log_gamma_table(base, ref, anchor, width):
 class _Series:
     """The x-free parts of the Poisson mixture of a block of laws over each
     law's window of indices j = start..end-1 (`_window`): Poisson weights w_j
-    and log-gamma normalizers log Gamma(a+j+1) - (a+j) log ref_u, one row per
-    law, padded to the widest window. Entries past a law's own window are
-    computed but never read, so a law's CDF does not depend on its block.
+    and log-gamma normalizers log Gamma(a+j+1) - (a+j) log ref_u - c_u, one
+    row per law, padded to the widest window. Entries past a law's own window
+    are computed but never read, so a law's CDF does not depend on its block.
 
     A law whose own window starts at 0 (lam up to about 100) keeps ref_u = 1
     and log j! as a running sum of log j. Any other law, also when a retry
     sums it from j = 0, takes its logs relative to the Poisson mean (ref_w =
     lam for the weights, ref_u = a + lam for the gamma terms) and anchors its
     running sums at the mode (`_log_gamma_table`), so that rounding errors
-    scale with the distance from the mode, not with lam log lam."""
+    scale with the distance from the mode, not with lam log lam. The tables
+    of such a law also leave out c = ref (ref_w = lam in the weights, c_u =
+    ref_u in the gamma terms), which the caller takes from lam and y exactly
+    instead (c = 0 for the other laws)."""
 
     def __init__(self, a, lam, window=None):
         self.a, self.lam = a, lam
@@ -259,10 +269,11 @@ class _Series:
         win = _window(lam)[0] > 0
         anchor = np.where(win, np.floor(lam) - start, 0.0)
         ref_w, self.ref_u = np.where(win, lam, 1.0), np.where(win, a + lam, 1.0)
+        self.c_u = np.where(win, self.ref_u, 0.0)
         log_lam = np.log(np.where(lam > 0.0, lam / ref_w, 1.0))
         w = start[:, None] + np.arange(width, dtype=float)
         w *= log_lam[:, None]
-        w += -lam[:, None]
+        w -= np.where(win, 0.0, lam)[:, None]
         w -= _log_gamma_table(start, ref_w, anchor, width)
         self.w = np.exp(w, out=w)
         self.log_gam = _log_gamma_table(self.a0, self.ref_u, anchor, width - 1)
@@ -270,8 +281,8 @@ class _Series:
 
     def take(self, idx):
         sub = object.__new__(_Series)
-        for name in ("a", "lam", "end", "last", "a0", "lgamma_a0", "ref_u", "w", "log_gam",
-                     "left", "right"):
+        for name in ("a", "lam", "end", "last", "a0", "lgamma_a0", "ref_u", "c_u", "w",
+                     "log_gam", "left", "right"):
             setattr(sub, name, getattr(self, name)[idx])
         return sub
 
@@ -281,10 +292,13 @@ class _Series:
         y = 0.5 * x
         p0 = _lower_gamma(self.a0, y, self.lgamma_a0)
         # u_m = y^(a0+m) e^{-y} / Gamma(a0+m+1)
-        #     = exp((a0+m) log(y / ref_u) - y - log_gam_m) for m = 0..width-2
+        #     = exp((a0+m) log(y / ref_u) - (y - c_u) - log_gam_m) for m = 0..width-2;
+        # y - c_u is exact near the mode, and log1p of it keeps its accuracy
+        dy = y - self.c_u
+        log_ratio = np.where(self.c_u > 0.0, np.log1p(dy / self.ref_u), np.log(y / self.ref_u))
         u = self.a0[:, None] + np.arange(self.log_gam.shape[1], dtype=float)
-        u *= np.log(y / self.ref_u)[:, None]
-        u -= y[:, None]
+        u *= log_ratio[:, None]
+        u -= dy[:, None]
         u -= self.log_gam
         with np.errstate(over="ignore", under="ignore"):
             np.exp(u, out=u)

@@ -5,8 +5,18 @@ pipeline reduces to per-group sums: 2SLS and GMMf are weighted averages of the
 per-group Wald ratios, the F-statistics are (weighted) means of per-group
 F-statistics, and the moment-covariance blocks are diagonal. Replication r
 draws from an independent counter-based substream (seed, r), which makes
-results invariant to the worker count. A chunk of replications is drawn and
-reduced to group moments one replication at a time, then tested all at once.
+results invariant to the worker count.
+
+A chunk of replications runs in two stages. Per replication, the group labels
+come from one uniform per row, by counting the inner cut points of the
+cumulative group shares that it reaches (bit for bit `Generator.choice`), and
+the errors from standard normals e; only the group sizes and the group sums
+of e, e^2 and e0 e1 are kept. x and y are affine in e within a group, so once
+per chunk these sum columns give the group sums of x and y and their centered
+sums of squares in closed form, and one function of those sums,
+`_stats_from_sums`, gives every statistic; `group_stats` applies the same
+function to the sums of a dataset. The tests then run on all replications of
+the chunk at once.
 """
 
 from __future__ import annotations
@@ -19,7 +29,6 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
-from types import SimpleNamespace
 
 import numpy as np
 import yaml
@@ -231,13 +240,27 @@ def _fixed_counts(n, probs):
 
 
 def _draw_labels(design, gen, tally=None):
+    """Group labels and group sizes of one dataset. Multinomial sizes take one
+    uniform per row and count the inner cut points of the normalized
+    cumulative shares that it reaches, which is bit for bit
+    `gen.choice(G, n, p=group_probs)` on the same uniforms. A draw that leaves
+    a group empty is redrawn from the same stream, at most _MAX_REDRAWS
+    times; redraws are counted in `tally["redraws"]` when given. Fixed sizes
+    use no random numbers."""
     g = design.G
     if design.sizes == "fixed":
-        return np.repeat(np.arange(g), _fixed_counts(design.n, design.group_probs))
+        counts = _fixed_counts(design.n, design.group_probs)
+        return np.repeat(np.arange(g), counts), counts
+    cuts = design.group_probs.cumsum()
+    cuts /= cuts[-1]
     for attempt in range(_MAX_REDRAWS + 1):
-        labels = gen.choice(g, size=design.n, p=design.group_probs)
-        if np.bincount(labels, minlength=g).min() > 0:
-            return labels
+        u = gen.random(design.n)
+        labels = (u >= cuts[0]).astype(np.intp)
+        for cut in cuts[1:-1]:
+            labels += u >= cut
+        counts = np.bincount(labels, minlength=g)
+        if counts.min() > 0:
+            return labels, counts
         if attempt < _MAX_REDRAWS:
             if tally is not None:
                 tally["redraws"] += 1
@@ -251,23 +274,12 @@ def _draw_labels(design, gen, tally=None):
     )
 
 
-def _draw(design, gen, tally=None):
-    """One dataset (labels, x, y); y is None for first-stage-only designs.
-    Empty-group redraws are counted in `tally["redraws"]` when given."""
-    labels = _draw_labels(design, gen, tally)
-    pi = design.pi
-    if design.has_structural:
-        l11 = np.sqrt(design.var_u)
-        l21 = design.cov_uv2 / l11
-        l22 = np.sqrt(design.var_v2 - l21 * l21)
-        eps = gen.standard_normal((design.n, 2))
-        u = l11[labels] * eps[:, 0]
-        v2 = l21[labels] * eps[:, 0] + l22[labels] * eps[:, 1]
-        x = pi[labels] + v2
-        y = design.beta * x + u
-        return labels, x, y
-    v2 = np.sqrt(design.var_v2)[labels] * gen.standard_normal(design.n)
-    return labels, pi[labels] + v2, None
+def _cholesky(design):
+    """Per-group factors of the (u, v2) covariance of a structural design:
+    u = l11 e0 and v2 = l21 e0 + l22 e1 for independent standard normals."""
+    l11 = np.sqrt(design.var_u)
+    l21 = design.cov_uv2 / l11
+    return l11, l21, np.sqrt(design.var_v2 - l21 * l21)
 
 
 def generate(design, rng=0):
@@ -279,49 +291,58 @@ def generate(design, rng=0):
             "be used for first-stage summaries via run_sim"
         )
     gen = _as_generator(rng)
-    labels, x, y = _draw(design, gen)
+    labels, _ = _draw_labels(design, gen)
+    l11, l21, l22 = _cholesky(design)
+    eps = gen.standard_normal((design.n, 2))
+    x = design.pi[labels] + (l21[labels] * eps[:, 0] + l22[labels] * eps[:, 1])
+    y = design.beta * x + l11[labels] * eps[:, 0]
     z = np.zeros((design.n, design.G))
     z[np.arange(design.n), labels] = 1.0
     return Dataset(y=y, x=x, z=z, cluster=labels)
 
 
-def _group_moments(labels, g, x, y=None):
-    """Per-group sufficient statistics and the closed-form grouped estimators."""
-    counts = np.bincount(labels, minlength=g)
-    if counts.min() == 0:
-        raise InputError(f"group {int(np.argmin(counts))} has no observations")
-    m = SimpleNamespace(counts=counts)
-    sx = np.bincount(labels, weights=x, minlength=g)
-    sxx = np.bincount(labels, weights=x * x, minlength=g)
-    m.mean_x = sx / counts
-    m.var_x = sxx / counts - m.mean_x * m.mean_x
-    if np.any(m.var_x <= 0.0):
-        raise NumericalError(
-            "zero within-group variance of the endogenous regressor"
-        )
-    m.nxb2 = counts * m.mean_x * m.mean_x
-    m.f_per_group = m.nxb2 / m.var_x
-    m.sum_nxb2 = float(m.nxb2.sum())
-    m.f_r = float(m.f_per_group.mean())
-    m.f_eff = m.sum_nxb2 / float(m.var_x.sum())
-    m.pooled_var_x = float((counts * m.var_x).sum()) / labels.size
-    m.f_stat = m.sum_nxb2 / (g * m.pooled_var_x)
-    m.weights_2sls = m.nxb2 / m.sum_nxb2
-    m.weights_gmmf = m.f_per_group / float(m.f_per_group.sum())
-    if y is None:
+def _stats_from_sums(counts, sx, cxx, sy=None, cxy=None, cyy=None):
+    """Every per-group and grouped statistic of R datasets from their group
+    sums, each an (R, G) array: the group sizes, the sums of x (and y) and
+    the centered sums of squares and cross-products. Returns a dict of
+    (R, G) per-group and (R,) grouped columns: the F-statistics and weights,
+    and with y also the closed-form grouped estimators."""
+    mean_x = sx / counts
+    var_x = cxx / counts
+    nxb2 = sx * mean_x
+    f_per_group = nxb2 / var_x
+    sum_nxb2 = nxb2.sum(axis=1)
+    gmmf_den = f_per_group.sum(axis=1)
+    pooled_var_x = cxx.sum(axis=1) / counts.sum(axis=1)
+    m = dict(
+        counts=counts,
+        mean_x=mean_x,
+        var_x=var_x,
+        f_per_group=f_per_group,
+        sum_nxb2=sum_nxb2,
+        f_r=f_per_group.mean(axis=1),
+        f_eff=sum_nxb2 / var_x.sum(axis=1),
+        pooled_var_x=pooled_var_x,
+        f_stat=sum_nxb2 / (counts.shape[1] * pooled_var_x),
+        weights_2sls=nxb2 / sum_nxb2[:, None],
+        weights_gmmf=f_per_group / gmmf_den[:, None],
+    )
+    if sy is None:
         return m
-    sy = np.bincount(labels, weights=y, minlength=g)
-    syy = np.bincount(labels, weights=y * y, minlength=g)
-    sxy = np.bincount(labels, weights=x * y, minlength=g)
-    m.mean_y = sy / counts
-    m.var_y = syy / counts - m.mean_y * m.mean_y
-    m.cov_xy = sxy / counts - m.mean_x * m.mean_y
-    m.sxx, m.syy, m.sxy = sxx, syy, sxy
-    m.beta_ols = float(sxy.sum() / sxx.sum())
-    m.beta_2sls = float((counts * m.mean_x * m.mean_y).sum() / m.sum_nxb2)
-    m.gmmf_den = float((m.nxb2 / m.var_x).sum())
-    m.beta_gmmf = float(
-        (counts * m.mean_x * m.mean_y / m.var_x).sum() / m.gmmf_den
+    mean_y = sy / counts
+    nxy = sx * mean_y
+    sxx, sxy = cxx + nxb2, cxy + nxy
+    m.update(
+        mean_y=mean_y,
+        var_y=cyy / counts,
+        cov_xy=cxy / counts,
+        sxx=sxx,
+        syy=cyy + sy * mean_y,
+        sxy=sxy,
+        gmmf_den=gmmf_den,
+        beta_ols=sxy.sum(axis=1) / sxx.sum(axis=1),
+        beta_2sls=nxy.sum(axis=1) / sum_nxb2,
+        beta_gmmf=(nxy / var_x).sum(axis=1) / gmmf_den,
     )
     return m
 
@@ -372,59 +393,103 @@ def group_stats(data, labels=None):
         labels = labels.astype(int)
         if labels.min() < 0 or labels.max() >= z.shape[1]:
             raise InputError("labels must index the instrument columns")
-    m = _group_moments(labels, z.shape[1], x, y)
+    g = z.shape[1]
+    counts = np.bincount(labels, minlength=g)
+    if counts.min() == 0:
+        raise InputError(f"group {int(np.argmin(counts))} has no observations")
+    sx = np.bincount(labels, weights=x, minlength=g)
+    sy = np.bincount(labels, weights=y, minlength=g)
+    dx = x - (sx / counts)[labels]
+    dy = y - (sy / counts)[labels]
+    cxx = np.bincount(labels, weights=dx * dx, minlength=g)
+    if np.any(cxx <= 0.0):
+        raise NumericalError("zero within-group variance of the endogenous regressor")
+    cxy = np.bincount(labels, weights=dx * dy, minlength=g)
+    cyy = np.bincount(labels, weights=dy * dy, minlength=g)
+    m = _stats_from_sums(*(a[None] for a in (counts, sx, cxx, sy, cxy, cyy)))
+    m = {k: v[0] if v.ndim == 2 else float(v[0]) for k, v in m.items()}
     with np.errstate(divide="ignore", invalid="ignore"):
-        beta_g = np.where(m.mean_x != 0.0, m.mean_y / m.mean_x, np.nan)
+        beta_g = np.where(m["mean_x"] != 0.0, m["mean_y"] / m["mean_x"], np.nan)
     return GroupStats(
-        counts=m.counts,
-        mean_x=m.mean_x,
-        mean_y=m.mean_y,
-        var_x=m.var_x,
-        var_y=m.var_y,
-        cov_xy=m.cov_xy,
-        f_per_group=m.f_per_group,
         beta_per_group=beta_g,
-        weights_2sls=m.weights_2sls,
-        weights_gmmf=m.weights_gmmf,
-        f_stat=m.f_stat,
-        f_eff=m.f_eff,
-        f_r=m.f_r,
-        beta_ols=m.beta_ols,
-        beta_2sls=m.beta_2sls,
-        beta_gmmf=m.beta_gmmf,
+        **{f.name: m[f.name] for f in dataclasses.fields(GroupStats) if f.name in m},
     )
 
 
 _SUMMARY_FIELDS = ("f_stat", "f_eff", "f_r", "f_per_group", "weights_2sls", "weights_gmmf")
-_STRUCTURAL_FIELDS = (
-    "counts", "mean_x", "var_x", "var_y", "cov_xy", "sxx", "syy", "sxy",
-    "pooled_var_x", "sum_nxb2", "gmmf_den", "beta_ols", "beta_2sls", "beta_gmmf",
-)
 
 
 def _moment_columns(design, seed, rep_ids, tally):
-    """Stage 1: draw each replication from its own substream and compute its
-    group moments. Returns the moments of the replications that got this far
-    as columns, one row per replication in order: (R,) for scalars, (R, G)
-    for per-group vectors; None if none did. Failures are counted in `tally`."""
-    fields = _SUMMARY_FIELDS + (_STRUCTURAL_FIELDS if design.has_structural else ())
-    rows = []
+    """Stage 1: the group moments of the replications `rep_ids` of a chunk.
+    Per replication, draw the labels and the standard normals e (two per row
+    for structural designs, one otherwise) from its own substream and keep
+    only the group sizes and the group sums of e and of its squares and cross
+    product. x and y are affine in e within a group, so once per chunk their
+    group sums, and every statistic, follow from these in closed form. Returns
+    the moments of the replications that got this far as columns, one row per
+    replication in order: (R,) for scalars, (R, G) for per-group vectors; None
+    if none did. Failures are counted in `tally`."""
+    g, n = design.G, design.n
+    structural = design.has_structural
+    fixed = design.sizes == "fixed"
+    if fixed:
+        try:
+            labels, counts = _draw_labels(design, None)
+        except WeakIvError:
+            tally["draw"] += len(rep_ids)
+            return None
+    sums = np.empty((len(rep_ids), 6 if structural else 3, g))
+    done = 0
     for rep in rep_ids:
         gen = RngStream(seed, rep).generator()
-        try:
-            labels, x, y = _draw(design, gen, tally)
-        except WeakIvError:
-            tally["draw"] += 1
-            continue
-        try:
-            m = _group_moments(labels, design.G, x, y)
-        except WeakIvError:
-            tally["moments"] += 1
-            continue
-        rows.append([getattr(m, k) for k in fields])
-    if not rows:
+        if not fixed:
+            try:
+                labels, counts = _draw_labels(design, gen, tally)
+            except WeakIvError:
+                tally["draw"] += 1
+                continue
+        if structural:
+            e = gen.standard_normal((n, 2)).T.copy()
+            sq = e * e
+            weights = (e[0], e[1], sq[0], sq[1], e[0] * e[1])
+        else:
+            e = gen.standard_normal(n)
+            weights = (e, e * e)
+        row = sums[done]
+        row[0] = counts
+        for k, w in enumerate(weights, 1):
+            row[k] = np.bincount(labels, weights=w, minlength=g)
+        done += 1
+    # centered sums: C_ij = S_ij - S_i S_j / n_g
+    counts, s0 = sums[:done, 0], sums[:done, 1]
+    pi_sums = counts * design.pi
+    if structural:
+        s1, s00, s11, s01 = sums[:done, 2:].transpose(1, 0, 2)
+        c00 = s00 - s0 * s0 / counts
+        c11 = s11 - s1 * s1 / counts
+        c01 = s01 - s0 * s1 / counts
+        l11, l21, l22 = _cholesky(design)
+        sx = pi_sums + (l21 * s0 + l22 * s1)
+        cxx = l21 * l21 * c00 + 2.0 * l21 * l22 * c01 + l22 * l22 * c11
+        cxu = l11 * (l21 * c00 + l22 * c01)
+        # y = b x + u with u = l11 e0: (sum, centered x-cross, centered square)
+        b = design.beta
+        sums_y = (
+            b * sx + l11 * s0,
+            b * cxx + cxu,
+            b * b * cxx + 2.0 * b * cxu + l11 * l11 * c00,
+        )
+    else:
+        sx = pi_sums + np.sqrt(design.var_v2) * s0
+        cxx = design.var_v2 * (sums[:done, 2] - s0 * s0 / counts)
+        sums_y = ()
+    # a single-observation group has zero within-group variance
+    bad = np.any(cxx <= 0.0, axis=1)
+    tally["moments"] += int(bad.sum())
+    if bad.all():  # also when no replication got past the draw
         return None
-    return {k: np.array(col) for k, col in zip(fields, zip(*rows))}
+    keep = ~bad
+    return _stats_from_sums(*(a[keep] for a in (counts, sx, cxx) + sums_y))
 
 
 def _wald_critical_value(alpha):

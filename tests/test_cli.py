@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,6 +287,22 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip()
+
+    def test_reproduce_tables_script_runs(self):
+        """The script simulates all five shipped designs it tabulates, he and
+        a2 among them, and prints a header for each."""
+        root = Path(__file__).resolve().parent.parent
+        path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "reproduce_tables.py"), "--reps", "3"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        for name in ("me", "he", "me_reconstructed", "he_reconstructed", "a2"):
+            assert f"== {name}  (reps=3, failed=" in proc.stdout
 
     def test_cli_import_leaves_scipy_out(self):
         """scipy is a test-only oracle: the runtime imports numpy and pyyaml."""

@@ -65,6 +65,19 @@ class TestNoncentralChiSq:
             x = mean + k * sd
             assert d.cdf(x) == pytest.approx(scipy.stats.ncx2.cdf(x, df, ncp), abs=1e-10)
 
+    @pytest.mark.parametrize("df", [1.0, 2.7, 10.0, 24.5])
+    @pytest.mark.parametrize("ncp", [1e3, 1e4, 1e5, 2e5])
+    def test_cdf_matches_scipy_large_ncp_to_1e12(self, df, ncp):
+        """The same grid to 1e-12. At ncp 1e5, df 2.7, mean - 7 sd the first
+        gamma CDF of the window is mid-range, so its prefactor, of size
+        a log x, must not cancel; nor may the series terms, of size ncp."""
+        d = NoncentralChiSq(df, ncp)
+        mean = df + ncp
+        sd = math.sqrt(2 * df + 4 * ncp)
+        for k in range(-8, 9):
+            x = mean + k * sd
+            assert d.cdf(x) == pytest.approx(scipy.stats.ncx2.cdf(x, df, ncp), abs=1e-12)
+
     def test_cdf_edge_values(self):
         d = NoncentralChiSq(3.0, 5.0)
         assert d.cdf(0.0) == 0.0

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings as warnings_mod
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -41,6 +42,29 @@ def small_structural(n=600, g=5, seed=0):
         cov_uv2=rng.uniform(0.1, 0.4, g),
         name="small",
     )
+
+
+def rare_group_design():
+    """A group with share 0.004 of n = 40 rows: often empty (redrawn), often
+    a single observation (zero within-group variance)."""
+    probs = np.full(4, (1 - 0.004) / 3)
+    probs[0] = 0.004
+    return GroupedDesign(
+        pi0=np.ones(4), var_v2=np.ones(4), n=40, group_probs=probs,
+        var_u=1.0, cov_uv2=0.3,
+    )
+
+
+def choice_labels(gen, g, n, p):
+    """The labels of the multinomial draw as Generator.choice gives them,
+    redrawn while a group is empty: the reference for the label routine."""
+    redraws = 0
+    for _ in range(grouped_sim._MAX_REDRAWS + 1):
+        labels = gen.choice(g, size=n, p=p)
+        if np.bincount(labels, minlength=g).min() > 0:
+            return labels, redraws
+        redraws += 1
+    return None, redraws - 1
 
 
 class TestDesigns:
@@ -338,12 +362,7 @@ class TestRunSim:
         """A rare group: some replications exhaust their redraws, others
         leave it with one observation and zero variance; the stage counts sum
         to `failed` and do not depend on the worker count."""
-        probs = np.full(4, (1 - 0.004) / 3)
-        probs[0] = 0.004
-        design = GroupedDesign(
-            pi0=np.ones(4), var_v2=np.ones(4), n=40, group_probs=probs,
-            var_u=1.0, cov_uv2=0.3,
-        )
+        design = rare_group_design()
         with warnings_mod.catch_warnings():
             warnings_mod.simplefilter("ignore")
             summ = run_sim(design, 40, seed=0)
@@ -384,6 +403,111 @@ class TestRunSim:
         with pytest.warns(UserWarning, match="empty group"):
             with pytest.raises(NumericalError):
                 generate(dataclasses.replace(design, var_u=1.0, cov_uv2=0.0), rng=0)
+
+
+class TestMomentKernel:
+    @pytest.mark.parametrize("g", [2, 3, 7, 10, 23, 40])
+    def test_labels_are_generator_choice(self, g):
+        """Counting the cut points each uniform reaches gives the labels of
+        Generator.choice bit for bit, also next to shares near 1e-6, and
+        leaves the stream where choice leaves it (the next draws agree)."""
+        rng = np.random.default_rng(100 + g)
+        p = rng.uniform(0.2, 1.8, g)
+        p[rng.choice(g, size=max(1, g // 10), replace=False)] = 5e-6 * p.sum()
+        p /= p.sum()
+        design = GroupedDesign(
+            pi0=np.ones(g), var_v2=np.ones(g), n=1_000_000, group_probs=p
+        )
+        ours, theirs = RngStream(g, 0).generator(), RngStream(g, 0).generator()
+        labels, counts = grouped_sim._draw_labels(design, ours)
+        want, redraws = choice_labels(theirs, g, design.n, design.group_probs)
+        assert redraws == 0
+        assert labels.tolist() == want.tolist()
+        assert counts.tolist() == np.bincount(want, minlength=g).tolist()
+        assert ours.random(4).tolist() == theirs.random(4).tolist()
+
+    def test_redrawn_labels_are_generator_choice(self):
+        """Streams that needed redraws, or ran out of them, consume the same
+        uniforms as redrawing with Generator.choice and count the same
+        redraws."""
+        design = rare_group_design()
+        outcomes = Counter()
+        for rep in range(30):
+            ours, theirs = RngStream(3, rep).generator(), RngStream(3, rep).generator()
+            want, redraws = choice_labels(theirs, 4, design.n, design.group_probs)
+            tally = Counter()
+            with warnings_mod.catch_warnings():
+                warnings_mod.simplefilter("ignore")
+                if want is None:
+                    with pytest.raises(NumericalError, match="stayed empty"):
+                        grouped_sim._draw_labels(design, ours, tally)
+                else:
+                    labels, _ = grouped_sim._draw_labels(design, ours, tally)
+                    assert labels.tolist() == want.tolist()
+            assert tally["redraws"] == redraws
+            assert ours.random(4).tolist() == theirs.random(4).tolist()
+            outcomes["failed" if want is None else "redrawn" if redraws else "first"] += 1
+        assert outcomes["failed"] > 0 and outcomes["redrawn"] > 0
+
+    @pytest.mark.parametrize("structural", [False, True])
+    def test_f_per_group_mean_closed_form(self, structural):
+        """With fixed group sizes n_g, n_g xbar^2 / s^2 is n_g / (n_g - 1)
+        times a noncentral F(1, n_g - 1, lam_g) with lam_g = n_g pi_g^2 /
+        sigma_g^2, so its mean is n_g (1 + lam_g) / (n_g - 3)."""
+        extra = dict(var_u=1.5, cov_uv2=[0.2, -0.5, 0.3, 0.9, -1.2]) if structural else {}
+        design = GroupedDesign(
+            pi0=[0.0, 0.5, 1.0, 2.0, 3.0], var_v2=[1.0, 0.5, 1.0, 2.0, 1.0],
+            n=100, sizes="fixed", **extra,
+        )
+        n_g = design.n / design.G
+        f = grouped_sim._moment_columns(design, 8, range(8000), Counter())["f_per_group"]
+        lam = n_g * design.pi**2 / design.var_v2
+        want = n_g * (1.0 + lam) / (n_g - 3.0)
+        se = f.std(axis=0, ddof=1) / math.sqrt(f.shape[0])
+        assert np.all(np.abs(f.mean(axis=0) - want) < 4.0 * se)
+
+    @pytest.mark.parametrize("design", [load_design("me_reconstructed"), rare_group_design()],
+                             ids=["me_reconstructed", "rare_group"])
+    def test_kernel_columns_match_group_stats_of_generated_data(self, design):
+        """Replication r of the kernel has the statistics of the dataset that
+        generate draws from the same substream, and fails at the same stage."""
+        seed, fields = 0, [
+            "mean_x", "mean_y", "var_x", "var_y", "cov_xy", "f_per_group",
+            "weights_2sls", "weights_gmmf", "f_stat", "f_eff", "f_r", "beta_ols",
+            "beta_2sls", "beta_gmmf",
+        ]
+        tally, stages, expected = Counter(), Counter(), []
+        with warnings_mod.catch_warnings():
+            warnings_mod.simplefilter("ignore")
+            cols = grouped_sim._moment_columns(design, seed, range(20), tally)
+            for rep in range(20):
+                try:
+                    data = generate(design, RngStream(seed, rep))
+                except NumericalError:
+                    stages["draw"] += 1
+                    continue
+                try:
+                    expected.append(group_stats(data))
+                except NumericalError:
+                    stages["moments"] += 1
+        assert (tally["draw"], tally["moments"]) == (stages["draw"], stages["moments"])
+        assert cols["f_stat"].shape == (len(expected),)
+        for i, gs in enumerate(expected):
+            assert cols["counts"][i].tolist() == gs.counts.tolist()
+            for name in fields:
+                np.testing.assert_allclose(cols[name][i], getattr(gs, name), rtol=1e-10, atol=0)
+
+    def test_failure_stages_of_rare_group_design(self):
+        """The stage counts of the rare-group design, as the per-replication
+        draw and moments path gave them; single-observation groups fail at
+        the moments stage."""
+        with warnings_mod.catch_warnings():
+            warnings_mod.simplefilter("ignore")
+            summ = run_sim(rare_group_design(), 20, seed=0)
+        assert summ.failures == {
+            "draw": 4, "moments": 14, "moment_cov": 1, "bias_bound": 0, "critical_value": 0,
+        }
+        assert summ.redraws == 101
 
 
 class TestSweepScale:
