@@ -1,10 +1,14 @@
 """Command-line interface.
 
 Subcommands: estimate and weakivtest consume a CSV file with named column
-bindings; simulate and curves consume a design file (or shipped design name).
-Exit codes: 0 ok, 2 usage or input error, 3 numerical failure. Table output
-rounds to 3 decimals; csv and json carry full precision. Runs are
-deterministic given the seed.
+bindings; simulate and curves run the Monte Carlo on a design file (or
+shipped design name); nagar gives a design's closed-form concentrations and
+Nagar biases; compare contrasts the 2SLS and GMMf Nagar biases over random
+designs. Each subcommand builds its results once and `_emit` writes them as
+a table, csv or json. Exit codes: 0 ok, 2 usage, input or file error, 3
+numerical failure. Table output rounds to 3 decimals; csv and json carry
+full precision, and csv leaves out per-group vectors. Runs are deterministic
+given the seed.
 """
 
 from __future__ import annotations
@@ -18,8 +22,10 @@ from .data import load_csv, partial_out
 from .errors import InputError, NumericalError
 from .estimators import WeightSpec, estimate, estimate_moment_cov, ols
 from .fstats import f_effective, f_nonrobust, f_robust
-from .grouped_sim import available_designs, load_design, run_sim, sweep_scale
-from .weak_test import weak_iv_test
+from .grouped_sim import (
+    available_designs, load_design, random_design_comparison, run_sim, sweep_scale,
+)
+from .weak_test import nagar_bias_grouped, weak_iv_test
 
 __all__ = ["main"]
 
@@ -39,14 +45,14 @@ def _bounded_float(name):
     return parse
 
 
-def _positive_int(name):
+def _int_at_least(name, low):
     def parse(text):
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{name} must be an integer") from None
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{name} must be at least 1")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{name} must be at least {low}")
         return value
 
     return parse
@@ -137,21 +143,22 @@ def build_parser():
     )
     p_test.set_defaults(func=cmd_weakivtest)
 
-    sim_parent = argparse.ArgumentParser(add_help=False)
-    sim_parent.add_argument(
+    design_parent = argparse.ArgumentParser(add_help=False)
+    design_parent.add_argument(
         "design",
         help=(
             "design file path or shipped design name "
             f"({', '.join(available_designs())})"
         ),
     )
+    sim_parent = argparse.ArgumentParser(add_help=False, parents=[design_parent])
     sim_parent.add_argument(
-        "--reps", type=_positive_int("reps"), default=2000,
+        "--reps", type=_int_at_least("reps", 1), default=2000,
         help="number of replications (default 2000)",
     )
     sim_parent.add_argument("--seed", type=int, default=0)
     sim_parent.add_argument(
-        "--workers", type=_positive_int("workers"), default=None,
+        "--workers", type=_int_at_least("workers", 1), default=None,
         help="worker processes (default: WEAKIV_WORKERS or 1; at most the "
         "CPU count)",
     )
@@ -172,19 +179,78 @@ def build_parser():
         "design's scale_e (it is not a multiplier of it)",
     )
     p_cur.set_defaults(func=cmd_curves)
+
+    p_nagar = sub.add_parser(
+        "nagar", parents=[design_parent, out_parent],
+        help="per-group concentrations and closed-form Nagar biases of a design",
+    )
+    p_nagar.set_defaults(func=cmd_nagar)
+
+    p_cmp = sub.add_parser(
+        "compare", parents=[out_parent],
+        help="2SLS against GMMf Nagar bias over random grouped designs",
+    )
+    p_cmp.add_argument(
+        "--count", type=_int_at_least("count", 1), default=1000,
+        help="accepted designs to compare (default 1000)",
+    )
+    p_cmp.add_argument(
+        "--groups", type=_int_at_least("groups", 2), default=10,
+        help="groups per design (default 10)",
+    )
+    p_cmp.add_argument("--seed", type=int, default=0)
+    p_cmp.set_defaults(func=cmd_compare)
     return parser
 
 
-def _emit(text, out):
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+def _csv_cell(value):
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _table_lines(table):
+    for item in table:
+        if isinstance(item, str):
+            yield item
+            continue
+        columns, rows = item
+        widths = [spec.split(".")[0] for _, spec in columns]
+        yield "".join(format(title, w) for (title, _), w in zip(columns, widths))
+        for row in rows:
+            yield "".join(
+                format("", w) if value is None else format(value, spec)
+                for value, (_, spec), w in zip(row, columns, widths)
+            )
+
+
+def _emit(args, meta, results, csv_rows, table):
+    """Write one command's output, in args.format, to args.out or stdout.
+
+    json is {"meta": meta, "results": results}. csv_rows are rows of cells,
+    header first; a one-cell "# ..." row is a comment line. table is a list
+    of lines and of (columns, rows) blocks, columns being (title, format
+    spec) pairs: a block prints the titles, then each row's cells in their
+    specs, with None as a blank of its column's width.
+    """
+    if args.format == "json":
+        text = json.dumps({"meta": meta, "results": results}, indent=2) + "\n"
+    elif args.format == "csv":
+        text = "".join(",".join(map(_csv_cell, row)) + "\n" for row in csv_rows)
+    else:
+        text = "".join(line + "\n" for line in _table_lines(table))
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return 0
 
 
-def _json_text(meta, results):
-    return json.dumps({"meta": meta, "results": results}, indent=2) + "\n"
+def _vector_lines(vectors):
+    for key, vec in vectors.items():
+        body = "  ".join(f"{v:8.3f}" for v in vec)
+        yield f"{key:<14}{body}"
 
 
 def _load(args):
@@ -211,7 +277,7 @@ def cmd_estimate(args):
         res = maker()
         results["estimates"][label] = {
             "beta": res.beta_hat,
-            "se_robust": res.se_robust,
+            "se_robust": float(res.se_robust),
             "se_nonrobust": res.se_nonrobust,
         }
     cov = estimate_moment_cov(pd_, **kw)
@@ -230,33 +296,24 @@ def cmd_estimate(args):
             "dof_correction": args.dof_correction, "flavor": flavor,
         },
     }
-    if args.format == "json":
-        text = _json_text(meta, results)
-    elif args.format == "csv":
-        lines = ["name,value"]
-        for label, row in results["estimates"].items():
-            for field, value in row.items():
-                lines.append(f"{field}_{label},{value!r}")
-        for field, value in results["fstats"].items():
-            lines.append(f"{field},{value!r}")
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [
-            f"# weakiv estimate  data={args.data}  n={pd_.n}  k_z={pd_.k_z}",
-            "",
-            f"{'estimator':<10}{'beta':>12}{'se_robust':>12}{'se_nonrobust':>14}",
-        ]
-        for label, row in results["estimates"].items():
-            lines.append(
-                f"{label:<10}{row['beta']:>12.3f}{row['se_robust']:>12.3f}"
-                f"{row['se_nonrobust']:>14.3f}"
-            )
-        lines += ["", f"{'statistic':<10}{'value':>12}"]
-        for field, value in results["fstats"].items():
-            lines.append(f"{field:<10}{value:>12.3f}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0
+    estimates = results["estimates"].items()
+    csv_rows = [
+        ("name", "value"),
+        *((f"{field}_{label}", value)
+          for label, row in estimates for field, value in row.items()),
+        *results["fstats"].items(),
+    ]
+    table = [
+        f"# weakiv estimate  data={args.data}  n={pd_.n}  k_z={pd_.k_z}",
+        "",
+        ([("estimator", "<10"), ("beta", ">12.3f"), ("se_robust", ">12.3f"),
+          ("se_nonrobust", ">14.3f")],
+         [(label, *row.values()) for label, row in estimates]),
+        "",
+        ([("statistic", "<10"), ("value", ">12.3f")],
+         results["fstats"].items()),
+    ]
+    return _emit(args, meta, results, csv_rows, table)
 
 
 def cmd_weakivtest(args):
@@ -300,39 +357,26 @@ def cmd_weakivtest(args):
             "stat": args.stat,
         },
     }
-    if args.format == "json":
-        text = _json_text(meta, results)
-    elif args.format == "csv":
-        lines = ["test,statistic,bias_bound,radius,effective_dof,cv,reject"]
-        for label, row in results.items():
-            lines.append(
-                f"{label},{row['statistic']!r},{row['bias_bound']!r},"
-                f"{row['radius']!r},{row['effective_dof']!r},{row['cv']!r},"
-                f"{int(row['reject'])}"
-            )
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [
-            f"# weakiv weakivtest  data={args.data}  benchmark={args.benchmark}"
-            f"  tau={args.tau}  alpha={args.alpha}  method={args.method}"
-            f"  seed={args.seed}",
-            "",
-            f"{'test':<8}{'statistic':>11}{'bias_bound':>12}{'radius':>10}"
-            f"{'eff_dof':>10}{'cv':>10}  decision",
-        ]
-        for label, row in results.items():
-            decision = "reject weak" if row["reject"] else "not rejected"
-            lines.append(
-                f"{label:<8}{row['statistic']:>11.3f}{row['bias_bound']:>12.3f}"
-                f"{row['radius']:>10.3f}{row['effective_dof']:>10.3f}"
-                f"{row['cv']:>10.3f}  {decision}"
-            )
-        for label, row in results.items():
-            for note in row["warnings"]:
-                lines.append(f"# {label}: {note}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0
+    fields = ("statistic", "bias_bound", "radius", "effective_dof", "cv")
+    csv_rows = [("test", *fields, "reject")] + [
+        (label, *(row[f] for f in fields), int(row["reject"]))
+        for label, row in results.items()
+    ]
+    table = [
+        f"# weakiv weakivtest  data={args.data}  benchmark={args.benchmark}"
+        f"  tau={args.tau}  alpha={args.alpha}  method={args.method}"
+        f"  seed={args.seed}",
+        "",
+        ([("test", "<8"), ("statistic", ">11.3f"), ("bias_bound", ">12.3f"),
+          ("radius", ">10.3f"), ("eff_dof", ">10.3f"), ("cv", ">10.3f"),
+          ("  decision", "")],
+         [(label, *(row[f] for f in fields),
+           "  reject weak" if row["reject"] else "  not rejected")
+          for label, row in results.items()]),
+        *(f"# {label}: {note}"
+          for label, row in results.items() for note in row["warnings"]),
+    ]
+    return _emit(args, meta, results, csv_rows, table)
 
 
 def _summary_columns(summ):
@@ -346,12 +390,6 @@ def _summary_columns(summ):
     for key, rate in summ.rejection_rates.items():
         cols.append((f"rf_{key}", rate))
     return cols
-
-
-def _csv_cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def cmd_simulate(args):
@@ -376,47 +414,30 @@ def cmd_simulate(args):
             "benchmark": summ.benchmark, "method": summ.method,
         },
     }
-    if args.format == "json":
-        results = {
-            "failed": summ.failed,
-            "means": summ.means,
-            "sds": summ.sds,
-            "rejection_rates": summ.rejection_rates,
-            "group_means": {k: list(v) for k, v in summ.group_means.items()},
-        }
-        text = _json_text(meta, results)
-    elif args.format == "csv":
-        cols = _summary_columns(summ)
-        text = (
-            f"# seed={summ.seed}\n"
-            + ",".join(name for name, _ in cols)
-            + "\n"
-            + ",".join(_csv_cell(value) for _, value in cols)
-            + "\n"
-        )
-    else:
-        lines = [
-            f"# weakiv simulate  design={summ.design_name}  reps={summ.reps}"
-            f"  failed={summ.failed}  seed={summ.seed}",
-            f"# tau={summ.tau}  alpha={summ.alpha}  benchmark={summ.benchmark}"
-            f"  method={summ.method}",
-            "",
-            f"{'statistic':<12}{'mean':>12}{'sd':>12}",
-        ]
-        for key, mean in summ.means.items():
-            sd = f"{summ.sds[key]:>12.3f}" if summ.sds is not None else f"{'':>12}"
-            lines.append(f"{key:<12}{mean:>12.3f}{sd}")
-        if summ.rejection_rates:
-            lines += ["", f"{'test':<12}{'rej. rate':>12}"]
-            for key, rate in summ.rejection_rates.items():
-                lines.append(f"{key:<12}{rate:>12.3f}")
-        lines += ["", "per-group means"]
-        for key, vec in summ.group_means.items():
-            body = "  ".join(f"{v:8.3f}" for v in vec)
-            lines.append(f"{key:<14}{body}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0
+    results = {
+        "failed": summ.failed,
+        "means": summ.means,
+        "sds": summ.sds,
+        "rejection_rates": summ.rejection_rates,
+        "group_means": {k: list(v) for k, v in summ.group_means.items()},
+    }
+    cols = _summary_columns(summ)
+    csv_rows = [(f"# seed={summ.seed}",), [n for n, _ in cols], [v for _, v in cols]]
+    table = [
+        f"# weakiv simulate  design={summ.design_name}  reps={summ.reps}"
+        f"  failed={summ.failed}  seed={summ.seed}",
+        f"# tau={summ.tau}  alpha={summ.alpha}  benchmark={summ.benchmark}"
+        f"  method={summ.method}",
+        "",
+        ([("statistic", "<12"), ("mean", ">12.3f"), ("sd", ">12.3f")],
+         [(key, mean, None if summ.sds is None else summ.sds[key])
+          for key, mean in summ.means.items()]),
+    ]
+    if summ.rejection_rates:
+        table += ["", ([("test", "<12"), ("rej. rate", ">12.3f")],
+                       summ.rejection_rates.items())]
+    table += ["", "per-group means", *_vector_lines(summ.group_means)]
+    return _emit(args, meta, results, csv_rows, table)
 
 
 def cmd_curves(args):
@@ -444,25 +465,55 @@ def cmd_curves(args):
         },
     }
     header = list(rows[0].keys())
-    if args.format == "json":
-        text = _json_text(meta, rows)
-    elif args.format == "csv":
-        lines = [f"# seed={args.seed}", ",".join(header)]
-        for row in rows:
-            lines.append(",".join(_csv_cell(row[name]) for name in header))
-        text = "\n".join(lines) + "\n"
+    values = [[row[name] for name in header] for row in rows]
+    table = [
+        f"# weakiv curves  design={design.name}  reps={args.reps}"
+        f"  seed={args.seed}  benchmark={args.benchmark}",
+        "",
+        ([(name, ">14.3f") for name in header], values),
+    ]
+    return _emit(args, meta, rows, [(f"# seed={args.seed}",), header, *values], table)
+
+
+def cmd_nagar(args):
+    design = load_design(args.design)
+    conc = design.n * design.pi**2 / design.var_v2
+    scalars = vars(nagar_bias_grouped(design)) if design.has_structural else {}
+    meta = {"command": "nagar", "version": __version__, "design": design.name}
+    results = {"concentration": conc.tolist(), **scalars}
+    table = [f"# weakiv nagar  design={design.name}  n={design.n}  groups={design.G}"]
+    if scalars:
+        table += ["", ([("statistic", "<12"), ("value", ">12.3f")], scalars.items())]
     else:
-        lines = [
-            f"# weakiv curves  design={design.name}  reps={args.reps}"
-            f"  seed={args.seed}  benchmark={args.benchmark}",
-            "",
-            "".join(f"{name:>14}" for name in header),
-        ]
-        for row in rows:
-            lines.append("".join(f"{row[name]:>14.3f}" for name in header))
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0
+        table.append("# first-stage design: no Nagar biases without cov_uv2")
+    table += ["", "per-group", *_vector_lines({"concentration": conc})]
+    csv_rows = [("design", *scalars), (design.name, *scalars.values())]
+    return _emit(args, meta, results, csv_rows, table)
+
+
+def cmd_compare(args):
+    comp = random_design_comparison(count=args.count, seed=args.seed, g=args.groups)
+    meta = {
+        "command": "compare",
+        "version": __version__,
+        "seed": comp.seed,
+        "options": {"count": comp.count, "groups": args.groups},
+    }
+    biases = {
+        "fraction_2sls_worse": comp.fraction_2sls_worse,
+        "mean_abs_nagar_2sls": float(abs(comp.nagar_2sls).mean()),
+        "mean_abs_nagar_gmmf": float(abs(comp.nagar_gmmf).mean()),
+    }
+    results = {"attempts": comp.attempts, **biases}
+    cols = {"count": comp.count, "groups": args.groups, "seed": comp.seed, **results}
+    table = [
+        f"# weakiv compare  count={comp.count}  groups={args.groups}"
+        f"  seed={comp.seed}  attempts={comp.attempts}",
+        "",
+        ([("statistic", "<22"), ("value", ">12.3f")], biases.items()),
+    ]
+    csv_rows = [(f"# seed={comp.seed}",), cols, cols.values()]
+    return _emit(args, meta, results, csv_rows, table)
 
 
 def main(argv=None):
@@ -470,7 +521,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
+        # An OSError without a file name (a failed fork, say) is no input error.
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise
         print(f"weakiv: error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -1,14 +1,19 @@
 import csv
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+import weakiv.cli
 from weakiv.cli import main
+from weakiv.grouped_sim import (
+    available_designs,
+    load_design,
+    random_design_comparison,
+)
+from weakiv.weak_test import nagar_bias_grouped
 
 
 def write_iv_csv(path, n=300, kz=3, seed=0, weak=False, het=False):
@@ -71,6 +76,47 @@ class TestUsageErrors:
         code, out, err = run_main(["simulate", "missing_design"], capsys)
         assert code == 2
         assert "shipped designs" in err
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("missing_csv", "No such file"),
+            ("directory_csv", "Is a directory"),
+            ("undecodable_csv", "can't decode"),
+            ("directory_design", "Is a directory"),
+            ("undecodable_design", "can't decode"),
+            ("out_in_missing_directory", "No such file"),
+        ],
+    )
+    def test_file_error_exits_2(self, case, message, tmp_path, capsys):
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_bytes(b"y,x,z0\n1,2,\xff\n")
+        bad_design = tmp_path / "bad.yaml"
+        bad_design.write_bytes(b"pi0: [1.0, \xff]\n")
+        bind = ["--y", "y", "--x", "x", "--z", "z0"]
+        argv = {
+            "missing_csv": ["estimate", str(tmp_path / "none.csv"), *bind],
+            "directory_csv": ["estimate", str(tmp_path), *bind],
+            "undecodable_csv": ["estimate", str(bad_csv), *bind],
+            "directory_design": ["simulate", str(tmp_path), "--reps", "2"],
+            "undecodable_design": ["nagar", str(bad_design)],
+            "out_in_missing_directory": [
+                "nagar", "a2", "--out", str(tmp_path / "none" / "out.txt")
+            ],
+        }[case]
+        code, out, err = run_main(argv, capsys)
+        assert code == 2
+        assert err.startswith("weakiv: error: ")
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_oserror_without_file_name_propagates(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(weakiv.cli, "run_sim", fail)
+        with pytest.raises(OSError):
+            main(["simulate", "me", "--reps", "2"])
 
 
 class TestEstimate:
@@ -278,6 +324,141 @@ class TestSimulateAndCurves:
         assert "numerical error" in err
 
 
+class TestNagarAndCompare:
+    def test_nagar_matches_closed_form(self, capsys):
+        code, out, err = run_main(["nagar", "a2", "--format", "json"], capsys)
+        assert code == 0, err
+        doc = json.loads(out)
+        design = load_design("a2")
+        diag = nagar_bias_grouped(design)
+        results = doc["results"]
+        for key in ("conc_2sls", "conc_gmmf", "nagar_2sls", "nagar_gmmf"):
+            assert results[key] == getattr(diag, key)
+        assert results["concentration"] == list(
+            design.n * design.pi**2 / design.var_v2
+        )
+
+    def test_nagar_first_stage_design_gives_concentration_only(self, capsys):
+        code, out, err = run_main(["nagar", "me", "--format", "json"], capsys)
+        assert code == 0, err
+        assert list(json.loads(out)["results"]) == ["concentration"]
+        code, out, err = run_main(["nagar", "me"], capsys)
+        assert code == 0, err
+        assert "concentration" in out
+
+    def test_compare_matches_library(self, capsys):
+        code, out, err = run_main(
+            ["compare", "--count", "60", "--seed", "9", "--format", "json"],
+            capsys,
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        comp = random_design_comparison(count=60, seed=9)
+        assert doc["meta"]["seed"] == 9
+        assert doc["meta"]["options"] == {"count": 60, "groups": 10}
+        assert doc["results"] == {
+            "attempts": comp.attempts,
+            "fraction_2sls_worse": comp.fraction_2sls_worse,
+            "mean_abs_nagar_2sls": float(np.abs(comp.nagar_2sls).mean()),
+            "mean_abs_nagar_gmmf": float(np.abs(comp.nagar_gmmf).mean()),
+        }
+
+    def test_compare_rejects_one_group(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--groups", "1"])
+        assert exc.value.code == 2
+
+
+def _estimate_records(doc):
+    res = doc["results"]
+    return [
+        {"name": f"{field}_{label}", "value": value}
+        for label, row in res["estimates"].items()
+        for field, value in row.items()
+    ] + [{"name": key, "value": value} for key, value in res["fstats"].items()]
+
+
+def _weakivtest_records(doc):
+    fields = ("statistic", "bias_bound", "radius", "effective_dof", "cv", "reject")
+    return [
+        {"test": label, **{f: row[f] for f in fields}}
+        for label, row in doc["results"].items()
+    ]
+
+
+def _simulate_records(doc):
+    meta, res = doc["meta"], doc["results"]
+    opts = meta["options"]
+    return [{
+        "design": meta["design"], "reps": opts["reps"], "failed": res["failed"],
+        "seed": meta["seed"], "tau": opts["tau"], "alpha": opts["alpha"],
+        "benchmark": opts["benchmark"], "method": opts["method"],
+        **{f"mean_{k}": v for k, v in res["means"].items()},
+        **{f"sd_{k}": v for k, v in res["sds"].items()},
+        **{f"rf_{k}": v for k, v in res["rejection_rates"].items()},
+    }]
+
+
+def _nagar_records(doc):
+    res = doc["results"]
+    return [{
+        "design": doc["meta"]["design"],
+        **{k: v for k, v in res.items() if k != "concentration"},
+    }]
+
+
+def _compare_records(doc):
+    meta = doc["meta"]
+    return [{**meta["options"], "seed": meta["seed"], **doc["results"]}]
+
+
+def _csv_cell(value):
+    if isinstance(value, bool):
+        return str(int(value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+class TestCrossFormat:
+    """Every csv cell is the json value it comes from, in repr round trip,
+    and every float result shows in the table to 3 decimals."""
+
+    @pytest.mark.parametrize(
+        "argv, records",
+        [
+            (["estimate", "DATA", "--y", "y", "--x", "x", "--z", "z0",
+              "--z", "z1", "--controls", "c1"], _estimate_records),
+            (["weakivtest", "DATA", "--y", "y", "--x", "x", "--z", "z0",
+              "--z", "z1", "--z", "z2", "--cluster", "g"], _weakivtest_records),
+            (["simulate", "me_reconstructed", "--reps", "4", "--seed", "2"],
+             _simulate_records),
+            (["curves", "a2", "--scales", "0.5,1", "--reps", "4"],
+             lambda doc: doc["results"]),
+            (["nagar", "a2"], _nagar_records),
+            (["compare", "--count", "20", "--seed", "1"], _compare_records),
+        ],
+        ids=["estimate", "weakivtest", "simulate", "curves", "nagar", "compare"],
+    )
+    def test_csv_json_and_table_agree(self, argv, records, tmp_path, capsys):
+        data = write_iv_csv(tmp_path / "d.csv", het=True)
+        argv = [data if a == "DATA" else a for a in argv]
+        outs = {}
+        for fmt in ("table", "csv", "json"):
+            code, outs[fmt], err = run_main(argv + ["--format", fmt], capsys)
+            assert code == 0, err
+        rows = list(csv.reader(
+            line for line in outs["csv"].splitlines() if not line.startswith("#")
+        ))
+        expected = records(json.loads(outs["json"]))
+        assert [dict(zip(rows[0], row)) for row in rows[1:]] == [
+            {key: _csv_cell(value) for key, value in rec.items()}
+            for rec in expected
+        ]
+        for rec in expected:
+            for key, value in rec.items():
+                if isinstance(value, float) and key not in ("tau", "alpha"):
+                    assert f"{value:.3f}" in outs["table"], key
+
+
 class TestConsoleScript:
     def test_entry_point_runs(self):
         proc = subprocess.run(
@@ -288,21 +469,11 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert proc.stdout.strip()
 
-    def test_reproduce_tables_script_runs(self):
-        """The script simulates all five shipped designs it tabulates, he and
-        a2 among them, and prints a header for each."""
-        root = Path(__file__).resolve().parent.parent
-        path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
-        proc = subprocess.run(
-            [sys.executable, str(root / "scripts" / "reproduce_tables.py"), "--reps", "3"],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
-            timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        for name in ("me", "he", "me_reconstructed", "he_reconstructed", "a2"):
-            assert f"== {name}  (reps=3, failed=" in proc.stdout
+    @pytest.mark.parametrize("name", available_designs())
+    def test_simulate_runs_every_shipped_design(self, name, capsys):
+        code, out, err = run_main(["simulate", name, "--reps", "3"], capsys)
+        assert code == 0, err
+        assert out.startswith(f"# weakiv simulate  design={name}  reps=3  failed=")
 
     def test_cli_import_leaves_scipy_out(self):
         """scipy is a test-only oracle: the runtime imports numpy and pyyaml."""
