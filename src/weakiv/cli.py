@@ -45,14 +45,14 @@ def _bounded_float(name):
     return parse
 
 
-def _int_at_least(name, low):
+def _positive_int(name):
     def parse(text):
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{name} must be an integer") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{name} must be at least {low}")
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{name} must be at least 1")
         return value
 
     return parse
@@ -153,12 +153,12 @@ def build_parser():
     )
     sim_parent = argparse.ArgumentParser(add_help=False, parents=[design_parent])
     sim_parent.add_argument(
-        "--reps", type=_int_at_least("reps", 1), default=2000,
+        "--reps", type=_positive_int("reps"), default=2000,
         help="number of replications (default 2000)",
     )
     sim_parent.add_argument("--seed", type=int, default=0)
     sim_parent.add_argument(
-        "--workers", type=_int_at_least("workers", 1), default=None,
+        "--workers", type=_positive_int("workers"), default=None,
         help="worker processes (default: WEAKIV_WORKERS or 1; at most the "
         "CPU count)",
     )
@@ -191,12 +191,8 @@ def build_parser():
         help="2SLS against GMMf Nagar bias over random grouped designs",
     )
     p_cmp.add_argument(
-        "--count", type=_int_at_least("count", 1), default=1000,
+        "--count", type=_positive_int("count"), default=1000,
         help="accepted designs to compare (default 1000)",
-    )
-    p_cmp.add_argument(
-        "--groups", type=_int_at_least("groups", 2), default=10,
-        help="groups per design (default 10)",
     )
     p_cmp.add_argument("--seed", type=int, default=0)
     p_cmp.set_defaults(func=cmd_compare)
@@ -205,7 +201,7 @@ def build_parser():
 
 def _csv_cell(value):
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
@@ -277,7 +273,7 @@ def cmd_estimate(args):
         res = maker()
         results["estimates"][label] = {
             "beta": res.beta_hat,
-            "se_robust": float(res.se_robust),
+            "se_robust": res.se_robust,
             "se_nonrobust": res.se_nonrobust,
         }
     cov = estimate_moment_cov(pd_, **kw)
@@ -492,12 +488,12 @@ def cmd_nagar(args):
 
 
 def cmd_compare(args):
-    comp = random_design_comparison(count=args.count, seed=args.seed, g=args.groups)
+    comp = random_design_comparison(count=args.count, seed=args.seed)
     meta = {
         "command": "compare",
         "version": __version__,
         "seed": comp.seed,
-        "options": {"count": comp.count, "groups": args.groups},
+        "options": {"count": comp.count},
     }
     biases = {
         "fraction_2sls_worse": comp.fraction_2sls_worse,
@@ -505,10 +501,10 @@ def cmd_compare(args):
         "mean_abs_nagar_gmmf": float(abs(comp.nagar_gmmf).mean()),
     }
     results = {"attempts": comp.attempts, **biases}
-    cols = {"count": comp.count, "groups": args.groups, "seed": comp.seed, **results}
+    cols = {"count": comp.count, "seed": comp.seed, **results}
     table = [
-        f"# weakiv compare  count={comp.count}  groups={args.groups}"
-        f"  seed={comp.seed}  attempts={comp.attempts}",
+        f"# weakiv compare  count={comp.count}  seed={comp.seed}"
+        f"  attempts={comp.attempts}",
         "",
         ([("statistic", "<22"), ("value", ">12.3f")], biases.items()),
     ]

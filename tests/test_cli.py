@@ -355,18 +355,13 @@ class TestNagarAndCompare:
         doc = json.loads(out)
         comp = random_design_comparison(count=60, seed=9)
         assert doc["meta"]["seed"] == 9
-        assert doc["meta"]["options"] == {"count": 60, "groups": 10}
+        assert doc["meta"]["options"] == {"count": 60}
         assert doc["results"] == {
             "attempts": comp.attempts,
             "fraction_2sls_worse": comp.fraction_2sls_worse,
             "mean_abs_nagar_2sls": float(np.abs(comp.nagar_2sls).mean()),
             "mean_abs_nagar_gmmf": float(np.abs(comp.nagar_gmmf).mean()),
         }
-
-    def test_compare_rejects_one_group(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["compare", "--groups", "1"])
-        assert exc.value.code == 2
 
 
 def _estimate_records(doc):
