@@ -47,7 +47,6 @@ from .grouped_sim import (
 from .weak_test import (
     Benchmark,
     GroupedBiasDiagnostics,
-    SupOptions,
     SupResult,
     TransformedMomentCov,
     WeakIvResult,

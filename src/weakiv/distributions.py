@@ -29,23 +29,29 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+_GAMMA_TOL = 1e-15
+_GAMMA_MAX_ITER = 20000
+_BISECT_MAX_ITER = 400
+_TAIL_TOL = 1e-13
+"""Largest Poisson mass a noncentral series may leave out: the windows of
+`_window` leave out at most about 3.5e-22 at every ncp up to 2e7."""
 _BLOCK_TERMS = 1 << 15
 """Laws x Poisson-series terms evaluated at once; a batch of laws is split
 into blocks under this budget, which bounds the memory of its tables."""
 
 
-def _gamma_series(a, x, log_prefac, tol, max_iter):
+def _gamma_series(a, x, log_prefac):
     # P(a,x) = e^{-x} x^a / Gamma(a) * sum_n x^n / (a (a+1) ... (a+n))
     out = np.full(a.shape, np.nan)
     idx = np.arange(a.size)
     ap = a.copy()
     term = 1.0 / a
     total = term.copy()
-    for _ in range(max_iter):
+    for _ in range(_GAMMA_MAX_ITER):
         ap += 1.0
         term *= x / ap
         total += term
-        done = np.abs(term) < np.abs(total) * tol
+        done = np.abs(term) < np.abs(total) * _GAMMA_TOL
         if done.any():
             out[idx[done]] = np.minimum(1.0, total[done] * np.exp(log_prefac[done]))
             go = ~done
@@ -56,7 +62,7 @@ def _gamma_series(a, x, log_prefac, tol, max_iter):
     return out
 
 
-def _gamma_fraction(a, x, log_prefac, tol, max_iter):
+def _gamma_fraction(a, x, log_prefac):
     # Lentz's method for the continued fraction of Q(a, x)
     out = np.full(a.shape, np.nan)
     idx = np.arange(a.size)
@@ -65,7 +71,7 @@ def _gamma_fraction(a, x, log_prefac, tol, max_iter):
     with np.errstate(divide="ignore"):
         d = np.where(np.abs(b) > _TINY, 1.0 / b, 1.0 / _TINY)
     h = d.copy()
-    for i in range(1, max_iter + 1):
+    for i in range(1, _GAMMA_MAX_ITER + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -75,7 +81,7 @@ def _gamma_fraction(a, x, log_prefac, tol, max_iter):
         d = 1.0 / d
         delta = d * c
         h *= delta
-        done = np.abs(delta - 1.0) < tol
+        done = np.abs(delta - 1.0) < _GAMMA_TOL
         if done.any():
             out[idx[done]] = np.maximum(0.0, 1.0 - np.exp(log_prefac[done]) * h[done])
             go = ~done
@@ -86,7 +92,7 @@ def _gamma_fraction(a, x, log_prefac, tol, max_iter):
     return out
 
 
-def _lower_gamma(a, x, lgamma_a, tol=1e-15, max_iter=20000):
+def _lower_gamma(a, x, lgamma_a):
     """P(a, x) for 1-d arrays a > 0 and x >= 0, given lgamma(a); NaN where
     the iteration did not converge."""
     out = np.zeros(x.shape)
@@ -101,18 +107,18 @@ def _lower_gamma(a, x, lgamma_a, tol=1e-15, max_iter=20000):
     series = pos & (x < a + 1.0)
     for branch, mask in ((_gamma_series, series), (_gamma_fraction, pos & ~series)):
         if mask.any():
-            out[mask] = branch(a[mask], x[mask], log_prefac[mask], tol, max_iter)
+            out[mask] = branch(a[mask], x[mask], log_prefac[mask])
     return out
 
 
-def lower_gamma_regularized(a, x, tol=1e-15, max_iter=20000):
+def lower_gamma_regularized(a, x):
     """Regularized lower incomplete gamma function P(a, x).
 
     Power series for x < a + 1, modified Lentz continued fraction for the
-    complement otherwise; both iterated to relative tolerance `tol`, each
-    element until it converges. `a` and `x` broadcast; a scalar pair gives a
-    float and raises NumericalError if the iteration does not converge, an
-    array gives NaN where it does not.
+    complement otherwise; both iterated to relative tolerance 1e-15, each
+    element until it converges, for at most 20000 terms. `a` and `x`
+    broadcast; a scalar pair gives a float and raises NumericalError if the
+    iteration does not converge, an array gives NaN where it does not.
     """
     a_arr, x_arr = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(x, dtype=float))
     if not np.all(a_arr > 0):
@@ -120,7 +126,7 @@ def lower_gamma_regularized(a, x, tol=1e-15, max_iter=20000):
     if np.any(x_arr < 0):
         raise ValueError(f"argument must be nonnegative, got {x}")
     a1, x1 = np.atleast_1d(a_arr).ravel(), np.atleast_1d(x_arr).ravel()
-    p = _lower_gamma(a1, x1, _lgamma(a1), tol, max_iter)
+    p = _lower_gamma(a1, x1, _lgamma(a1))
     if a_arr.ndim:
         return p.reshape(a_arr.shape)
     if math.isnan(p[0]):
@@ -156,8 +162,8 @@ class NoncentralChiSq:
             object.__setattr__(self, "df", np.array(df))
             object.__setattr__(self, "ncp", np.array(ncp))
 
-    def cdf(self, x, tail_tol=1e-13):
-        return chisq_cdf(self, x, tail_tol=tail_tol)
+    def cdf(self, x):
+        return chisq_cdf(self, x)
 
     def quantile(self, p):
         return chisq_quantile(self, p)
@@ -248,25 +254,25 @@ class _Series:
     row per law, padded to the widest window. Entries past a law's own window
     are computed but never read, so a law's CDF does not depend on its block.
 
-    A law whose own window starts at 0 (lam up to about 100) keeps ref_u = 1
-    and log j! as a running sum of log j. Any other law, also when a retry
-    sums it from j = 0, takes its logs relative to the Poisson mean (ref_w =
-    lam for the weights, ref_u = a + lam for the gamma terms) and anchors its
-    running sums at the mode (`_log_gamma_table`), so that rounding errors
-    scale with the distance from the mode, not with lam log lam. The tables
-    of such a law also leave out c = ref (ref_w = lam in the weights, c_u =
-    ref_u in the gamma terms), which the caller takes from lam and y exactly
-    instead (c = 0 for the other laws)."""
+    A law whose window starts at 0 (lam up to about 100) keeps ref_u = 1 and
+    log j! as a running sum of log j. Any other law takes its logs relative
+    to the Poisson mean (ref_w = lam for the weights, ref_u = a + lam for the
+    gamma terms) and anchors its running sums at the mode
+    (`_log_gamma_table`), so that rounding errors scale with the distance
+    from the mode, not with lam log lam. The tables of such a law also leave
+    out c = ref (ref_w = lam in the weights, c_u = ref_u in the gamma terms),
+    which the caller takes from lam and y exactly instead (c = 0 for the
+    other laws). The Chernoff bounds `left` and `right` on the Poisson mass
+    outside the window decide in `cdf` whether a law's sum is accepted."""
 
-    def __init__(self, a, lam, window=None):
-        self.a, self.lam = a, lam
-        j0, self.end = _window(lam) if window is None else window
-        self.last = self.end - j0 - 1
+    def __init__(self, a, lam):
+        j0, end = _window(lam)
+        self.last = end - j0 - 1
         width = int(self.last.max()) + 1 if a.size else 1
         start = j0.astype(float)
         self.a0 = a + start
         self.lgamma_a0 = _lgamma(self.a0)
-        win = _window(lam)[0] > 0
+        win = j0 > 0
         anchor = np.where(win, np.floor(lam) - start, 0.0)
         ref_w, self.ref_u = np.where(win, lam, 1.0), np.where(win, a + lam, 1.0)
         self.c_u = np.where(win, self.ref_u, 0.0)
@@ -277,18 +283,18 @@ class _Series:
         w -= _log_gamma_table(start, ref_w, anchor, width)
         self.w = np.exp(w, out=w)
         self.log_gam = _log_gamma_table(self.a0, self.ref_u, anchor, width - 1)
-        self.left, self.right = _poisson_outside(lam, j0, self.end)
+        self.left, self.right = _poisson_outside(lam, j0, end)
 
     def take(self, idx):
         sub = object.__new__(_Series)
-        for name in ("a", "lam", "end", "last", "a0", "lgamma_a0", "ref_u", "c_u", "w",
-                     "log_gam", "left", "right"):
+        for name in ("last", "a0", "lgamma_a0", "ref_u", "c_u", "w", "log_gam", "left",
+                     "right"):
             setattr(sub, name, getattr(self, name)[idx])
         return sub
 
-    def cdf(self, x, tail_tol):
-        """CDF at x > 0 (one value per law), and whether each law's series
-        reached its tail bound."""
+    def cdf(self, x):
+        """CDF at x > 0, one value per law; NaN where a law's series misses
+        its tail bound."""
         y = 0.5 * x
         p0 = _lower_gamma(self.a0, y, self.lgamma_a0)
         # u_m = y^(a0+m) e^{-y} / Gamma(a0+m+1)
@@ -310,12 +316,12 @@ class _Series:
         rows = np.arange(p.shape[0])
         # the terms past the window weigh at most `right` and are at most the
         # last P; those before it weigh at most `left`
-        reached = self.left + self.right * p[rows, self.last] <= tail_tol
+        reached = self.left + self.right * p[rows, self.last] <= _TAIL_TOL
         # a row cumsum read at each law's own last term sums the law in an
         # order that the padding of its block cannot change
         p *= self.w
         total = np.cumsum(p, axis=1, out=p)[rows, self.last]
-        return np.clip(total, 0.0, 1.0), reached
+        return np.where(reached, np.clip(total, 0.0, 1.0), np.nan)
 
 
 def _take(d, idx):
@@ -349,26 +355,7 @@ def _blocks(d):
         start = stop
 
 
-def _mixture_cdf(series, x, tail_tol):
-    """Block CDF at x > 0. A law whose series misses its tail bound is summed
-    again, alone, from j = 0 to twice its last end, up to 60 attempts in all,
-    else NaN."""
-    out, reached = series.cdf(x, tail_tol)
-    for i in np.flatnonzero(~reached).tolist():
-        one = slice(i, i + 1)
-        end = series.end[one]
-        out[i] = np.nan
-        for _ in range(59):
-            end = 2 * end
-            window = (np.zeros_like(end), end)
-            value, ok = _Series(series.a[one], series.lam[one], window).cdf(x[one], tail_tol)
-            if ok[0]:
-                out[i] = value[0]
-                break
-    return out
-
-
-def chisq_cdf(d, x, tail_tol=1e-13):
+def chisq_cdf(d, x):
     """CDF of the (non)central chi-square `d` at `x`.
 
     Poisson mixture sum_j w_j P(df/2 + j, x/2) with w_j Poisson(ncp/2) weights,
@@ -381,17 +368,17 @@ def chisq_cdf(d, x, tail_tol=1e-13):
     (Chernoff: beyond k on either side of lam it is at most
     exp(k - lam + k log(lam / k))); the sum is accepted when the mass before
     the window plus the mass after it times the last gamma CDF is at most
-    `tail_tol`, else the law is summed again from j = 0 over a doubled window
-    end. The weights and normalizers are built once per law object and
-    reused by later calls. For a batch `d`, `x` broadcasts against its laws
-    and the result is an array, NaN where a law's series did not converge; a
-    scalar law gives a float or raises NumericalError.
+    1e-13, else the law fails. The weights and normalizers are built once per
+    law object and reused by later calls. For a batch `d`, `x` broadcasts
+    against its laws and the result is an array, NaN where a law's series
+    missed its tail bound; a scalar law gives a float or raises
+    NumericalError.
     """
     x = np.atleast_1d(np.broadcast_to(np.asarray(x, dtype=float), np.shape(d.df)))
     out = np.zeros(x.shape)
     xs = np.where(x <= 0.0, 1.0, x)
     for idx, law in _blocks(d):
-        out[idx] = _mixture_cdf(law._series, xs[idx], tail_tol)
+        out[idx] = law._series.cdf(xs[idx])
     out[x <= 0.0] = 0.0
     if np.ndim(d.df):
         return out
@@ -400,7 +387,7 @@ def chisq_cdf(d, x, tail_tol=1e-13):
     return float(out[0])
 
 
-def _bisect(law, p, cdf_tol, max_iter):
+def _bisect(law, p, cdf_tol):
     """Quantiles of the batch `law` at `p` (see chisq_quantile): NaN where the
     law failed, and whether its bracket could not be expanded."""
     n = p.size
@@ -420,7 +407,7 @@ def _bisect(law, p, cdf_tol, max_iter):
     idx = np.flatnonzero(~unbounded)
     cur = law if idx.size == n else _take(law, idx)
     live = np.ones(idx.size, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         if not live.any():
             break
         mid = 0.5 * (lo[idx] + hi[idx])
@@ -442,18 +429,18 @@ def _bisect(law, p, cdf_tol, max_iter):
     return q, unbounded
 
 
-def chisq_quantile(d, p, cdf_tol=1e-10, max_iter=400):
+def chisq_quantile(d, p, cdf_tol=1e-10):
     """Quantile of the (non)central chi-square `d` at probability `p`.
 
     Bracketed bisection; the bracket starts at
     [0, df + ncp + 10 sqrt(2 df + 4 ncp) + 50] and expands geometrically if it
     does not yet cover `p`. Bisection runs until the interval is resolved to
-    1e-12 relative to its upper end, also for quantiles far below 1, then the
-    |CDF - p| < `cdf_tol` post-condition is checked. A batch `d` is bisected
-    in blocks of laws, each step one `chisq_cdf` call on the block's laws
-    still bisecting; `p` broadcasts against the laws and the result is an
-    array, NaN where a law fails. A scalar law gives a float or raises
-    NumericalError.
+    1e-12 relative to its upper end, also for quantiles far below 1, for at
+    most 400 steps, then the |CDF - p| < `cdf_tol` post-condition is checked.
+    A batch `d` is bisected in blocks of laws, each step one `chisq_cdf` call
+    on the block's laws still bisecting; `p` broadcasts against the laws and
+    the result is an array, NaN where a law fails. A scalar law gives a float
+    or raises NumericalError.
     """
     p = np.broadcast_to(np.asarray(p, dtype=float), np.shape(d.df))
     if not np.all((p > 0.0) & (p < 1.0)):
@@ -463,7 +450,7 @@ def chisq_quantile(d, p, cdf_tol=1e-10, max_iter=400):
     q = np.empty(p.shape)
     unbounded = np.zeros(p.shape, dtype=bool)
     for idx, law in _blocks(batch):
-        q[idx], unbounded[idx] = _bisect(law, p[idx], cdf_tol, max_iter)
+        q[idx], unbounded[idx] = _bisect(law, p[idx], cdf_tol)
     if np.ndim(d.df):
         return q
     if unbounded[0]:

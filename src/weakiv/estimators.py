@@ -10,11 +10,11 @@ estimators are supported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import NoncentralChiSq, chisq_cdf
 from .errors import InputError, NumericalError
 
 __all__ = [
@@ -258,7 +258,7 @@ def _sandwich(z, t, u, denom, labels, dof_correction):
     meat = _meat(z, [u], labels, dof_correction)[(0, 0)]
     n = z.shape[0]
     var = float(t @ (n * meat) @ t) / denom**2
-    return np.sqrt(max(var, 0.0))
+    return math.sqrt(max(var, 0.0))
 
 
 def weight_matrix(pd, spec, cov=None):
@@ -340,12 +340,12 @@ def ols(pd, flavor="hc0", dof_correction=False):
 
 
 def wald_test(res, beta0):
-    """Squared t-ratio against beta0 with the robust SE; p-value from chi2(1)."""
+    """Squared t-ratio against beta0 with the robust SE; p-value from chi2(1),
+    whose survival function at s is erfc(sqrt(s / 2))."""
     diff = res.beta_hat - beta0
     if diff == 0.0:
         return WaldResult(statistic=0.0, pvalue=1.0)
     if res.se_robust == 0.0:
         return WaldResult(statistic=float("inf"), pvalue=0.0)
     stat = (diff / res.se_robust) ** 2
-    p = 1.0 - chisq_cdf(NoncentralChiSq(1.0), stat)
-    return WaldResult(statistic=float(stat), pvalue=float(min(max(p, 0.0), 1.0)))
+    return WaldResult(statistic=float(stat), pvalue=math.erfc(math.sqrt(stat / 2.0)))

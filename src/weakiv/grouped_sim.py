@@ -36,7 +36,9 @@ import yaml
 from .data import Dataset
 from .distributions import NoncentralChiSq, RngStream, chisq_quantile
 from .errors import InputError, NumericalError, WeakIvError
-from .weak_test import _diagonal_worst_case_bias, _keff, _nagar_biases, critical_value
+from .weak_test import (
+    _check_alpha, _diagonal_worst_case_bias, _keff, _nagar_biases, critical_value,
+)
 
 __all__ = [
     "DesignComparison",
@@ -55,6 +57,8 @@ __all__ = [
 _MAX_REDRAWS = 10
 _CHUNK_REPS = 1024
 """Most replications one chunk holds; bounds the memory of its columns."""
+_COMPARE_GROUPS = 10
+_COMPARE_BATCH = 20000
 _FAILURE_STAGES = ("draw", "moments", "moment_cov", "bias_bound", "critical_value")
 
 
@@ -674,8 +678,7 @@ def run_sim(
         raise InputError(f"unknown critical-value method {method!r}")
     if not 0.0 < tau < 1.0:
         raise InputError(f"tau must be in (0, 1), got {tau}")
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     workers = _resolve_workers(workers)
     seed = int(seed)
     wald_cv = None
@@ -802,16 +805,16 @@ class DesignComparison:
     cov_uv2: np.ndarray
 
 
-def random_design_comparison(
-    count=1000, seed=0, g=10, batch=20000, max_attempts=5_000_000
-):
+def random_design_comparison(count=1000, seed=0, max_attempts=5_000_000):
     """Sample random grouped designs under concentration and endogeneity
     constraints and compare the closed-form approximate biases of 2SLS and
     GMMf.
 
-    Groups have equal shares. Scaled first-stage coefficients are uniform on
-    [-40, 40], variances uniform on (0, 10], within-group correlations uniform
-    on (-1, 1). A draw is kept when the overall endogeneity correlation
+    Each design has 10 groups with equal shares. Scaled first-stage
+    coefficients are uniform on [-40, 40], variances uniform on (0, 10],
+    within-group correlations uniform on (-1, 1). Designs are drawn in
+    batches of 20000 until `count` are kept, or `max_attempts` are drawn
+    (NumericalError). A draw is kept when the overall endogeneity correlation
     exceeds 0.2 in absolute value, the 2SLS concentration is in (5, 10), and
     the GMMf concentration is in (40, 45). Reports the fraction of kept
     designs where 2SLS has the larger absolute approximate bias.
@@ -819,10 +822,9 @@ def random_design_comparison(
     count = int(count)
     if count < 1:
         raise InputError(f"count must be at least 1, got {count}")
-    if g < 2:
-        raise InputError(f"g must be at least 2, got {g}")
     gen = RngStream(int(seed), 0).generator()
-    share = 1.0 / g
+    share = 1.0 / _COMPARE_GROUPS
+    size = (_COMPARE_BATCH, _COMPARE_GROUPS)
     kept = []
     attempts = 0
     n_kept = 0
@@ -832,14 +834,14 @@ def random_design_comparison(
                 f"constraint satisfaction drew {attempts} designs without "
                 f"reaching {count} accepted; constraints are too tight"
             )
-        c = gen.uniform(-40.0, 40.0, (batch, g))
-        vu = 10.0 * (1.0 - gen.random((batch, g)))
-        v2 = 10.0 * (1.0 - gen.random((batch, g)))
-        rho = gen.uniform(-1.0, 1.0, (batch, g))
+        c = gen.uniform(-40.0, 40.0, size)
+        vu = 10.0 * (1.0 - gen.random(size))
+        v2 = 10.0 * (1.0 - gen.random(size))
+        rho = gen.uniform(-1.0, 1.0, size)
         suv = rho * np.sqrt(vu * v2)
         cf = c * c * share
         mu2_2sls = cf.sum(axis=1) / v2.sum(axis=1)
-        mu2_gmmf = (cf / v2).sum(axis=1) / g
+        mu2_gmmf = (cf / v2).sum(axis=1) / _COMPARE_GROUPS
         rho_all = suv.mean(axis=1) / np.sqrt(vu.mean(axis=1) * v2.mean(axis=1))
         keep = (
             (np.abs(rho_all) > 0.2)
@@ -848,7 +850,7 @@ def random_design_comparison(
             & (mu2_gmmf > 40.0)
             & (mu2_gmmf < 45.0)
         )
-        attempts += batch
+        attempts += _COMPARE_BATCH
         idx = np.flatnonzero(keep)
         if idx.size:
             kept.append((c[idx], vu[idx], v2[idx], suv[idx]))

@@ -34,7 +34,6 @@ from .fstats import FStatValue, f_effective, f_generalized, f_robust
 __all__ = [
     "Benchmark",
     "GroupedBiasDiagnostics",
-    "SupOptions",
     "SupResult",
     "TransformedMomentCov",
     "WeakIvResult",
@@ -51,6 +50,19 @@ __all__ = [
 ]
 
 _MOP_CAP_TOL = 1e-6
+_SUP_RESTARTS = 64
+_SUP_MAX_ITER = 500
+_SUP_TOL = 1e-10
+_MC_DIRECTIONS = 200
+
+
+def _check_alpha(alpha):
+    """Reject a test level outside (0, 1), or one so small that the
+    critical value's probability 1 - alpha rounds to 1."""
+    if not 0.0 < alpha < 1.0:
+        raise InputError(f"alpha must be in (0, 1), got {alpha}")
+    if 1.0 - alpha == 1.0:
+        raise InputError(f"alpha {alpha} is too small: 1 - alpha rounds to 1")
 
 
 def _sym_sqrt(omega):
@@ -153,14 +165,6 @@ def benchmark_scale(beta, tc, bench):
     return math.sqrt(rad)
 
 
-@dataclass(frozen=True)
-class SupOptions:
-    restarts: int = 64
-    max_iter: int = 500
-    tol: float = 1e-10
-    seed: int = 0
-
-
 @dataclass(frozen=True, eq=False)
 class SupResult:
     value: float
@@ -210,18 +214,18 @@ def _beta_step(a, b, d0, d1):
     return np.where(use_lim, f_lim, f_star), np.where(use_lim, np.inf, beta_star)
 
 
-def worst_case_bias(tc, bench, opts=None):
+def worst_case_bias(tc, bench):
     """Supremum over beta and unit directions of |bias numerator| / benchmark.
 
     Alternating ascent: for a fixed direction the squared objective is
     (a + b*beta)^2 / (d0 + d1*beta + beta^2), maximized in closed form (linear
     stationarity equation, plus the beta -> +-inf candidate value b^2); for a
     fixed beta the best direction is the extreme eigenvector of the symmetric
-    part of S12(beta). Multi-start: random unit vectors plus eigenvectors of
-    sym(cross block) and of the lower block. The two steps are each exact, so
-    the objective value ascends monotonically.
+    part of S12(beta). Multi-start: 64 random unit vectors from a fixed seed
+    plus eigenvectors of sym(cross block) and of the lower block. The two
+    steps are each exact, so the objective value ascends monotonically; each
+    start stops when it changes by at most 1e-10 relative, or after 500 steps.
     """
-    opts = opts or SupOptions()
     w2 = tc.v2v2
     k = w2.shape[0]
     t = float(np.trace(w2))
@@ -229,8 +233,8 @@ def worst_case_bias(tc, bench, opts=None):
     tr12 = float(np.trace(tc.v1v2))
     d0, d1 = _denominator_coeffs(tc, bench)
 
-    gen = RngStream(opts.seed, 0).generator()
-    rnd = gen.standard_normal((opts.restarts, k))
+    gen = RngStream(0, 0).generator()
+    rnd = gen.standard_normal((_SUP_RESTARTS, k))
     vec12 = np.linalg.eigh(m12)[1].T
     vals2, vecs2 = np.linalg.eigh(w2)
     starts = np.vstack([rnd, vec12, vecs2.T])
@@ -252,7 +256,7 @@ def worst_case_bias(tc, bench, opts=None):
     f, beta = _beta_step(a, b, d0, d1)
     converged = np.zeros(m, dtype=bool)
     active = np.ones(m, dtype=bool)
-    for _ in range(opts.max_iter):
+    for _ in range(_SUP_MAX_ITER):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
@@ -270,7 +274,7 @@ def worst_case_bias(tc, bench, opts=None):
             c_new[~finite] = lim_dir
         a, b = ab_of(c_new)
         f_new, beta_new = _beta_step(a, b, d0, d1)
-        done = np.abs(f_new - f[idx]) <= opts.tol * np.maximum(1.0, np.abs(f[idx]))
+        done = np.abs(f_new - f[idx]) <= _SUP_TOL * np.maximum(1.0, np.abs(f[idx]))
         f[idx] = np.maximum(f_new, f[idx])
         beta[idx] = beta_new
         dirs[idx] = c_new
@@ -337,19 +341,17 @@ def effective_dof(w2t, radius):
     )
 
 
-def critical_value(
-    w2t, radius, alpha, method="patnaik", draws=100000, directions=200, seed=0
-):
+def critical_value(w2t, radius, alpha, method="patnaik", draws=100000, seed=0):
     """Critical value for the generalized effective F-statistic.
 
     "patnaik": upper-alpha quantile of chi2(keff, radius*keff)/keff with keff
-    the moment-matched effective dof. "mc": max over a direction grid
-    (eigenvectors of the lower block plus random unit directions) of the
-    empirical upper-alpha quantile of |c + xi|^2 / tr, xi ~ N(0, lower block),
+    the moment-matched effective dof. "mc": max over a grid of max(200, k)
+    directions (the k eigenvectors of the lower block, then random unit
+    directions from `seed`) of the empirical upper-alpha quantile of
+    |c + xi|^2 / tr over `draws` draws xi ~ N(0, lower block),
     |c|^2 = radius * tr; one shared draw batch is reused across directions.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if radius < 0.0:
         raise InputError(f"radius must be nonnegative, got {radius}")
     w2t = np.asarray(w2t, dtype=float)
@@ -360,7 +362,7 @@ def critical_value(
         k = w2t.shape[0]
         t = float(np.trace(w2t))
         gen = RngStream(seed, 0).generator()
-        n_rand = max(0, directions - k)
+        n_rand = max(0, _MC_DIRECTIONS - k)
         rnd = gen.standard_normal((n_rand, k))
         rnorm = np.linalg.norm(rnd, axis=1)
         rnorm[rnorm == 0.0] = 1.0
@@ -410,9 +412,7 @@ def weak_iv_test(
     method="patnaik",
     flavor="hc0",
     dof_correction=False,
-    sup_options=None,
     mc_draws=100000,
-    mc_directions=200,
     mc_seed=0,
 ):
     """Run the full weak-instruments decision procedure for one estimator.
@@ -422,12 +422,13 @@ def weak_iv_test(
     Omega from `weight_matrix`; the kind only picks the statistic: effective
     F for "2sls", robust F for "gmmf", generalized F for "custom". `method`
     is "patnaik", "mc", or "conservative" (radius fixed at 1/tau, valid and
-    conservative for the mop benchmark only).
+    conservative for the mop benchmark only). The bias bound comes from
+    `worst_case_bias`; `mc_draws` and `mc_seed` are the draws and seed of the
+    "mc" critical value (`critical_value`).
     """
     if not 0.0 < tau < 1.0:
         raise InputError(f"tau must be in (0, 1), got {tau}")
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if method not in ("patnaik", "mc", "conservative"):
         raise InputError(f"unknown method {method!r}")
     if not isinstance(spec, WeightSpec):
@@ -453,7 +454,7 @@ def weak_iv_test(
         bias_bound = 1.0
         radius = 1.0 / tau
     else:
-        sup = worst_case_bias(tc, bench, sup_options)
+        sup = worst_case_bias(tc, bench)
         if not sup.converged:
             warnings = ("bias-bound search did not converge; using best value found",)
         bias_bound = sup.value
@@ -461,7 +462,7 @@ def weak_iv_test(
     keff = effective_dof(tc.v2v2, radius)
     cv = critical_value(
         tc.v2v2, radius, alpha, "patnaik" if method == "conservative" else method,
-        draws=mc_draws, directions=mc_directions, seed=mc_seed,
+        draws=mc_draws, seed=mc_seed,
     )
     return WeakIvResult(
         statistic=stat,

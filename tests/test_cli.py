@@ -59,6 +59,16 @@ class TestUsageErrors:
             )
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "weakivtest"])
+    def test_alpha_whose_complement_rounds_to_1_exits_2(self, command, tmp_path, capsys):
+        argv = (["simulate", "me_reconstructed", "--reps", "3"] if command == "simulate"
+                else ["weakivtest", write_iv_csv(tmp_path / "d.csv"), "--y", "y", "--x", "x",
+                      "--z", "z0"])
+        code, out, err = run_main(argv + ["--alpha", "1e-17"], capsys)
+        assert code == 2
+        assert err == "weakiv: error: alpha 1e-17 is too small: 1 - alpha rounds to 1\n"
+        assert out == ""
+
     def test_no_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -138,24 +138,29 @@ class TestNoncentralChiSq:
         return built
 
     def test_tail_bounds_need_no_resum(self, series_built):
-        """At ncp near 4000 every law reaches its tail bound in its block:
-        a quantile builds one series per block and re-sums no law alone."""
+        """At ncp near 4000 every law reaches its tail bound in its block,
+        and a quantile builds one series per block for all its steps."""
         d = NoncentralChiSq(np.full(100, 10.0), np.linspace(3700.0, 4100.0, 100))
         blocks = len(list(distributions._blocks(d)))
         q = chisq_quantile(d, 0.95)
         assert np.isfinite(q).all()
         assert len(series_built) == blocks
 
-    def test_tiny_tail_tol_resums_from_zero(self, series_built):
-        """A tail tolerance below the Chernoff bound of the mass before the
-        window re-sums the law from j = 0, and agrees with the default."""
-        for df, ncp in [(3.0, 300.0), (3.0, 4000.0), (10.0, 1e4)]:
-            for x in (ncp - 100.0, df + ncp, ncp + 200.0):
-                series_built.clear()
-                tight = NoncentralChiSq(df, ncp).cdf(x, tail_tol=1e-40)
-                (start, _), = [args[2] for args in series_built[1:]]
-                assert start.tolist() == [0]
-                assert tight == pytest.approx(NoncentralChiSq(df, ncp).cdf(x), abs=1e-12)
+    def test_window_tail_bound_is_met(self):
+        """Every window leaves out Poisson mass far below the tail tolerance,
+        so at any ncp up to 2e7 a law's series reaches its tail bound."""
+        lam = np.concatenate([[0.0], np.logspace(-6, 7, 2001)])
+        left, right = distributions._poisson_outside(lam, *distributions._window(lam))
+        assert np.all(left + right <= 1e-21)
+
+    def test_missed_tail_bound_fails_the_law(self, monkeypatch):
+        """A law whose series misses the tail tolerance is NaN in a batch, and
+        a scalar law raises."""
+        monkeypatch.setattr(distributions, "_TAIL_TOL", 0.0)
+        batch = NoncentralChiSq(np.array([3.0, 3.0]), np.array([50.0, 4000.0]))
+        assert np.isnan(chisq_cdf(batch, np.array([200.0, 4000.0]))).all()
+        with pytest.raises(NumericalError, match="tail bound"):
+            chisq_cdf(NoncentralChiSq(3.0, 4000.0), 4000.0)
 
     def test_batch_equals_laws_alone(self):
         """A law's quantile and CDF are bit-equal alone and inside a shuffled
@@ -238,13 +243,6 @@ class TestNoncentralChiSq:
         d = NoncentralChiSq(df, ncp)
         qs = [chisq_quantile(d, p) for p in (0.1, 0.5, 0.9)]
         assert qs[0] < qs[1] < qs[2]
-
-    def test_tail_tolerance_stability(self):
-        d = NoncentralChiSq(7.0, 90.0)
-        for x in (40.0, 97.0, 200.0):
-            assert d.cdf(x, tail_tol=1e-13) == pytest.approx(
-                d.cdf(x, tail_tol=1e-9), abs=1e-8
-            )
 
 
 class TestRngStream:

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.stats
 
 from helpers import make_dataset, make_pd
 from weakiv import (
@@ -203,6 +206,13 @@ class TestStandardErrors:
         r2 = estimate(pd_, WeightSpec("gmmf"))
         assert r1.beta_hat == pytest.approx(r2.beta_hat, abs=0.01)
 
+    def test_results_are_python_floats(self):
+        pd_ = make_pd(np.random.default_rng(19), n=150, kz=2)
+        fits = (ols(pd_), estimate(pd_, WeightSpec("2sls")), estimate(pd_, WeightSpec("gmmf")))
+        for res in fits:
+            for name in ("beta_hat", "se_robust", "se_nonrobust"):
+                assert type(getattr(res, name)) is float, name
+
 
 class TestWald:
     def test_statistic_is_squared_t(self):
@@ -218,6 +228,15 @@ class TestWald:
         res = ols(make_pd(np.random.default_rng(16), n=100, kz=1))
         w = wald_test(res, res.beta_hat + 1.959963985 * res.se_robust)
         assert w.pvalue == pytest.approx(0.05, abs=1e-6)
+
+    def test_pvalue_matches_scipy_in_the_tail(self):
+        """The p-value is chi2(1)'s survival function, accurate also far into
+        its tail, where 1 - CDF cancels to 0."""
+        res = ols(make_pd(np.random.default_rng(16), n=100, kz=1))
+        for stat in np.logspace(-3, math.log10(1400.0), 41).tolist():
+            w = wald_test(res, res.beta_hat - math.sqrt(stat) * res.se_robust)
+            want = scipy.stats.chi2.sf(w.statistic, 1)
+            assert w.pvalue == pytest.approx(want, rel=1e-12, abs=0.0), stat
 
     def test_at_null_value(self):
         res = ols(make_pd(np.random.default_rng(17), n=100, kz=1))

@@ -346,6 +346,10 @@ class TestRunSim:
             run_sim(design, 2, method="conservative")
         with pytest.raises(InputError, match="workers"):
             run_sim(design, 2, workers=0)
+        with pytest.raises(InputError, match="alpha must be in"):
+            run_sim(design, 2, alpha=0.0)
+        with pytest.raises(InputError, match="1 - alpha rounds to 1"):
+            run_sim(design, 2, alpha=1e-17)
 
     def test_impossible_group_fails_cleanly(self):
         probs = np.full(4, (1 - 1e-12) / 3)

@@ -8,7 +8,6 @@ from weakiv import (
     Benchmark,
     NoncentralChiSq,
     ResidualCov,
-    SupOptions,
     TransformedMomentCov,
     WeightSpec,
     benchmark_scale,
@@ -214,8 +213,8 @@ class TestWorstCaseBias:
     def test_deterministic(self):
         rng = np.random.default_rng(12)
         tc = random_transformed_cov(rng, 4)
-        a = worst_case_bias(tc, Benchmark("mop"), SupOptions(seed=5))
-        b = worst_case_bias(tc, Benchmark("mop"), SupOptions(seed=5))
+        a = worst_case_bias(tc, Benchmark("mop"))
+        b = worst_case_bias(tc, Benchmark("mop"))
         assert a.value == b.value
         assert a.argmax_beta == b.argmax_beta
 
@@ -432,6 +431,8 @@ class TestWeakIvTest:
             weak_iv_test(pd_, WeightSpec("2sls"), tau=0.0)
         with pytest.raises(InputError, match="alpha"):
             weak_iv_test(pd_, WeightSpec("2sls"), alpha=1.0)
+        with pytest.raises(InputError, match="1 - alpha rounds to 1"):
+            weak_iv_test(pd_, WeightSpec("2sls"), alpha=1e-17)
         with pytest.raises(InputError, match="unknown method"):
             weak_iv_test(pd_, WeightSpec("2sls"), method="exact")
         with pytest.raises(InputError, match="unknown benchmark"):
