@@ -31,32 +31,46 @@ __all__ = [
 _TINY = 1e-300
 _GAMMA_TOL = 1e-15
 _GAMMA_MAX_ITER = 20000
+_SERIES_MAX_TERMS = 1 << 16
 _BISECT_MAX_ITER = 400
 _TAIL_TOL = 1e-13
 """Largest Poisson mass a noncentral series may leave out: the windows of
 `_window` leave out at most about 3.5e-22 at every ncp up to 2e7."""
+_LAM_MAX = 1e7
+"""Largest Poisson mean ncp/2 of a noncentral law; the window bound above is
+verified up to it, and past it a window's table would grow without bound."""
+_SUM_COLS = 64
+"""Columns of the fixed blocks in which `_Series.cdf` sums a law's terms."""
+_TOP_TOL = 1e-17
+"""Largest top-of-window term W P(a+e, y) a noncentral series may leave out:
+under a tenth of the spacing of doubles near 1."""
 _BLOCK_TERMS = 1 << 15
 """Laws x Poisson-series terms evaluated at once; a batch of laws is split
 into blocks under this budget, which bounds the memory of its tables."""
 
 
 def _gamma_series(a, x, log_prefac):
-    # P(a,x) = e^{-x} x^a / Gamma(a) * sum_n x^n / (a (a+1) ... (a+n))
+    # P(a,x) = e^{-x} x^a / Gamma(a) * sum_n x^n / (a (a+1) ... (a+n)), in
+    # chunks of 64 terms; at x near a the terms fall like exp(-n^2 / 2a), so
+    # the sum takes about sqrt(70 a) terms
     out = np.full(a.shape, np.nan)
     idx = np.arange(a.size)
-    ap = a.copy()
+    step = np.arange(1.0, 65.0)
     term = 1.0 / a
     total = term.copy()
-    for _ in range(_GAMMA_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        done = np.abs(term) < np.abs(total) * _GAMMA_TOL
+    for n in range(0, _SERIES_MAX_TERMS, step.size):
+        terms = x[:, None] / (a[:, None] + (n + step))
+        with np.errstate(under="ignore"):
+            np.cumprod(terms, axis=1, out=terms)
+            terms *= term[:, None]
+        total += terms.sum(axis=1)
+        term = terms[:, -1]
+        done = term < total * _GAMMA_TOL
         if done.any():
             out[idx[done]] = np.minimum(1.0, total[done] * np.exp(log_prefac[done]))
             go = ~done
             idx, a, x, log_prefac = idx[go], a[go], x[go], log_prefac[go]
-            ap, term, total = ap[go], term[go], total[go]
+            term, total = term[go], total[go]
             if not idx.size:
                 break
     return out
@@ -116,9 +130,11 @@ def lower_gamma_regularized(a, x):
 
     Power series for x < a + 1, modified Lentz continued fraction for the
     complement otherwise; both iterated to relative tolerance 1e-15, each
-    element until it converges, for at most 20000 terms. `a` and `x`
-    broadcast; a scalar pair gives a float and raises NumericalError if the
-    iteration does not converge, an array gives NaN where it does not.
+    element until it converges, the series for at most 65536 terms (about
+    sqrt(70 a) are needed near x = a), the fraction for at most 20000 steps.
+    `a` and `x` broadcast; a scalar pair gives a float and raises
+    NumericalError if the iteration does not converge, an array gives NaN
+    where it does not.
     """
     a_arr, x_arr = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(x, dtype=float))
     if not np.all(a_arr > 0):
@@ -174,9 +190,11 @@ class NoncentralChiSq:
 
 
 def _window(lam):
-    """First and one-past-last Poisson index summed at first for rate `lam`:
-    from 10 sd below the mean, or from 0 for lam up to about 100, to 10 sd
-    plus 64 above it (at least 64; a central law sums j = 0 alone)."""
+    """First and one-past-last Poisson index summed for rate `lam`: from 10 sd
+    below the mean, or from 0 for lam up to about 100, to 10 sd plus 64 above
+    it (at least 64; a central law sums j = 0 alone). A rate above _LAM_MAX
+    gets the central window, and its law fails (`_Series`)."""
+    lam = np.where(lam <= _LAM_MAX, lam, 0.0)
     start = np.maximum(0.0, np.floor(lam - 10.0 * np.sqrt(lam + 1.0))).astype(int)
     end = np.where(
         lam > 0.0,
@@ -210,24 +228,41 @@ def _log_poisson(k, lam):
     # asymptotic series, exact to rounding for k >= 15
     k2 = k * k
     stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * k2)) / k2) / k2) / k
-    bd0 = k * np.log1p((k - lam) / lam) - (k - lam)
-    return -stirlerr - bd0 - 0.5 * np.log(2 * math.pi * k)
+    with np.errstate(over="ignore"):
+        return -stirlerr - _bd0(k, lam, np.log(k / lam)) - 0.5 * np.log(2 * math.pi * k)
+
+
+def _bd0(k, lam, log_ratio):
+    """Loader's deviance k log(k / lam) + lam - k for k, lam > 0, given
+    log_ratio = log(k / lam), to a few roundings of its own size: where
+    |k - lam| < (k + lam) / 10, by the series (k - lam) v +
+    2k (v^3/3 + v^5/5 + ...) in v = (k - lam) / (k + lam), to v^17;
+    elsewhere directly, where it is about a tenth of |k - lam| or more."""
+    d = k - lam
+    v = d / (k + lam)
+    v2 = v * v
+    series = 1.0 / 17.0
+    for j in range(7, 0, -1):
+        series = series * v2 + 1.0 / (2 * j + 1)
+    return np.where(np.abs(v) < 0.1, d * v + 2.0 * k * v * v2 * series, k * log_ratio - d)
 
 
 def _log_gamma_table(base, ref, anchor, width):
-    """Rows T_m = log Gamma(base+m+1) - (base+m) log ref - c for
-    m = 0..width-1, where c = ref on a row with an anchor and 0 otherwise.
+    """Rows T_m = log Gamma(base+m+1) - (base+m) log ref + c for
+    m = 0..width-1, where c = ref on an anchored row (anchor >= 0) and c = 0
+    on a row with anchor -1.
 
-    A row with anchor 0 (and ref 1) is lgamma(base+1) plus a running sum of
-    log(base+i). Any other row (base + anchor >= 15) takes T at column
+    A row with anchor -1 (and ref 1) is lgamma(base+1) plus a running sum of
+    log(base+i). An anchored row (base + anchor >= 15) takes T at column
     `anchor` from Loader's form of the Poisson density and the rest by
     running sums of log((base+i)/ref) outward from that column; with
     base + anchor near ref these terms are near 0 there, so the rounding error
     grows with the distance from the anchor instead of with base log ref.
-    Leaving out c keeps these rows small: T_m + ref would cancel to rounding
+    Leaving out c keeps these rows small: T_m - ref would cancel to rounding
     errors of size ref in the caller."""
-    first = _lgamma(base + 1.0)
-    far = anchor > 0
+    far = anchor >= 0
+    first = np.empty(base.size)
+    first[~far] = _lgamma(base[~far] + 1.0)
     first[far] = -_log_poisson(base[far] + anchor[far], ref[far])
     # the block's widest tables are the memory budget: the steps below work
     # in place on two of them, the running sums inside the result
@@ -248,80 +283,102 @@ def _log_gamma_table(base, ref, anchor, width):
 
 
 class _Series:
-    """The x-free parts of the Poisson mixture of a block of laws over each
-    law's window of indices j = start..end-1 (`_window`): Poisson weights w_j
-    and log-gamma normalizers log Gamma(a+j+1) - (a+j) log ref_u - c_u, one
-    row per law, padded to the widest window. Entries past a law's own window
-    are computed but never read, so a law's CDF does not depend on its block.
+    """The x-free part of the Poisson mixture of a block of laws, summed by
+    parts. Over a law's window of indices j = s..e-1 (`_window`), with
+    Poisson weights w_j, their running sums W_i = w_s + ... + w_i and
+    u_i = y^(a+i) e^-y / Gamma(a+i+1), the downward recurrence
+    P(a+i+1, y) = P(a+i, y) - u_i turns the windowed mixture into
 
-    A law whose window starts at 0 (lam up to about 100) keeps ref_u = 1 and
-    log j! as a running sum of log j. Any other law takes its logs relative
-    to the Poisson mean (ref_w = lam for the weights, ref_u = a + lam for the
-    gamma terms) and anchors its running sums at the mode
-    (`_log_gamma_table`), so that rounding errors scale with the distance
-    from the mode, not with lam log lam. The tables of such a law also leave
-    out c = ref (ref_w = lam in the weights, c_u = ref_u in the gamma terms),
-    which the caller takes from lam and y exactly instead (c = 0 for the
-    other laws). The Chernoff bounds `left` and `right` on the Poisson mass
-    outside the window decide in `cdf` whether a law's sum is accepted."""
+        sum_j w_j P(a+j, y) = sum_i u_i W_i + W_(e-1) P(a+e, y).
+
+    One row per law holds log(Gamma(a+i+1) / W_i) - (a+i) log ref + ref for
+    i = s..e-1, with ref = a + lam, the mean of y, padded with +inf past the
+    window to whole blocks of _SUM_COLS columns; so `cdf` takes each term as
+    one exp of (a+i) log(y / ref) - (y - ref) minus the row. It splits that
+    into (a+i-ref) log(y / ref) and the law's ref log(y / ref) - (y - ref),
+    Loader's deviance -bd0(ref, y) (`_bd0`), so nothing of size a+i cancels.
+    The log-gamma part is anchored near the mode in Loader's form
+    (`_log_gamma_table`), so its rounding errors scale with the distance from
+    the mode, not with lam log lam. A law with lam >= 15 takes its weights
+    likewise relative to lam; any other keeps log j! as a running sum of
+    log j. The Chernoff bounds on the Poisson mass outside the window decide
+    whether a law's sum is accepted; a law with lam above _LAM_MAX fails."""
 
     def __init__(self, a, lam):
+        over = lam > _LAM_MAX
+        lam = np.where(over, 0.0, lam)
         j0, end = _window(lam)
         self.last = end - j0 - 1
-        width = int(self.last.max()) + 1 if a.size else 1
+        width = -(-(int(self.last.max(initial=0)) + 1) // _SUM_COLS) * _SUM_COLS
         start = j0.astype(float)
         self.a0 = a + start
-        self.lgamma_a0 = _lgamma(self.a0)
-        win = j0 > 0
-        anchor = np.where(win, np.floor(lam) - start, 0.0)
-        ref_w, self.ref_u = np.where(win, lam, 1.0), np.where(win, a + lam, 1.0)
-        self.c_u = np.where(win, self.ref_u, 0.0)
+        self.ref = a + lam
+        # the weights' running sums, in place in one table
+        anchored = lam >= 15.0
+        ref_w = np.where(anchored, lam, 1.0)
         log_lam = np.log(np.where(lam > 0.0, lam / ref_w, 1.0))
         w = start[:, None] + np.arange(width, dtype=float)
         w *= log_lam[:, None]
-        w -= np.where(win, 0.0, lam)[:, None]
+        w -= np.where(anchored, 0.0, lam)[:, None]
+        anchor = np.where(anchored, np.floor(lam) - start, -1.0)
         w -= _log_gamma_table(start, ref_w, anchor, width)
-        self.w = np.exp(w, out=w)
-        self.log_gam = _log_gamma_table(self.a0, self.ref_u, anchor, width - 1)
-        self.left, self.right = _poisson_outside(lam, j0, end)
+        np.exp(w, out=w)
+        np.cumsum(w, axis=1, out=w)
+        self.w_tot = w[np.arange(a.size), self.last]
+        np.log(w, out=w)
+        # Loader's form at the anchor needs a0 + anchor >= 15
+        anchor = np.maximum(np.floor(lam) - start, np.ceil(15.0 - self.a0))
+        t = _log_gamma_table(self.a0, self.ref, anchor, width)
+        t -= w
+        t[np.arange(width) > self.last[:, None]] = np.inf
+        self.t = t
+        left, right = _poisson_outside(lam, j0, end)
+        self.outside = np.where(over, np.inf, left + right)
 
     def take(self, idx):
         sub = object.__new__(_Series)
-        for name in ("last", "a0", "lgamma_a0", "ref_u", "c_u", "w", "log_gam", "left",
-                     "right"):
+        for name in ("last", "a0", "ref", "w_tot", "t", "outside"):
             setattr(sub, name, getattr(self, name)[idx])
         return sub
 
     def cdf(self, x):
-        """CDF at x > 0, one value per law; NaN where a law's series misses
+        """CDF at x > 0, one value per law; NaN where a law's window misses
         its tail bound."""
         y = 0.5 * x
-        p0 = _lower_gamma(self.a0, y, self.lgamma_a0)
-        # u_m = y^(a0+m) e^{-y} / Gamma(a0+m+1)
-        #     = exp((a0+m) log(y / ref_u) - (y - c_u) - log_gam_m) for m = 0..width-2;
-        # y - c_u is exact near the mode, and log1p of it keeps its accuracy
-        dy = y - self.c_u
-        log_ratio = np.where(self.c_u > 0.0, np.log1p(dy / self.ref_u), np.log(y / self.ref_u))
-        u = self.a0[:, None] + np.arange(self.log_gam.shape[1], dtype=float)
-        u *= log_ratio[:, None]
-        u -= dy[:, None]
-        u -= self.log_gam
-        with np.errstate(over="ignore", under="ignore"):
+        # (a0+m) log(y / ref) - (y - ref) - t_m
+        #     = m log(y / ref) + (a0 - ref) log(y / ref) - bd0(ref, y) - t_m;
+        # y - ref is exact near the mode, and log1p of it keeps its accuracy
+        dy = y - self.ref
+        with np.errstate(divide="ignore"):
+            log_ratio = np.where(
+                dy > -0.5 * self.ref, np.log1p(dy / self.ref), np.log(y) - np.log(self.ref)
+            )
+        u = log_ratio[:, None] * np.arange(self.t.shape[1], dtype=float)
+        u += ((self.a0 - self.ref) * log_ratio - _bd0(self.ref, y, -log_ratio))[:, None]
+        u -= self.t
+        with np.errstate(under="ignore"):
             np.exp(u, out=u)
-        p = np.empty(self.w.shape)
-        p[:, 0] = 0.0
-        np.cumsum(u, axis=1, out=p[:, 1:])
-        np.subtract(p0[:, None], p, out=p)
-        np.clip(p, 0.0, 1.0, out=p)
-        rows = np.arange(p.shape[0])
-        # the terms past the window weigh at most `right` and are at most the
-        # last P; those before it weigh at most `left`
-        reached = self.left + self.right * p[rows, self.last] <= _TAIL_TOL
-        # a row cumsum read at each law's own last term sums the law in an
-        # order that the padding of its block cannot change
-        p *= self.w
-        total = np.cumsum(p, axis=1, out=p)[rows, self.last]
-        return np.where(reached, np.clip(total, 0.0, 1.0), np.nan)
+        # fixed blocks summed alike in any batch, then a running sum read at
+        # each law's own last block: the padding cannot change a law's sum
+        rows = np.arange(u.shape[0])
+        blocks = u.reshape(rows.size, u.shape[1] // _SUM_COLS, _SUM_COLS).sum(axis=2)
+        total = np.cumsum(blocks, axis=1, out=blocks)[rows, self.last // _SUM_COLS]
+        # the top term W P(b, y) with b = a+e, where its bound
+        # W exp(-bd0(b, y)) / sqrt(2 pi b) / (1 - y / (b+1)) is above _TOP_TOL:
+        # the series of P(b, y) against a geometric one, with Stirling's lower
+        # bound on Gamma(b+1); a bound needs bd0 only to a few units of b ulp
+        top = self.a0 + (self.last + 1)
+        ratio = y / (top + 1.0)
+        with np.errstate(divide="ignore", over="ignore"):
+            bd0 = top * np.log(top / y) - (top - y)
+            bound = np.where(
+                ratio < 1.0, np.exp(-bd0) / np.sqrt(2.0 * math.pi * top) / (1.0 - ratio), np.inf
+            )
+        need = ~(self.w_tot * bound <= _TOP_TOL)
+        if need.any():
+            top = top[need]
+            total[need] += self.w_tot[need] * _lower_gamma(top, y[need], _lgamma(top))
+        return np.where(self.outside <= _TAIL_TOL, np.clip(total, 0.0, 1.0), np.nan)
 
 
 def _take(d, idx):
@@ -355,31 +412,44 @@ def _blocks(d):
         start = stop
 
 
+def _check_ncp(d):
+    """Refuse a scalar law past the largest supported noncentrality; in a
+    batch such a law is NaN (`_Series`)."""
+    if np.ndim(d.ncp) == 0 and d.ncp > 2.0 * _LAM_MAX:
+        raise NumericalError(
+            f"noncentrality {float(d.ncp):g} is above {2.0 * _LAM_MAX:g}, the largest "
+            "the chi-square series supports"
+        )
+
+
 def chisq_cdf(d, x):
     """CDF of the (non)central chi-square `d` at `x`.
 
     Poisson mixture sum_j w_j P(df/2 + j, x/2) with w_j Poisson(ncp/2) weights,
     summed over a window of j around the Poisson mean lam = ncp/2: from
     lam - 10 sqrt(lam + 1) (or 0) to lam + 10 sqrt(lam + 1) + 64 (`_window`).
-    The first gamma CDF of the window comes from `lower_gamma_regularized`'s
-    iteration; the rest by the downward recurrence
-    P(a+1, y) = P(a, y) - y^a e^{-y} / Gamma(a+1), vectorized as a cumulative
-    sum. The Poisson mass outside the window is bounded in closed form
-    (Chernoff: beyond k on either side of lam it is at most
-    exp(k - lam + k log(lam / k))); the sum is accepted when the mass before
-    the window plus the mass after it times the last gamma CDF is at most
-    1e-13, else the law fails. The weights and normalizers are built once per
-    law object and reused by later calls. For a batch `d`, `x` broadcasts
-    against its laws and the result is an array, NaN where a law's series
-    missed its tail bound; a scalar law gives a float or raises
-    NumericalError.
+    Summed by parts, the window is sum_i u_i W_i + W P(a+e, y) (`_Series`):
+    gamma densities u_i = y^(a+i) e^-y / Gamma(a+i+1) at y = x/2 times the
+    running sums W_i of the weights, each term one exp of a per-law table,
+    plus the top term, the last gamma CDF of the window, which comes from
+    `lower_gamma_regularized`'s iteration only where a geometric bound puts
+    it above 1e-17. The Poisson mass outside the window is bounded in closed
+    form (Chernoff: beyond k on either side of lam it is at most
+    exp(k - lam + k log(lam / k))); the sum is accepted when that mass is at
+    most 1e-13, else the law fails. ncp is at most 2e7: a law past it fails
+    before any table is built. The tables are built once per law object and
+    reused by later calls. For a batch `d`, `x` broadcasts against its laws
+    and the result is an array, NaN where a law fails; a scalar law gives a
+    float or raises NumericalError.
     """
+    _check_ncp(d)
     x = np.atleast_1d(np.broadcast_to(np.asarray(x, dtype=float), np.shape(d.df)))
     out = np.zeros(x.shape)
-    xs = np.where(x <= 0.0, 1.0, x)
+    zero = 0.5 * x <= 0.0
+    xs = np.where(zero, 1.0, x)
     for idx, law in _blocks(d):
         out[idx] = law._series.cdf(xs[idx])
-    out[x <= 0.0] = 0.0
+    out[zero] = 0.0
     if np.ndim(d.df):
         return out
     if math.isnan(out[0]):
@@ -411,12 +481,14 @@ def _bisect(law, p, cdf_tol):
         if not live.any():
             break
         mid = 0.5 * (lo[idx] + hi[idx])
-        below = chisq_cdf(cur, mid)[live] < p[idx[live]]
+        cdf = chisq_cdf(cur, mid)
+        below = cdf[live] < p[idx[live]]
         step = idx[live]
         lo[step] = np.where(below, mid[live], lo[step])
         hi[step] = np.where(below, hi[step], mid[live])
         width = hi[idx] - lo[idx]
-        live &= (width > 1e-12 * hi[idx]) & (width != 0.0)
+        # a failed law stops here and fails the post-condition
+        live &= (width > 1e-12 * hi[idx]) & (width != 0.0) & ~np.isnan(cdf)
         if 2 * live.sum() <= live.size:
             # a copy of the tables of the laws still bisecting costs memory,
             # so it is made only once they are at most half of `cur`
@@ -445,6 +517,7 @@ def chisq_quantile(d, p, cdf_tol=1e-10):
     p = np.broadcast_to(np.asarray(p, dtype=float), np.shape(d.df))
     if not np.all((p > 0.0) & (p < 1.0)):
         raise ValueError(f"probability must be in (0, 1), got {p}")
+    _check_ncp(d)
     batch = d if np.ndim(d.df) else NoncentralChiSq(np.atleast_1d(d.df), np.atleast_1d(d.ncp))
     p = np.atleast_1d(p)
     q = np.empty(p.shape)

@@ -26,7 +26,6 @@ import math
 import os
 import warnings as _pywarnings
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -516,10 +515,11 @@ def _wald_critical_value(alpha):
 def _critical_values(v2v2, radius, alpha, method, valid):
     """Critical values of the replications with diagonal transformed lower
     blocks `v2v2` (R, G) and noncentrality radii `radius`, where `valid`;
-    NaN elsewhere and where the computation fails. Patnaik critical values of
-    all replications come from one batched quantile."""
+    NaN elsewhere and where the computation fails (an infinite radius, from a
+    tau near 0, fails too). Patnaik critical values of all replications come
+    from one batched quantile."""
     cv = np.full(radius.shape, np.nan)
-    idx = np.flatnonzero(valid)
+    idx = np.flatnonzero(valid & np.isfinite(radius))
     if method == "mc":
         for i in idx:
             try:
@@ -557,15 +557,20 @@ def _rep_stats(design, m, tau, alpha, benchmark, method, wald_cv, tally):
         )
         # the singularity test of ResidualCov
         fail("moment_cov", resid[0] * resid[2] - resid[1] * resid[1] <= 1e-12)
-    # the diagonal transformed covariances are positive definite group by group
-    fail("moment_cov", np.any(var_y * var_x - cov_xy * cov_xy <= 0.0, axis=1))
+    # the diagonal transformed covariances are positive definite group by
+    # group; the sample covariance of a two-observation group is singular, so
+    # it fails whatever the rounding of its determinant
+    singular = (m["counts"] <= 2) | (var_y * var_x - cov_xy * cov_xy <= 0.0)
+    fail("moment_cov", np.any(singular, axis=1))
     ones = np.ones_like(var_x)
     bias_eff, ok_eff = _diagonal_worst_case_bias(var_y, cov_xy, var_x, benchmark, resid)
     bias_r, ok_r = _diagonal_worst_case_bias(
         var_y / var_x, cov_xy / var_x, ones, benchmark, resid
     )
-    cv_eff = _critical_values(var_x, bias_eff / tau, alpha, method, ok_eff & ~failed)
-    cv_r = _critical_values(ones, bias_r / tau, alpha, method, ok_r & ~failed)
+    with np.errstate(over="ignore"):  # at a tau near 0; such a radius fails
+        radius_eff, radius_r = bias_eff / tau, bias_r / tau
+    cv_eff = _critical_values(var_x, radius_eff, alpha, method, ok_eff & ~failed)
+    cv_r = _critical_values(ones, radius_r, alpha, method, ok_r & ~failed)
     fail("bias_bound", ~ok_eff)
     fail("critical_value", np.isnan(cv_eff))
     fail("bias_bound", ~ok_r)
@@ -694,6 +699,9 @@ def run_sim(
     if workers == 1:
         parts = list(map(_sim_chunk, jobs))
     else:
+        # imported here, so a single-worker run loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         size = _pool_size(workers, len(jobs), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=size) as pool:
             parts = list(pool.map(_sim_chunk, jobs))

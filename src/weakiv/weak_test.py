@@ -354,6 +354,9 @@ def critical_value(w2t, radius, alpha, method="patnaik", draws=100000, seed=0):
     _check_alpha(alpha)
     if radius < 0.0:
         raise InputError(f"radius must be nonnegative, got {radius}")
+    if not math.isfinite(radius):
+        # bias_bound / tau overflows at a tau near 0
+        raise NumericalError(f"noncentrality radius {radius} is not finite")
     w2t = np.asarray(w2t, dtype=float)
     if method == "patnaik":
         keff = effective_dof(w2t, radius)

@@ -1,5 +1,7 @@
+import ast
 import csv
 import json
+import re
 import subprocess
 import sys
 
@@ -68,6 +70,19 @@ class TestUsageErrors:
         assert code == 2
         assert err == "weakiv: error: alpha 1e-17 is too small: 1 - alpha rounds to 1\n"
         assert out == ""
+
+    @pytest.mark.parametrize("tau, message", [
+        ("1e-300", r"noncentrality \S+e\+299 is above 2e\+07, the largest the chi-square "
+                   r"series supports"),
+        ("1e-320", r"noncentrality radius inf is not finite"),
+    ])
+    def test_tau_near_zero_exits_3(self, tau, message, tmp_path, capsys):
+        """A tau near 0 gives a one-line error and no traceback."""
+        argv = ["weakivtest", write_iv_csv(tmp_path / "d.csv"), "--y", "y", "--x", "x",
+                "--z", "z0", "--z", "z1", "--tau", tau]
+        code, out, err = run_main(argv, capsys)
+        assert (code, out) == (3, "")
+        assert re.fullmatch(f"weakiv: numerical error: {message}\n", err)
 
     def test_no_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -481,9 +496,14 @@ class TestConsoleScript:
         assert out.startswith(f"# weakiv simulate  design={name}  reps=3  failed=")
 
     def test_cli_import_leaves_scipy_out(self):
-        """scipy is a test-only oracle: the runtime imports numpy and pyyaml."""
-        code = "import sys, weakiv.cli; print(sorted({m.split('.')[0] for m in sys.modules}))"
+        """scipy is a test-only oracle: the runtime imports numpy and pyyaml.
+        The process pool is imported only by a run with more than one worker."""
+        code = "import sys, weakiv.cli; print(sorted(sys.modules))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert "'scipy'" not in proc.stdout
-        assert "'numpy'" in proc.stdout
+        loaded = set(ast.literal_eval(proc.stdout))
+        tops = {m.split(".")[0] for m in loaded}
+        assert "scipy" not in tops
+        assert "numpy" in tops
+        assert "multiprocessing" not in tops
+        assert "concurrent.futures.process" not in loaded

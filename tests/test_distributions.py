@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,16 @@ class TestLowerGamma:
         for x in [0.0, 1e-8, 0.1, 0.5 * a, a, a + 1.0, 2 * a, 5 * a, 40 * a]:
             assert lower_gamma_regularized(a, x) == pytest.approx(
                 scipy.special.gammainc(a, x), abs=1e-13
+            )
+
+    @pytest.mark.parametrize("a", [1e3, 1e5, 1.0032e7])
+    def test_large_shape_near_its_mean(self, a):
+        """Just below x = a the series needs about sqrt(70 a) terms: 26,500
+        at the top of the window of the largest supported noncentrality."""
+        for k in [-4.0, -1.0, -0.1, 0.0, 0.1, 1.0]:
+            x = a + k * math.sqrt(a)
+            assert lower_gamma_regularized(a, x) == pytest.approx(
+                scipy.special.gammainc(a, x), abs=1e-12
             )
 
     def test_bad_args(self):
@@ -77,6 +88,39 @@ class TestNoncentralChiSq:
         for k in range(-8, 9):
             x = mean + k * sd
             assert d.cdf(x) == pytest.approx(scipy.stats.ncx2.cdf(x, df, ncp), abs=1e-12)
+
+    @pytest.mark.parametrize("df", [0.5, 1.0, 2.7, 10.0, 40.0])
+    def test_cdf_upper_tail_to_1e12(self, df):
+        """From the mean to the mean + 12 sd at ncp up to 400, where most
+        windows start at 0, the series terms carry nearly all of the CDF."""
+        for ncp in [0.0, 0.4, 7.0, 30.0, 80.0, 150.0, 200.0, 300.0, 400.0]:
+            mean, sd = df + ncp, math.sqrt(2 * df + 4 * ncp)
+            x = mean + sd * np.linspace(0.0, 12.0, 25)
+            want = (scipy.stats.ncx2.cdf(x, df, ncp) if ncp
+                    else scipy.stats.chi2.cdf(x, df))
+            got = chisq_cdf(NoncentralChiSq(np.full(x.size, df), ncp), x)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("df", [0.5, 1.0, 2.7, 10.0, 40.0])
+    def test_cdf_past_window_top_to_1e12(self, df, monkeypatch):
+        """At and past x = 2 (a + e), the top of a law's window, the top term
+        W P(a+e, x/2) carries part or all of the CDF; it is computed there."""
+        top_terms = []
+        lower = distributions._lower_gamma
+
+        def counting(a, x, lgamma_a):
+            top_terms.append(a.size)
+            return lower(a, x, lgamma_a)
+
+        monkeypatch.setattr(distributions, "_lower_gamma", counting)
+        for ncp in [0.0, 1.0, 20.0, 170.0, 1000.0, 4200.0, 1e4]:
+            end = distributions._window(np.array([ncp / 2]))[1][0]
+            x = (df + 2.0 * end) * np.array([0.9, 1.0, 1.1, 1.5, 2.0, 4.0])
+            want = (scipy.stats.ncx2.cdf(x, df, ncp) if ncp
+                    else scipy.stats.chi2.cdf(x, df))
+            got = chisq_cdf(NoncentralChiSq(np.full(x.size, df), ncp), x)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert len(top_terms) == 7 and min(top_terms) >= 5
 
     def test_cdf_edge_values(self):
         d = NoncentralChiSq(3.0, 5.0)
@@ -161,6 +205,45 @@ class TestNoncentralChiSq:
         assert np.isnan(chisq_cdf(batch, np.array([200.0, 4000.0]))).all()
         with pytest.raises(NumericalError, match="tail bound"):
             chisq_cdf(NoncentralChiSq(3.0, 4000.0), 4000.0)
+
+    def test_noncentrality_past_bound_fails_without_tables(self):
+        """Past ncp 2e7 a scalar law raises before any table is built, and in
+        a batch such a law is NaN, stops bisecting at once and gets the
+        central window, also where its window ends would wrap int64."""
+        start, end = distributions._window(np.array([1e19, 1e7]))
+        assert (start[0], end[0]) == (0, 1)
+        assert end[1] - start[1] < 70_000
+        cdf_calls = []
+        cdf = distributions.chisq_cdf
+
+        def counting(d, x):
+            cdf_calls.append(np.size(d.df))
+            return cdf(d, x)
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalError, match=r"noncentrality 1e\+300 is above 2e\+07"):
+                chisq_cdf(NoncentralChiSq(3.0, 1e300), 10.0)
+            with pytest.raises(NumericalError, match="noncentrality"):
+                chisq_quantile(NoncentralChiSq(3.0, 2.0000001e7), 0.95)
+            batch = NoncentralChiSq(np.array([3.0, 3.0, 3.0]), np.array([1e19, 50.0, 1e300]))
+            assert np.isnan(chisq_cdf(batch, 60.0)[[0, 2]]).all()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(distributions, "chisq_cdf", counting)
+                q = chisq_quantile(batch, 0.95)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert np.isnan(q[[0, 2]]).all()
+        assert q[1] == chisq_quantile(NoncentralChiSq(3.0, 50.0), 0.95)
+        # the failed laws leave the bisection after its first step
+        assert cdf_calls.count(3) <= 3
+
+    def test_largest_supported_noncentrality(self):
+        d = NoncentralChiSq(3.0, 2e7)
+        q = chisq_quantile(d, 0.95)
+        assert abs(scipy.stats.ncx2.cdf(q, 3.0, 2e7) - 0.95) <= 1e-9
 
     def test_batch_equals_laws_alone(self):
         """A law's quantile and CDF are bit-equal alone and inside a shuffled

@@ -364,21 +364,36 @@ class TestRunSim:
 
     def test_failures_counted_by_stage(self):
         """A rare group: some replications exhaust their redraws, others
-        leave it with one observation and zero variance; the stage counts sum
-        to `failed` and do not depend on the worker count."""
+        leave it with one observation and zero variance, or two and a
+        singular covariance; the stage counts sum to `failed` and do not
+        depend on the worker count. The group has three or more observations
+        in about 0.4% of the replications, so a few of 2000 succeed."""
         design = rare_group_design()
         with warnings_mod.catch_warnings():
             warnings_mod.simplefilter("ignore")
-            summ = run_sim(design, 40, seed=0)
-            two = run_sim(design, 40, seed=0, workers=2)
+            summ = run_sim(design, 2000, seed=0)
+            two = run_sim(design, 2000, seed=0, workers=2)
         assert list(summ.failures) == [
             "draw", "moments", "moment_cov", "bias_bound", "critical_value"
         ]
         assert sum(summ.failures.values()) == summ.failed < summ.reps
-        assert summ.failures["draw"] > 0 and summ.failures["moments"] > 0
+        assert min(summ.failures[s] for s in ("draw", "moments", "moment_cov")) > 0
         assert summ.redraws >= 10 * summ.failures["draw"]
         assert (two.failures, two.redraws) == (summ.failures, summ.redraws)
         assert two.means == summ.means
+
+    @pytest.mark.parametrize("tau", [1e-300, 1e-320])
+    def test_tau_near_zero_fails_at_critical_value(self, tau):
+        """A tau near 0 puts the noncentrality past 2e7 (at 1e-320 the radius
+        overflows): every replication fails at its critical value."""
+        design = small_structural()
+        job = (design, range(4), 0, tau, 0.05, "ls", "patnaik", _wald_critical_value(0.05))
+        _, tally = grouped_sim._sim_chunk(job)
+        assert {s: tally[s] for s in grouped_sim._FAILURE_STAGES} == {
+            "draw": 0, "moments": 0, "moment_cov": 0, "bias_bound": 0, "critical_value": 4,
+        }
+        with pytest.raises(NumericalError, match="every replication failed"):
+            run_sim(design, 4, seed=0, tau=tau)
 
     def test_failed_quantile_fails_its_replication_only(self, monkeypatch):
         design = small_structural()
@@ -503,15 +518,32 @@ class TestMomentKernel:
 
     def test_failure_stages_of_rare_group_design(self):
         """The stage counts of the rare-group design, as the per-replication
-        draw and moments path gave them; single-observation groups fail at
-        the moments stage."""
+        draw and moments path gave them: single-observation groups fail at
+        the moments stage, and two-observation groups, whose 2x2 sample
+        covariance is singular, at the moment_cov stage. Here every
+        replication fails, so the counts come from the chunk's tally."""
+        design = rare_group_design()
+        # the smallest group of each replication, from Generator.choice
+        smallest = []
+        for rep in range(20):
+            gen = RngStream(0, rep).generator()
+            labels, _ = choice_labels(gen, 4, design.n, design.group_probs)
+            smallest.append(0 if labels is None else np.bincount(labels, minlength=4).min())
+        job = (design, range(20), 0, 0.1, 0.05, "ls", "patnaik", _wald_critical_value(0.05))
         with warnings_mod.catch_warnings():
             warnings_mod.simplefilter("ignore")
-            summ = run_sim(rare_group_design(), 20, seed=0)
-        assert summ.failures == {
-            "draw": 4, "moments": 14, "moment_cov": 1, "bias_bound": 0, "critical_value": 0,
+            cols, tally = grouped_sim._sim_chunk(job)
+            with pytest.raises(NumericalError, match="every replication failed"):
+                run_sim(design, 20, seed=0)
+        counts = {stage: tally[stage] for stage in grouped_sim._FAILURE_STAGES}
+        assert counts == {
+            "draw": 4, "moments": 14, "moment_cov": 2, "bias_bound": 0, "critical_value": 0,
         }
-        assert summ.redraws == 101
+        assert [counts[s] for s in ("draw", "moments", "moment_cov")] == [
+            smallest.count(0), smallest.count(1), smallest.count(2)
+        ]
+        assert cols["f_stat"].size == 0
+        assert tally["redraws"] == 101
 
 
 class TestSweepScale:
