@@ -20,6 +20,7 @@ from .errors import InputError
 __all__ = ["Dataset", "PartialledData", "load_csv", "partial_out"]
 
 _RANK_RTOL = 1e-10
+_CONTROLS = "control matrix"
 
 _BLANK_LINE = re.compile(r"\n[^\S\n]*\n")
 _BARE_CR = re.compile(r"\r(?!\n)")
@@ -55,12 +56,20 @@ def _first_dependent_column(m):
     return None
 
 
+class _RankDeficient(InputError):
+    """`what` is rank deficient; `column` is its first column dependent on
+    its predecessors, or None."""
+
+    def __init__(self, what, column):
+        where = f" (column index {column})" if column is not None else ""
+        super().__init__(f"{what} is rank deficient: collinear column{where}")
+        self.what, self.column = what, column
+
+
 def _check_full_rank(m, what):
     sv = np.linalg.svd(m, compute_uv=False)
     if sv.size == 0 or sv[-1] <= _RANK_RTOL * sv[0]:
-        j = _first_dependent_column(m)
-        where = f" (column index {j})" if j is not None else ""
-        raise InputError(f"{what} is rank deficient: collinear column{where}")
+        raise _RankDeficient(what, _first_dependent_column(m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +192,7 @@ def _partial_out(data):
     if data.controls is None:
         _check_full_rank(data.z, "instrument matrix")
         return PartialledData(y=data.y, x=data.x, z=data.z, cluster=data.cluster)
-    _check_full_rank(data.controls, "control matrix")
+    _check_full_rank(data.controls, _CONTROLS)
     q, _ = np.linalg.qr(data.controls, mode="reduced")
 
     def resid(m):
@@ -250,16 +259,13 @@ def load_csv(path, y, x, z, controls=(), cluster=None):
     )
     try:
         partial_out(ds)
-    except InputError as exc:
-        # map a bare column index from the rank check back to the column name
-        msg = str(exc)
-        for j, name in enumerate(z):
-            if f"column index {j}" in msg and "instrument" in msg:
-                raise InputError(
-                    f"{path}: instrument column {name!r} is collinear with the "
-                    "other instruments/controls"
-                ) from None
-        raise
+    except _RankDeficient as exc:
+        if exc.column is None or exc.what == _CONTROLS:
+            raise
+        raise InputError(
+            f"{path}: instrument column {z[exc.column]!r} is collinear with the "
+            "other instruments/controls"
+        ) from None
     return ds
 
 

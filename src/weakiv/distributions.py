@@ -446,10 +446,12 @@ def chisq_cdf(d, x):
     x = np.atleast_1d(np.broadcast_to(np.asarray(x, dtype=float), np.shape(d.df)))
     out = np.zeros(x.shape)
     zero = 0.5 * x <= 0.0
-    xs = np.where(zero, 1.0, x)
+    top = x == np.inf
+    xs = np.where(zero | top, 1.0, x)
     for idx, law in _blocks(d):
         out[idx] = law._series.cdf(xs[idx])
     out[zero] = 0.0
+    out[top] = 1.0
     if np.ndim(d.df):
         return out
     if math.isnan(out[0]):

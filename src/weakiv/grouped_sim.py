@@ -1,11 +1,20 @@
 """Monte Carlo engine for grouped-data IV designs.
 
 Instruments are mutually exclusive group indicators, so every statistic in the
-pipeline reduces to per-group sums: 2SLS and GMMf are weighted averages of the
-per-group Wald ratios, the F-statistics are (weighted) means of per-group
-F-statistics, and the moment-covariance blocks are diagonal. Replication r
-draws from an independent counter-based substream (seed, r), which makes
-results invariant to the worker count.
+pipeline reduces to per-group sums and the moment-covariance blocks are
+diagonal. 2SLS and GMMf then run one estimator path that differs only in a
+per-group divisor d: d = 1 for 2SLS and d = var_x (the within-group variance
+of x) for GMMf. Group g has weight n_g xbar_g^2 / d_g, the estimate is the
+weighted average of the per-group Wald ratios, the transformed moment
+covariance has the diagonal blocks (var_y, cov_xy, var_x) / d, and the
+generalized effective F is
+
+    F_d = sum_g(n_g xbar_g^2 / d_g) / sum_g(var_x,g / d_g),
+
+the effective F (f_eff) at d = 1 and the robust F (f_r, the mean of the
+per-group F-statistics) at d = var_x. Replication r draws from an independent
+counter-based substream (seed, r), which makes results invariant to the
+worker count.
 
 A chunk of replications runs in two stages. Per replication, the group labels
 come from one uniform per row, by counting the inner cut points of the
@@ -33,10 +42,11 @@ import numpy as np
 import yaml
 
 from .data import Dataset
-from .distributions import NoncentralChiSq, RngStream, chisq_quantile
+from .distributions import RngStream
 from .errors import InputError, NumericalError, WeakIvError
 from .weak_test import (
-    _check_alpha, _diagonal_worst_case_bias, _keff, _nagar_biases, critical_value,
+    _check_alpha, _diagonal_worst_case_bias, _keff, _nagar_biases, _patnaik_quantile,
+    critical_value,
 )
 
 __all__ = [
@@ -304,49 +314,52 @@ def generate(design, rng=0):
     return Dataset(y=y, x=x, z=z, cluster=labels)
 
 
+def _estimators(var_x):
+    """(estimator, statistic, divisor d) of 2SLS and GMMf. d divides, never
+    multiplies as a reciprocal: x / 1 is x and var_x / var_x is exactly 1."""
+    return ("2sls", "eff", 1.0), ("gmmf", "r", var_x)
+
+
 def _stats_from_sums(counts, sx, cxx, sy=None, cxy=None, cyy=None):
     """Every per-group and grouped statistic of R datasets from their group
     sums, each an (R, G) array: the group sizes, the sums of x (and y) and
     the centered sums of squares and cross-products. Returns a dict of
     (R, G) per-group and (R,) grouped columns: the F-statistics and weights,
-    and with y also the closed-form grouped estimators."""
+    and with y also the closed-form grouped estimators. `den_<estimator>` is
+    the sum of its unnormalized weights."""
     mean_x = sx / counts
     var_x = cxx / counts
     nxb2 = sx * mean_x
-    f_per_group = nxb2 / var_x
-    sum_nxb2 = nxb2.sum(axis=1)
-    gmmf_den = f_per_group.sum(axis=1)
     pooled_var_x = cxx.sum(axis=1) / counts.sum(axis=1)
     m = dict(
         counts=counts,
         mean_x=mean_x,
         var_x=var_x,
-        f_per_group=f_per_group,
-        sum_nxb2=sum_nxb2,
-        f_r=f_per_group.mean(axis=1),
-        f_eff=sum_nxb2 / var_x.sum(axis=1),
+        f_per_group=nxb2 / var_x,
         pooled_var_x=pooled_var_x,
-        f_stat=sum_nxb2 / (counts.shape[1] * pooled_var_x),
-        weights_2sls=nxb2 / sum_nxb2[:, None],
-        weights_gmmf=f_per_group / gmmf_den[:, None],
+        f_stat=nxb2.sum(axis=1) / (counts.shape[1] * pooled_var_x),
     )
-    if sy is None:
-        return m
-    mean_y = sy / counts
-    nxy = sx * mean_y
-    sxx, sxy = cxx + nxb2, cxy + nxy
-    m.update(
-        mean_y=mean_y,
-        var_y=cyy / counts,
-        cov_xy=cxy / counts,
-        sxx=sxx,
-        syy=cyy + sy * mean_y,
-        sxy=sxy,
-        gmmf_den=gmmf_den,
-        beta_ols=sxy.sum(axis=1) / sxx.sum(axis=1),
-        beta_2sls=nxy.sum(axis=1) / sum_nxb2,
-        beta_gmmf=(nxy / var_x).sum(axis=1) / gmmf_den,
-    )
+    if sy is not None:
+        mean_y = sy / counts
+        nxy = sx * mean_y
+        sxx, sxy = cxx + nxb2, cxy + nxy
+        m.update(
+            mean_y=mean_y,
+            var_y=cyy / counts,
+            cov_xy=cxy / counts,
+            sxx=sxx,
+            syy=cyy + sy * mean_y,
+            sxy=sxy,
+            beta_ols=sxy.sum(axis=1) / sxx.sum(axis=1),
+        )
+    for est, stat, d in _estimators(var_x):
+        w = nxb2 / d
+        den = w.sum(axis=1)
+        m[f"f_{stat}"] = den / (var_x / d).sum(axis=1)
+        m[f"weights_{est}"] = w / den[:, None]
+        m[f"den_{est}"] = den
+        if sy is not None:
+            m[f"beta_{est}"] = (nxy / d).sum(axis=1) / den
     return m
 
 
@@ -512,33 +525,12 @@ def _wald_critical_value(alpha):
     return z * z
 
 
-def _critical_values(v2v2, radius, alpha, method, valid):
-    """Critical values of the replications with diagonal transformed lower
-    blocks `v2v2` (R, G) and noncentrality radii `radius`, where `valid`;
-    NaN elsewhere and where the computation fails (an infinite radius, from a
-    tau near 0, fails too). Patnaik critical values of all replications come
-    from one batched quantile."""
-    cv = np.full(radius.shape, np.nan)
-    idx = np.flatnonzero(valid & np.isfinite(radius))
-    if method == "mc":
-        for i in idx:
-            try:
-                cv[i] = critical_value(np.diag(v2v2[i]), radius[i], alpha, "mc")
-            except WeakIvError:
-                pass
-    elif idx.size:
-        w = v2v2[idx]
-        keff = _keff(w.sum(axis=1), (w * w).sum(axis=1), w.max(axis=1), radius[idx])
-        law = NoncentralChiSq(keff, radius[idx] * keff)
-        cv[idx] = chisq_quantile(law, 1.0 - alpha) / keff
-    return cv
-
-
 def _rep_stats(design, m, tau, alpha, benchmark, method, wald_cv, tally):
-    """Stage 2: the weak-instruments tests and Wald tests of every replication
-    of a chunk at once, from its moment columns `m`. Returns the columns of
-    the replications that succeed; failures are counted in `tally` under the
-    first stage that fails, in the order a single replication runs them."""
+    """Stage 2: the weak-instruments test and Wald test of each estimator of
+    `_estimators`, for every replication of a chunk at once, from its moment
+    columns `m`. Returns the columns of the replications that succeed;
+    failures are counted in `tally` under the first stage that fails, in the
+    order a single replication runs them."""
     failed = np.zeros(m["f_stat"].shape, dtype=bool)
 
     def fail(stage, mask):
@@ -562,38 +554,35 @@ def _rep_stats(design, m, tau, alpha, benchmark, method, wald_cv, tally):
     # it fails whatever the rounding of its determinant
     singular = (m["counts"] <= 2) | (var_y * var_x - cov_xy * cov_xy <= 0.0)
     fail("moment_cov", np.any(singular, axis=1))
-    ones = np.ones_like(var_x)
-    bias_eff, ok_eff = _diagonal_worst_case_bias(var_y, cov_xy, var_x, benchmark, resid)
-    bias_r, ok_r = _diagonal_worst_case_bias(
-        var_y / var_x, cov_xy / var_x, ones, benchmark, resid
-    )
-    with np.errstate(over="ignore"):  # at a tau near 0; such a radius fails
-        radius_eff, radius_r = bias_eff / tau, bias_r / tau
-    cv_eff = _critical_values(var_x, radius_eff, alpha, method, ok_eff & ~failed)
-    cv_r = _critical_values(ones, radius_r, alpha, method, ok_r & ~failed)
-    fail("bias_bound", ~ok_eff)
-    fail("critical_value", np.isnan(cv_eff))
-    fail("bias_bound", ~ok_r)
-    fail("critical_value", np.isnan(cv_r))
-
-    b2, bg = m["beta_2sls"], m["beta_gmmf"]
+    valid = ~failed  # one snapshot for both estimators' critical values
     mean_x, sxx, syy, sxy = m["mean_x"], m["sxx"], m["syy"], m["sxy"]
-    su_2sls = syy - 2.0 * b2[:, None] * sxy + b2[:, None] ** 2 * sxx
-    var_2sls = (mean_x * mean_x * su_2sls).sum(axis=1) / m["sum_nxb2"] ** 2
-    su_gmmf = syy - 2.0 * bg[:, None] * sxy + bg[:, None] ** 2 * sxx
-    var_gmmf = ((mean_x / var_x) ** 2 * su_gmmf).sum(axis=1) / m["gmmf_den"] ** 2
-    out = {k: m[k] for k in _SUMMARY_FIELDS}
-    out.update(
-        cv_eff=cv_eff,
-        cv_r=cv_r,
-        weak_eff=m["f_eff"] > cv_eff,
-        weak_r=m["f_r"] > cv_r,
-        beta_ols=m["beta_ols"],
-        beta_2sls=b2,
-        beta_gmmf=bg,
-        wald_2sls=(b2 - design.beta) ** 2 / var_2sls > wald_cv,
-        wald_gmmf=(bg - design.beta) ** 2 / var_gmmf > wald_cv,
-    )
+    out = {k: m[k] for k in _SUMMARY_FIELDS + ("beta_ols",)}
+    for est, stat, d in _estimators(var_x):
+        v2v2 = var_x / d
+        bias, ok = _diagonal_worst_case_bias(var_y / d, cov_xy / d, v2v2, benchmark, resid)
+        with np.errstate(over="ignore"):  # at a tau near 0; such a radius fails
+            radius = bias / tau
+        cv = np.full(radius.shape, np.nan)
+        idx = np.flatnonzero(ok & valid & np.isfinite(radius))
+        if method == "mc":
+            for i in idx:
+                try:
+                    cv[i] = critical_value(np.diag(v2v2[i]), radius[i], alpha, "mc")
+                except WeakIvError:
+                    pass
+        elif idx.size:
+            w = v2v2[idx]
+            keff = _keff(w.sum(axis=1), (w * w).sum(axis=1), w.max(axis=1), radius[idx])
+            cv[idx] = _patnaik_quantile(keff, radius[idx], alpha)
+        fail("bias_bound", ~ok)
+        fail("critical_value", np.isnan(cv))
+        b = m[f"beta_{est}"]
+        su = syy - 2.0 * b[:, None] * sxy + b[:, None] ** 2 * sxx
+        var = ((mean_x / d) ** 2 * su).sum(axis=1) / m[f"den_{est}"] ** 2
+        out[f"cv_{stat}"] = cv
+        out[f"weak_{stat}"] = m[f"f_{stat}"] > cv
+        out[f"beta_{est}"] = b
+        out[f"wald_{est}"] = (b - design.beta) ** 2 / var > wald_cv
     return {k: v[~failed] for k, v in out.items()}
 
 
@@ -706,10 +695,14 @@ def run_sim(
         with ProcessPoolExecutor(max_workers=size) as pool:
             parts = list(pool.map(_sim_chunk, jobs))
     tally = sum((t for _, t in parts), Counter())
+    failures = {stage: tally[stage] for stage in _FAILURE_STAGES}
     done = [c for c, _ in parts if c is not None]
     succeeded = sum(c["f_stat"].size for c in done)
     if not succeeded:
-        raise NumericalError("every replication failed")
+        stages = ", ".join(f"{stage} {count}" for stage, count in failures.items() if count)
+        raise NumericalError(
+            f"every replication failed ({stages}; {tally['redraws']} redraws)"
+        )
     columns = {k: np.concatenate([c[k] for c in done]) for k in done[0]}
     structural = design.has_structural
     scalar_keys = ["f_stat", "f_eff", "f_r"]
@@ -735,7 +728,7 @@ def run_sim(
         design_name=design.name,
         reps=reps,
         failed=reps - succeeded,
-        failures={stage: tally[stage] for stage in _FAILURE_STAGES},
+        failures=failures,
         redraws=tally["redraws"],
         seed=seed,
         tau=tau,
@@ -749,33 +742,15 @@ def run_sim(
     )
 
 
-def sweep_scale(
-    design,
-    scales,
-    reps,
-    tau=0.1,
-    alpha=0.05,
-    seed=0,
-    benchmark="ls",
-    method="patnaik",
-    workers=None,
-):
+def sweep_scale(design, scales, reps, **options):
     """Rerun a structural design over first-stage scales with common random
-    numbers; biases of 2SLS and GMMf are reported relative to the OLS bias."""
+    numbers; biases of 2SLS and GMMf are reported relative to the OLS bias.
+    `options` are passed to `run_sim`."""
     if not design.has_structural:
         raise InputError("bias curves need a structural design (var_u, cov_uv2)")
     rows = []
     for scale in scales:
-        summ = run_sim(
-            dataclasses.replace(design, scale_e=float(scale)),
-            reps,
-            tau=tau,
-            alpha=alpha,
-            seed=seed,
-            benchmark=benchmark,
-            method=method,
-            workers=workers,
-        )
+        summ = run_sim(dataclasses.replace(design, scale_e=float(scale)), reps, **options)
         bias_ols = summ.means["beta_ols"] - design.beta
         def _rel(key):
             if bias_ols == 0.0:

@@ -328,6 +328,12 @@ def _keff(t, t2, lmax, radius):
     return t * t * (1.0 + 2.0 * radius) / (t2 + 2.0 * radius * t * lmax)
 
 
+def _patnaik_quantile(keff, radius, alpha):
+    """Upper-alpha quantile of chi2(keff, radius*keff)/keff; elementwise over
+    arrays of keff and radius as one batched quantile."""
+    return chisq_quantile(NoncentralChiSq(keff, radius * keff), 1.0 - alpha) / keff
+
+
 def effective_dof(w2t, radius):
     """Moment-matched effective degrees of freedom for the critical value."""
     w2t = np.asarray(w2t, dtype=float)
@@ -359,8 +365,7 @@ def critical_value(w2t, radius, alpha, method="patnaik", draws=100000, seed=0):
         raise NumericalError(f"noncentrality radius {radius} is not finite")
     w2t = np.asarray(w2t, dtype=float)
     if method == "patnaik":
-        keff = effective_dof(w2t, radius)
-        return chisq_quantile(NoncentralChiSq(keff, radius * keff), 1.0 - alpha) / keff
+        return _patnaik_quantile(effective_dof(w2t, radius), radius, alpha)
     if method == "mc":
         k = w2t.shape[0]
         t = float(np.trace(w2t))

@@ -159,6 +159,17 @@ class TestLoadCsv:
         with pytest.raises(InputError, match="'z2' is collinear"):
             load_csv(path, y="y", x="x", z=["z1", "z2"])
 
+    def test_collinear_instrument_past_index_nine_named(self, tmp_path):
+        """Index 10 must not be reported as the instrument at index 1."""
+        rng = np.random.default_rng(7)
+        data = rng.standard_normal((40, 14))
+        data[:, 12] = data[:, 2] - data[:, 3]  # z10 = z0 - z1
+        names = [f"z{j}" for j in range(12)]
+        lines = ["y,x," + ",".join(names)] + [",".join(map(str, row.tolist())) for row in data]
+        path = self.write(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(InputError, match="instrument column 'z10' is collinear"):
+            load_csv(path, y="y", x="x", z=names)
+
     def test_no_instruments(self, tmp_path):
         path = self.write(tmp_path, "a,b\n1,2\n")
         with pytest.raises(InputError, match="at least one instrument"):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,12 @@ class TestNoncentralChiSq:
         assert d.cdf(0.0) == 0.0
         assert d.cdf(-1.0) == 0.0
         assert d.cdf(1e9) == pytest.approx(1.0, abs=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ncp in (0.0, 5.0):
+                assert chisq_cdf(NoncentralChiSq(3.0, ncp), np.inf) == 1.0
+                batch = NoncentralChiSq(np.array([3.0, 3.0]), ncp)
+                assert chisq_cdf(batch, [np.inf, 0.0]).tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize("df", [1.0, 3.3, 10.0])
     @pytest.mark.parametrize("ncp", [0.0, 2.0, 100.0])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings as warnings_mod
 from collections import Counter
 
@@ -27,7 +28,7 @@ from weakiv import (
     weak_iv_test,
 )
 from weakiv.errors import InputError, NumericalError
-from weakiv import grouped_sim
+from weakiv import grouped_sim, weak_test
 from weakiv.grouped_sim import _pool_size, _wald_critical_value, random_design_comparison
 
 
@@ -215,21 +216,23 @@ class TestGroupStats:
         )
 
     def test_wald_variance_matches_sandwich(self):
+        """The grouped Wald variance with each estimator's divisor d (1 for
+        2SLS, var_x for GMMf) against the dense robust sandwich."""
         design = small_structural()
         data = generate(design, rng=6)
         gs = group_stats(data)
         pd_ = partial_out(data)
-        res = estimate(pd_, WeightSpec("2sls"))
-        beta = gs.beta_2sls
-        s_u = gs.counts * (
-            gs.var_y
-            + gs.mean_y**2
-            - 2 * beta * (gs.cov_xy + gs.mean_x * gs.mean_y)
-            + beta**2 * (gs.var_x + gs.mean_x**2)
-        )
         nxb2 = gs.counts * gs.mean_x**2
-        var = float(np.sum(gs.mean_x**2 * s_u)) / float(np.sum(nxb2)) ** 2
-        assert np.sqrt(var) == pytest.approx(res.se_robust, rel=1e-10)
+        for kind, beta, d in (("2sls", gs.beta_2sls, 1.0), ("gmmf", gs.beta_gmmf, gs.var_x)):
+            s_u = gs.counts * (
+                gs.var_y
+                + gs.mean_y**2
+                - 2 * beta * (gs.cov_xy + gs.mean_x * gs.mean_y)
+                + beta**2 * (gs.var_x + gs.mean_x**2)
+            )
+            var = float(np.sum((gs.mean_x / d) ** 2 * s_u)) / float(np.sum(nxb2 / d)) ** 2
+            res = estimate(pd_, WeightSpec(kind))
+            assert np.sqrt(var) == pytest.approx(res.se_robust, rel=1e-10), kind
 
     def test_labels_recovered_from_indicators(self):
         design = small_structural()
@@ -269,9 +272,9 @@ class TestRepEngine:
         assert summ.means["beta_2sls"] == pytest.approx(
             estimate(pd_, WeightSpec("2sls")).beta_hat, rel=1e-10
         )
-        res2 = estimate(pd_, WeightSpec("2sls"))
-        wald = wald_test(res2, design.beta)
-        assert summ.rejection_rates["wald_2sls"] == float(wald.pvalue < 0.05)
+        for kind in ("2sls", "gmmf"):
+            wald = wald_test(estimate(pd_, WeightSpec(kind)), design.beta)
+            assert summ.rejection_rates[f"wald_{kind}"] == float(wald.pvalue < 0.05)
 
     def test_mop_benchmark_option(self):
         design = small_structural()
@@ -400,7 +403,7 @@ class TestRunSim:
         base = run_sim(design, 5, seed=4)
         assert base.failures == dict.fromkeys(base.failures, 0)
         assert base.redraws == 0
-        quantile = grouped_sim.chisq_quantile
+        quantile = weak_test.chisq_quantile
 
         def first_law_fails(d, p, **kwargs):
             q = quantile(d, p, **kwargs)
@@ -408,7 +411,7 @@ class TestRunSim:
                 q[0] = np.nan
             return q
 
-        monkeypatch.setattr(grouped_sim, "chisq_quantile", first_law_fails)
+        monkeypatch.setattr(weak_test, "chisq_quantile", first_law_fails)
         summ = run_sim(design, 5, seed=4)
         assert summ.failed == 1
         assert summ.failures["critical_value"] == 1
@@ -533,7 +536,10 @@ class TestMomentKernel:
         with warnings_mod.catch_warnings():
             warnings_mod.simplefilter("ignore")
             cols, tally = grouped_sim._sim_chunk(job)
-            with pytest.raises(NumericalError, match="every replication failed"):
+            with pytest.raises(NumericalError, match=re.escape(
+                "every replication failed (draw 4, moments 14, moment_cov 2; "
+                "101 redraws)"
+            )):
                 run_sim(design, 20, seed=0)
         counts = {stage: tally[stage] for stage in grouped_sim._FAILURE_STAGES}
         assert counts == {
