@@ -42,15 +42,15 @@ def _dense_cluster_codes(labels):
     return codes.astype(np.int64)
 
 
-def _first_dependent_column(m):
-    """Index of the first column linearly dependent on its predecessors."""
+def _first_dependent_column(m, scale):
+    """Index of the first column whose residual on its predecessors is at most
+    _RANK_RTOL times `scale`, the largest singular value of `m`."""
     n, k = m.shape
     basis = np.zeros((n, 0))
     for j in range(k):
         col = m[:, j]
         resid = col - basis @ (basis.T @ col)
-        norm = np.linalg.norm(col)
-        if np.linalg.norm(resid) <= max(_RANK_RTOL * norm, 1e-300):
+        if np.linalg.norm(resid) <= max(_RANK_RTOL * scale, 1e-300):
             return j
         basis = np.column_stack([basis, resid / np.linalg.norm(resid)])
     return None
@@ -69,7 +69,7 @@ class _RankDeficient(InputError):
 def _check_full_rank(m, what):
     sv = np.linalg.svd(m, compute_uv=False)
     if sv.size == 0 or sv[-1] <= _RANK_RTOL * sv[0]:
-        raise _RankDeficient(what, _first_dependent_column(m))
+        raise _RankDeficient(what, _first_dependent_column(m, sv.max(initial=0.0)))
 
 
 @dataclass(frozen=True, eq=False)

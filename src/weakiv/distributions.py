@@ -32,7 +32,6 @@ _TINY = 1e-300
 _GAMMA_TOL = 1e-15
 _GAMMA_MAX_ITER = 20000
 _SERIES_MAX_TERMS = 1 << 16
-_BISECT_MAX_ITER = 400
 _TAIL_TOL = 1e-13
 """Largest Poisson mass a noncentral series may leave out: the windows of
 `_window` leave out at most about 3.5e-22 at every ncp up to 2e7."""
@@ -459,62 +458,108 @@ def chisq_cdf(d, x):
     return float(out[0])
 
 
-def _bisect(law, p, cdf_tol):
-    """Quantiles of the batch `law` at `p` (see chisq_quantile): NaN where the
-    law failed, and whether its bracket could not be expanded."""
-    n = p.size
-    lo = np.zeros(n)
-    hi = law.df + law.ncp + 10.0 * np.sqrt(2.0 * law.df + 4.0 * law.ncp) + 50.0
-    unbounded = np.zeros(n, dtype=bool)
-    idx, cur = np.arange(n), law
-    while idx.size:
-        below = chisq_cdf(cur, hi[idx]) < p[idx]
-        idx = idx[below]
-        lo[idx] = hi[idx]
-        hi[idx] *= 2.0
-        unbounded[idx[hi[idx] > 1e300]] = True
-        idx = idx[hi[idx] <= 1e300]
-        if idx.size:
-            cur = _take(law, idx)
-    idx = np.flatnonzero(~unbounded)
-    cur = law if idx.size == n else _take(law, idx)
-    live = np.ones(idx.size, dtype=bool)
-    for _ in range(_BISECT_MAX_ITER):
-        if not live.any():
+def _normal_tail_quantile(alpha):
+    """z >= 0 with P(|Z| > z) = erfc(z / sqrt 2) = alpha, 0 < alpha <= 1, for
+    a standard normal Z. Newton's method on log erfc, which is concave, from
+    the Chernoff bound z = sqrt(-2 log(alpha / 2)) above the root, so the
+    iterates fall to it; exact to rounding in 3-6 steps for alpha from 0.9999
+    to 1e-300."""
+    z = math.sqrt(-2.0 * math.log(alpha / 2.0))
+    for _ in range(60):
+        t = z / math.sqrt(2.0)
+        tail = math.erfc(t)
+        step = math.log(tail / alpha) * tail / (math.sqrt(2.0 / math.pi) * math.exp(-t * t))
+        z += step
+        if step > -1e-15 * z:
             break
-        mid = 0.5 * (lo[idx] + hi[idx])
-        cdf = chisq_cdf(cur, mid)
-        below = cdf[live] < p[idx[live]]
-        step = idx[live]
-        lo[step] = np.where(below, mid[live], lo[step])
-        hi[step] = np.where(below, hi[step], mid[live])
-        width = hi[idx] - lo[idx]
-        # a failed law stops here and fails the post-condition
-        live &= (width > 1e-12 * hi[idx]) & (width != 0.0) & ~np.isnan(cdf)
+    return z
+
+
+def _bracket(df, ncp, p):
+    """Start brackets of the quantiles at `p`: +-0.05 sd around Sankaran's
+    (1959) approximation that (x / (df+ncp))^h is about normal (h = 1/3 and
+    Wilson-Hilferty at ncp = 0), its start held at least 1e-6 sd above 0."""
+    values, inverse = np.unique(p, return_inverse=True)
+    z = np.copysign(
+        [_normal_tail_quantile(2.0 * min(v, 1.0 - v)) for v in values.tolist()], values - 0.5
+    )[inverse]
+    s, t = df + ncp, df + 2.0 * ncp
+    sd = math.sqrt(2.0) * np.sqrt(t)
+    h = 1.0 - 2.0 / 3.0 * (s / t) * ((df + 3.0 * ncp) / t)
+    r = t / s / s
+    m = (h - 1.0) * (1.0 - 3.0 * h)
+    base = 1.0 + h * r * (h - 1.0 - 0.5 * (2.0 - h) * m * r)
+    base += z * h * np.sqrt(2.0 * r) * (1.0 + 0.5 * m * r)
+    x0 = np.maximum(s * np.maximum(base, 0.0) ** (1.0 / h), 1e-6 * sd)
+    return np.maximum(x0 - 0.05 * sd, 0.0), x0 + 0.05 * sd
+
+
+def _solve(law, p, cdf_tol):
+    """Quantiles of the batch `law` at `p` (see chisq_quantile), NaN where the
+    law failed."""
+    n = p.size
+    # the lower and upper end of each bracket, each with its CDF gap F - p
+    ends = np.array([[x, chisq_cdf(law, x) - p] for x in _bracket(law.df, law.ncp, p)])
+    kept, widths = np.zeros(n), np.full((2, n), np.inf)
+    idx, cur = np.arange(n), law
+    # a law whose CDF is NaN, or p, at an end of its bracket stops here
+    live = (np.abs(ends[:, 1]) > 0.0).all(axis=0)
+    while live.any():
         if 2 * live.sum() <= live.size:
-            # a copy of the tables of the laws still bisecting costs memory,
+            # a copy of the tables of the laws still iterating costs memory,
             # so it is made only once they are at most half of `cur`
             idx, cur, live = idx[live], _take(cur, np.flatnonzero(live)), live[live]
-    q = np.where(unbounded, np.nan, 0.5 * (lo + hi))
-    idx = np.flatnonzero(~unbounded)
-    cur = law if idx.size == n else _take(law, idx)
-    missed = ~(np.abs(chisq_cdf(cur, q[idx]) - p[idx]) <= cdf_tol)
-    q[idx[missed]] = np.nan
-    return q, unbounded
+        ((lo, flo), (hi, fhi)), k = ends[:, :, idx], kept[idx]
+        # Illinois: an end kept k >= 2 steps in a row enters the secant with
+        # its CDF gap scaled by 2^(1-k); a bisection step (geometric where
+        # the bracket spans over a factor 2) follows two steps that did not
+        # halve the bracket; the step is kept 1/4 of the resolution inside
+        scale = 0.5 ** np.maximum(np.abs(k) - 1.0, 0.0)
+        slo, shi = np.where(k < 0, scale * flo, flo), np.where(k > 0, scale * fhi, fhi)
+        w = hi - lo
+        with np.errstate(invalid="ignore", divide="ignore"):
+            x = np.where(
+                w <= 0.5 * widths[0, idx], hi - shi * w / (shi - slo),
+                np.where(hi > 2.0 * lo, np.sqrt(lo) * np.sqrt(hi), 0.5 * (lo + hi)),
+            )
+        x = np.clip(x, lo + 2.5e-13 * hi, hi - 2.5e-13 * hi)
+        # a bracket that misses p moves outward instead, doubling its width
+        x = np.where(flo > 0.0, np.maximum(lo - 2.0 * w, 0.0),
+                     np.where(fhi < 0.0, hi + 2.0 * w, x))
+        g = chisq_cdf(cur, x) - p[idx]
+        step, x, g, lo, hi, flo, fhi, k, w = (
+            v[live] for v in (idx, x, g, lo, hi, flo, fhi, k, w))
+        down, up, below = x < lo, x > hi, g < 0.0
+        g[up & (x > 1e300)] = np.nan
+        new, old_lo, old_hi = np.array([x, g]), np.array([lo, flo]), np.array([hi, fhi])
+        ends[0][:, step] = np.where(down | (below & ~up), new, np.where(up, old_hi, old_lo))
+        ends[1][:, step] = np.where(up | ~(below | down), new, np.where(down, old_lo, old_hi))
+        kept[step] = np.where(below, np.maximum(k, 0.0) + 1.0, np.minimum(k, 0.0) - 1.0)
+        widths[:, step] = np.where(down | up, np.inf, [widths[1, step], w])
+        # resolved as a bisection is, to 1e-12 relative to the upper end (or
+        # two adjacent subnormals); a law whose CDF is NaN or p stops
+        a, b = ends[:, 0, step]
+        live[live] = (b - a > 1e-12 * b + 5e-324) & (np.abs(g) > 0.0)
+    (a, fa), (b, fb) = ends
+    with np.errstate(invalid="ignore", divide="ignore"):
+        q = b - fb * (b - a) / (fb - fa)
+    q[~(np.abs(chisq_cdf(law, q) - p) <= cdf_tol)] = np.nan
+    return q
 
 
 def chisq_quantile(d, p, cdf_tol=1e-10):
     """Quantile of the (non)central chi-square `d` at probability `p`.
 
-    Bracketed bisection; the bracket starts at
-    [0, df + ncp + 10 sqrt(2 df + 4 ncp) + 50] and expands geometrically if it
-    does not yet cover `p`. Bisection runs until the interval is resolved to
-    1e-12 relative to its upper end, also for quantiles far below 1, for at
-    most 400 steps, then the |CDF - p| < `cdf_tol` post-condition is checked.
-    A batch `d` is bisected in blocks of laws, each step one `chisq_cdf` call
-    on the block's laws still bisecting; `p` broadcasts against the laws and
-    the result is an array, NaN where a law fails. A scalar law gives a float
-    or raises NumericalError.
+    Each law's bracket is +-0.05 sd around Sankaran's cube-root normal
+    approximation at `p`; one that misses `p` moves outward, doubling its
+    width, down to 0 and up to 1e300 (past it the law fails). Illinois regula
+    falsi shrinks it, with a bisection step after any two steps that fail to
+    halve it, to 1e-12 relative to its upper end (or a CDF value equal to
+    `p`); the quantile is the secant root of the last bracket, checked for
+    |CDF - p| <= `cdf_tol`. A batch `d` is solved in blocks of laws, each step
+    one `chisq_cdf` call on the block's laws still iterating; `p` broadcasts
+    against the laws and the result is an array, NaN where a law fails. A
+    scalar law gives a float or raises NumericalError.
     """
     p = np.broadcast_to(np.asarray(p, dtype=float), np.shape(d.df))
     if not np.all((p > 0.0) & (p < 1.0)):
@@ -523,17 +568,12 @@ def chisq_quantile(d, p, cdf_tol=1e-10):
     batch = d if np.ndim(d.df) else NoncentralChiSq(np.atleast_1d(d.df), np.atleast_1d(d.ncp))
     p = np.atleast_1d(p)
     q = np.empty(p.shape)
-    unbounded = np.zeros(p.shape, dtype=bool)
     for idx, law in _blocks(batch):
-        q[idx], unbounded[idx] = _bisect(law, p[idx], cdf_tol)
+        q[idx] = _solve(law, p[idx], cdf_tol)
     if np.ndim(d.df):
         return q
-    if unbounded[0]:
-        raise NumericalError("quantile bracket expansion failed")
     if math.isnan(q[0]):
-        raise NumericalError(
-            f"quantile bisection did not reach CDF tolerance {cdf_tol} at p={p[0]}"
-        )
+        raise NumericalError(f"quantile did not reach CDF tolerance {cdf_tol} at p={p[0]}")
     return float(q[0])
 
 

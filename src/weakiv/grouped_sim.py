@@ -42,7 +42,7 @@ import numpy as np
 import yaml
 
 from .data import Dataset
-from .distributions import RngStream
+from .distributions import RngStream, _normal_tail_quantile
 from .errors import InputError, NumericalError, WeakIvError
 from .weak_test import (
     _check_alpha, _diagonal_worst_case_bias, _keff, _nagar_biases, _patnaik_quantile,
@@ -509,19 +509,8 @@ def _moment_columns(design, seed, rep_ids, tally):
 
 
 def _wald_critical_value(alpha):
-    """The chi-square(1) quantile at 1 - alpha: z^2 with erfc(z / sqrt 2) =
-    alpha. Newton's method on log erfc, which is concave, from the Chernoff
-    bound z = sqrt(-2 log(alpha / 2)) above the root, so every step stays
-    above it and the iterates fall to it; exact to rounding in 3-6 steps
-    for alpha from 0.9999 to 1e-300."""
-    z = math.sqrt(-2.0 * math.log(alpha / 2.0))
-    for _ in range(60):
-        t = z / math.sqrt(2.0)
-        tail = math.erfc(t)
-        step = math.log(tail / alpha) * tail / (math.sqrt(2.0 / math.pi) * math.exp(-t * t))
-        z += step
-        if step > -1e-15 * z:
-            break
+    """The chi-square(1) quantile at 1 - alpha: z^2 with P(|Z| > z) = alpha."""
+    z = _normal_tail_quantile(alpha)
     return z * z
 
 

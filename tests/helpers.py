@@ -1,8 +1,9 @@
 """Shared construction helpers for the test suite."""
 
 import numpy as np
+import pytest
 
-from weakiv import Dataset, MomentCov, TransformedMomentCov, partial_out
+from weakiv import Dataset, MomentCov, TransformedMomentCov, distributions, partial_out
 
 
 def random_spd(rng, dim, jitter=0.1):
@@ -46,3 +47,19 @@ def make_dataset(rng, n=300, kz=3, kc=0, beta=0.5, strength=0.6,
 
 def make_pd(rng, **kwargs):
     return partial_out(make_dataset(rng, **kwargs))
+
+
+@pytest.fixture
+def cdf_calls(monkeypatch):
+    """The number of laws of each call to `distributions.chisq_cdf` made
+    through its module global, as `chisq_quantile` makes them, while the
+    test runs."""
+    calls = []
+    cdf = distributions.chisq_cdf
+
+    def counting(d, x):
+        calls.append(np.size(d.df))
+        return cdf(d, x)
+
+    monkeypatch.setattr(distributions, "chisq_cdf", counting)
+    return calls

@@ -170,6 +170,17 @@ class TestLoadCsv:
         with pytest.raises(InputError, match="instrument column 'z10' is collinear"):
             load_csv(path, y="y", x="x", z=names)
 
+    def test_instrument_in_span_of_controls_named(self, tmp_path):
+        """An instrument in the span of the controls is rounding noise once
+        they are partialled out, and is still named."""
+        rng = np.random.default_rng(8)
+        data = rng.standard_normal((40, 6))
+        data[:, 3] = data[:, 4] + data[:, 5]  # z1 = c0 + c1
+        lines = ["y,x,z0,z1,c0,c1"] + [",".join(map(str, row.tolist())) for row in data]
+        path = self.write(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(InputError, match="instrument column 'z1' is collinear"):
+            load_csv(path, y="y", x="x", z=["z0", "z1"], controls=["c0", "c1"])
+
     def test_no_instruments(self, tmp_path):
         path = self.write(tmp_path, "a,b\n1,2\n")
         with pytest.raises(InputError, match="at least one instrument"):

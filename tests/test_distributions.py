@@ -9,6 +9,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import cdf_calls  # noqa: F401  (fixture)
 from weakiv import NoncentralChiSq, RngStream, chisq_cdf, chisq_quantile, mvn_sample
 from weakiv import distributions
 from weakiv.distributions import lower_gamma_regularized
@@ -48,6 +49,12 @@ class TestLowerGamma:
         p = lower_gamma_regularized(a, x)
         assert 0.0 <= p <= 1.0
         assert lower_gamma_regularized(a, x + 1.0) >= p - 1e-12
+
+
+_BISECTION_CALLS = 44
+"""Fewest CDF calls the bracketed bisection took for one quantile on the
+`wide_range` and `extreme_p` grids (44 to 247, up to 47 where the quantile is
+not tiny): no law there may take more."""
 
 
 class TestNoncentralChiSq:
@@ -149,22 +156,51 @@ class TestNoncentralChiSq:
 
     @pytest.mark.parametrize("df", [0.3, 0.7, 1.0, 2.5, 10.0, 40.0])
     @pytest.mark.parametrize("ncp", [0.0, 1.0, 20.0, 170.0, 1000.0, 4200.0, 1e4])
-    def test_quantile_cdf_oracle_wide_range(self, df, ncp):
+    def test_quantile_cdf_oracle_wide_range(self, df, ncp, cdf_calls):
         """scipy's CDF at our quantile is p, from tiny quantiles (df < 1,
-        p = 1e-4) up to the noncentralities small tau reaches."""
+        p = 1e-4) up to the noncentralities small tau reaches, within the
+        call budget."""
         d = NoncentralChiSq(df, ncp)
         for p in [1e-4, 0.05, 0.5, 0.95, 0.999]:
+            cdf_calls.clear()
             q = chisq_quantile(d, p)
             assert abs(scipy.stats.ncx2.cdf(q, df, ncp) - p) <= 1e-9
+            assert len(cdf_calls) <= _BISECTION_CALLS
 
     @pytest.mark.parametrize("df", [0.3, 1.0, 2.5, 10.0])
     @pytest.mark.parametrize("ncp", [0.0, 1.0, 20.0, 170.0, 1000.0, 1e4])
-    def test_quantile_cdf_oracle_extreme_p(self, df, ncp):
-        """scipy's CDF at our quantile is p for p = 1e-9 and 1 - 1e-9."""
+    def test_quantile_cdf_oracle_extreme_p(self, df, ncp, cdf_calls):
+        """scipy's CDF at our quantile is p for p = 1e-9 and 1 - 1e-9, within
+        the call budget."""
         d = NoncentralChiSq(df, ncp)
         for p in (1e-9, 1.0 - 1e-9):
+            cdf_calls.clear()
             q = chisq_quantile(d, p)
             assert abs(scipy.stats.ncx2.cdf(q, df, ncp) - p) <= 1e-9
+            assert len(cdf_calls) <= _BISECTION_CALLS
+
+    @pytest.mark.parametrize("df", [1.0, 3.3, 10.0, 24.5, 40.0])
+    @pytest.mark.parametrize("ncp", [0.0, 1.0, 35.0, 170.0, 1000.0, 4200.0, 1e4])
+    def test_quantile_cdf_oracle_to_1e12(self, df, ncp):
+        """At the test level's p = 0.95, scipy's CDF at our quantile is p to
+        1e-12: the quantile is the secant root of a bracket 1e-12 wide, not
+        any point in it (at ncp 1e4 the CDF moves by about 4e-12 across
+        such a bracket)."""
+        q = chisq_quantile(NoncentralChiSq(df, ncp), 0.95)
+        assert abs(scipy.stats.ncx2.cdf(q, df, ncp) - 0.95) <= 1e-12
+
+    def test_quantile_calls_on_grouped_design_laws(self, cdf_calls):
+        """The two batched quantiles of a he_reconstructed run of 100
+        replications (df 3.3-3.9 at ncp = 10 df, and df 10 at ncp 3800-4100,
+        in three blocks) take at most a third of the 173 calls (44 + 3 x 43)
+        that bisecting from [0, mean + 10 sd + 50] took."""
+        rng = np.random.default_rng(23)
+        keff = rng.uniform(3.3, 3.9, 100)
+        ncp = rng.uniform(3800.0, 4100.0, 100)
+        q = [chisq_quantile(NoncentralChiSq(keff, 10.0 * keff), 0.95),
+             chisq_quantile(NoncentralChiSq(np.full(100, 10.0), ncp), 0.95)]
+        assert np.isfinite(q).all()
+        assert len(cdf_calls) <= 173 // 3
 
     @pytest.mark.parametrize("df, ncp", [(2.0, 1e5), (2.0, 2e5)])
     def test_quantile_cdf_oracle_large_ncp(self, df, ncp):
@@ -213,20 +249,13 @@ class TestNoncentralChiSq:
         with pytest.raises(NumericalError, match="tail bound"):
             chisq_cdf(NoncentralChiSq(3.0, 4000.0), 4000.0)
 
-    def test_noncentrality_past_bound_fails_without_tables(self):
+    def test_noncentrality_past_bound_fails_without_tables(self, cdf_calls):
         """Past ncp 2e7 a scalar law raises before any table is built, and in
-        a batch such a law is NaN, stops bisecting at once and gets the
+        a batch such a law is NaN, stops iterating at once and gets the
         central window, also where its window ends would wrap int64."""
         start, end = distributions._window(np.array([1e19, 1e7]))
         assert (start[0], end[0]) == (0, 1)
         assert end[1] - start[1] < 70_000
-        cdf_calls = []
-        cdf = distributions.chisq_cdf
-
-        def counting(d, x):
-            cdf_calls.append(np.size(d.df))
-            return cdf(d, x)
-
         tracemalloc.start()
         try:
             with pytest.raises(NumericalError, match=r"noncentrality 1e\+300 is above 2e\+07"):
@@ -235,16 +264,15 @@ class TestNoncentralChiSq:
                 chisq_quantile(NoncentralChiSq(3.0, 2.0000001e7), 0.95)
             batch = NoncentralChiSq(np.array([3.0, 3.0, 3.0]), np.array([1e19, 50.0, 1e300]))
             assert np.isnan(chisq_cdf(batch, 60.0)[[0, 2]]).all()
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(distributions, "chisq_cdf", counting)
-                q = chisq_quantile(batch, 0.95)
+            q = chisq_quantile(batch, 0.95)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert np.isnan(q[[0, 2]]).all()
         assert q[1] == chisq_quantile(NoncentralChiSq(3.0, 50.0), 0.95)
-        # the failed laws leave the bisection after its first step
+        # the failed laws leave at the bracket's two calls; the third is the
+        # post-condition
         assert cdf_calls.count(3) <= 3
 
     def test_largest_supported_noncentrality(self):

@@ -328,6 +328,17 @@ class TestRunSim:
         assert cv == pytest.approx(scipy.stats.chi2.ppf(1.0 - alpha, 1), rel=1e-10)
         assert abs(math.erf(math.sqrt(cv / 2.0)) - (1.0 - alpha)) <= 1e-12
 
+    @pytest.mark.parametrize("alpha, want", [
+        (0.9999, 1.570796335020803e-08),
+        (0.05, 3.841458820694127),
+        (1e-300, 1373.8726312223944),
+    ])
+    def test_wald_critical_value_bits_kept(self, alpha, want):
+        """The Wald critical values are pinned to the bit: the Newton iteration
+        on erfc that gives them is shared with the chi-square quantile's
+        start, and must keep them."""
+        assert _wald_critical_value(alpha) == want
+
     def test_first_stage_only_summary(self):
         summ = run_sim(load_design("me"), 3, seed=0)
         assert set(summ.means) == {"f_stat", "f_eff", "f_r"}
