@@ -460,10 +460,9 @@ def chisq_cdf(d, x):
 
 def _normal_tail_quantile(alpha):
     """z >= 0 with P(|Z| > z) = erfc(z / sqrt 2) = alpha, 0 < alpha <= 1, for
-    a standard normal Z. Newton's method on log erfc, which is concave, from
-    the Chernoff bound z = sqrt(-2 log(alpha / 2)) above the root, so the
-    iterates fall to it; exact to rounding in 3-6 steps for alpha from 0.9999
-    to 1e-300."""
+    a standard normal Z: Newton's method on log erfc, which is concave, from
+    the Chernoff bound sqrt(-2 log(alpha / 2)) above the root, so the iterates
+    fall to it; exact to rounding in 3-6 steps for alpha from 0.9999 to 1e-300."""
     z = math.sqrt(-2.0 * math.log(alpha / 2.0))
     for _ in range(60):
         t = z / math.sqrt(2.0)
@@ -475,33 +474,25 @@ def _normal_tail_quantile(alpha):
     return z
 
 
-def _bracket(df, ncp, p):
-    """Start brackets of the quantiles at `p`: +-0.05 sd around Sankaran's
-    (1959) approximation that (x / (df+ncp))^h is about normal (h = 1/3 and
-    Wilson-Hilferty at ncp = 0), its start held at least 1e-6 sd above 0."""
-    values, inverse = np.unique(p, return_inverse=True)
-    z = np.copysign(
-        [_normal_tail_quantile(2.0 * min(v, 1.0 - v)) for v in values.tolist()], values - 0.5
-    )[inverse]
-    s, t = df + ncp, df + 2.0 * ncp
-    sd = math.sqrt(2.0) * np.sqrt(t)
-    h = 1.0 - 2.0 / 3.0 * (s / t) * ((df + 3.0 * ncp) / t)
-    r = t / s / s
-    m = (h - 1.0) * (1.0 - 3.0 * h)
-    base = 1.0 + h * r * (h - 1.0 - 0.5 * (2.0 - h) * m * r)
-    base += z * h * np.sqrt(2.0 * r) * (1.0 + 0.5 * m * r)
-    x0 = np.maximum(s * np.maximum(base, 0.0) ** (1.0 / h), 1e-6 * sd)
-    return np.maximum(x0 - 0.05 * sd, 0.0), x0 + 0.05 * sd
-
-
+@np.errstate(invalid="ignore", divide="ignore")  # secants across NaN or equal gaps
 def _solve(law, p, cdf_tol):
     """Quantiles of the batch `law` at `p` (see chisq_quantile), NaN where the
     law failed."""
-    n = p.size
-    # the lower and upper end of each bracket, each with its CDF gap F - p
-    ends = np.array([[x, chisq_cdf(law, x) - p] for x in _bracket(law.df, law.ncp, p)])
-    kept, widths = np.zeros(n), np.full((2, n), np.inf)
-    idx, cur = np.arange(n), law
+    z = {v: _normal_tail_quantile(2.0 * min(v, 1.0 - v)) for v in set(p.tolist())}
+    z = np.copysign([z[v] for v in p.tolist()], p - 0.5)
+    # the start: Sankaran's (1959) approximation that (x / (df+ncp))^h is
+    # about normal (h = 1/3 and Wilson-Hilferty at ncp = 0), held above 0
+    s, t = law.df + law.ncp, law.df + 2.0 * law.ncp
+    h = 1.0 - 2.0 / 3.0 * (s / t) * ((law.df + 3.0 * law.ncp) / t)
+    r, m, sd = t / s / s, (h - 1.0) * (1.0 - 3.0 * h), math.sqrt(2.0) * np.sqrt(t)
+    x0 = (1.0 + h * r * (h - 1.0 - 0.5 * (2.0 - h) * m * r)
+          + z * h * np.sqrt(2.0 * r) * (1.0 + 0.5 * m * r))
+    x0 = np.maximum(s * np.maximum(x0, 0.0) ** (1.0 / h), 1e-6 * sd)
+    # each law's bracket, +-0.05 sd around the start: its ends with their F - p
+    ends = [np.maximum(x0 - 0.05 * sd, 0.0), x0 + 0.05 * sd]
+    ends = np.array([[x, chisq_cdf(law, x) - p] for x in ends])
+    kept, widths = np.zeros(p.size), np.full((2, p.size), np.inf)
+    idx, cur = np.arange(p.size), law
     # a law whose CDF is NaN, or p, at an end of its bracket stops here
     live = (np.abs(ends[:, 1]) > 0.0).all(axis=0)
     while live.any():
@@ -511,38 +502,32 @@ def _solve(law, p, cdf_tol):
             idx, cur, live = idx[live], _take(cur, np.flatnonzero(live)), live[live]
         ((lo, flo), (hi, fhi)), k = ends[:, :, idx], kept[idx]
         # Illinois: an end kept k >= 2 steps in a row enters the secant with
-        # its CDF gap scaled by 2^(1-k); a bisection step (geometric where
-        # the bracket spans over a factor 2) follows two steps that did not
-        # halve the bracket; the step is kept 1/4 of the resolution inside
-        scale = 0.5 ** np.maximum(np.abs(k) - 1.0, 0.0)
-        slo, shi = np.where(k < 0, scale * flo, flo), np.where(k > 0, scale * fhi, fhi)
-        w = hi - lo
-        with np.errstate(invalid="ignore", divide="ignore"):
-            x = np.where(
-                w <= 0.5 * widths[0, idx], hi - shi * w / (shi - slo),
-                np.where(hi > 2.0 * lo, np.sqrt(lo) * np.sqrt(hi), 0.5 * (lo + hi)),
-            )
-        x = np.clip(x, lo + 2.5e-13 * hi, hi - 2.5e-13 * hi)
+        # its F - p scaled by 2^(1-k); two steps that did not halve the bracket
+        # are followed by a bisection (geometric across over a factor 2); so
+        # that each step moves the bracket it lands max(hi/4e12, 5e-324) inside
+        slo, shi = flo * 0.5 ** np.maximum(-k - 1.0, 0.0), fhi * 0.5 ** np.maximum(k - 1.0, 0.0)
+        w, inside = hi - lo, np.maximum(2.5e-13 * hi, 5e-324)
+        x = np.where(w <= 0.5 * widths[0, idx], hi - shi * w / (shi - slo),
+                     np.where(hi > 2.0 * lo, np.sqrt(lo) * np.sqrt(hi), 0.5 * (lo + hi)))
         # a bracket that misses p moves outward instead, doubling its width
-        x = np.where(flo > 0.0, np.maximum(lo - 2.0 * w, 0.0),
-                     np.where(fhi < 0.0, hi + 2.0 * w, x))
+        x = np.where(flo > 0.0, np.maximum(lo - 2.0 * w, 0.0), np.where(
+            fhi < 0.0, hi + 2.0 * w, np.clip(x, lo + inside, hi - inside)))
         g = chisq_cdf(cur, x) - p[idx]
-        step, x, g, lo, hi, flo, fhi, k, w = (
-            v[live] for v in (idx, x, g, lo, hi, flo, fhi, k, w))
-        down, up, below = x < lo, x > hi, g < 0.0
-        g[up & (x > 1e300)] = np.nan
-        new, old_lo, old_hi = np.array([x, g]), np.array([lo, flo]), np.array([hi, fhi])
-        ends[0][:, step] = np.where(down | (below & ~up), new, np.where(up, old_hi, old_lo))
-        ends[1][:, step] = np.where(up | ~(below | down), new, np.where(down, old_lo, old_hi))
+        g[x > 1e300] = np.nan
+        step, x, g, k, w = (v[live] for v in (idx, x, g, k, w))
+        # the new point replaces the end on its side of p; moved outward, it
+        # and the end it moved from are the new bracket
+        new, (lo, hi) = np.array([x, g]), ends[:, :, step]
+        down, up, below = x < lo[0], x > hi[0], g < 0.0
+        ends[:, :, step] = np.where(down, [new, lo], np.where(up, [hi, new], np.where(
+            below, [new, hi], [lo, new])))
         kept[step] = np.where(below, np.maximum(k, 0.0) + 1.0, np.minimum(k, 0.0) - 1.0)
         widths[:, step] = np.where(down | up, np.inf, [widths[1, step], w])
-        # resolved as a bisection is, to 1e-12 relative to the upper end (or
-        # two adjacent subnormals); a law whose CDF is NaN or p stops
+        # resolved to 1e-12 of the upper end, or one subnormal; F NaN or p stops
         a, b = ends[:, 0, step]
         live[live] = (b - a > 1e-12 * b + 5e-324) & (np.abs(g) > 0.0)
     (a, fa), (b, fb) = ends
-    with np.errstate(invalid="ignore", divide="ignore"):
-        q = b - fb * (b - a) / (fb - fa)
+    q = b - fb * (b - a) / (fb - fa)
     q[~(np.abs(chisq_cdf(law, q) - p) <= cdf_tol)] = np.nan
     return q
 
@@ -550,16 +535,15 @@ def _solve(law, p, cdf_tol):
 def chisq_quantile(d, p, cdf_tol=1e-10):
     """Quantile of the (non)central chi-square `d` at probability `p`.
 
-    Each law's bracket is +-0.05 sd around Sankaran's cube-root normal
-    approximation at `p`; one that misses `p` moves outward, doubling its
-    width, down to 0 and up to 1e300 (past it the law fails). Illinois regula
-    falsi shrinks it, with a bisection step after any two steps that fail to
-    halve it, to 1e-12 relative to its upper end (or a CDF value equal to
-    `p`); the quantile is the secant root of the last bracket, checked for
-    |CDF - p| <= `cdf_tol`. A batch `d` is solved in blocks of laws, each step
-    one `chisq_cdf` call on the block's laws still iterating; `p` broadcasts
-    against the laws and the result is an array, NaN where a law fails. A
-    scalar law gives a float or raises NumericalError.
+    Illinois regula falsi from +-0.05 sd around Sankaran's cube-root normal
+    approximation at `p`, moved outward (down to 0, up to 1e300) where it
+    misses `p`, with a bisection step after two that fail to halve the
+    bracket, until it is 1e-12 of its upper end wide; the quantile is the
+    secant root of the last bracket, checked for |CDF - p| <= `cdf_tol`. A
+    batch `d` is solved in blocks of laws, each step one `chisq_cdf` call on
+    the block's laws still iterating; `p` broadcasts against the laws and the
+    result is an array, NaN where a law fails. A scalar law gives a float or
+    raises NumericalError.
     """
     p = np.broadcast_to(np.asarray(p, dtype=float), np.shape(d.df))
     if not np.all((p > 0.0) & (p < 1.0)):

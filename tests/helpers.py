@@ -53,12 +53,14 @@ def make_pd(rng, **kwargs):
 def cdf_calls(monkeypatch):
     """The number of laws of each call to `distributions.chisq_cdf` made
     through its module global, as `chisq_quantile` makes them, while the
-    test runs."""
+    test runs. Past 1000 calls it fails the test, so a root-finder that
+    stops moving fails instead of hanging."""
     calls = []
     cdf = distributions.chisq_cdf
 
     def counting(d, x):
         calls.append(np.size(d.df))
+        assert len(calls) <= 1000, "chisq_cdf called over 1000 times"
         return cdf(d, x)
 
     monkeypatch.setattr(distributions, "chisq_cdf", counting)

@@ -202,6 +202,18 @@ class TestNoncentralChiSq:
         assert np.isfinite(q).all()
         assert len(cdf_calls) <= 173 // 3
 
+    @pytest.mark.parametrize("df, p", [(0.01, 0.01), (0.05, 1e-9)])
+    def test_quantile_below_smallest_double_fails(self, df, p, cdf_calls):
+        """A quantile far below the smallest subnormal (about 1e-400 here)
+        has no double within the CDF tolerance. Its bracket shrinks into the
+        subnormals with its lower end at 0, where each step must still move
+        it: the law stops and fails, alone and next to a law that does not."""
+        with pytest.raises(NumericalError, match="quantile did not reach CDF tolerance"):
+            chisq_quantile(NoncentralChiSq(df), p)
+        q = chisq_quantile(NoncentralChiSq(np.array([df, 3.0]), np.array([0.0, 5.0])), [p, 0.95])
+        assert np.isnan(q[0])
+        assert q[1] == chisq_quantile(NoncentralChiSq(3.0, 5.0), 0.95)
+
     @pytest.mark.parametrize("df, ncp", [(2.0, 1e5), (2.0, 2e5)])
     def test_quantile_cdf_oracle_large_ncp(self, df, ncp):
         """scipy's CDF at our quantile is p at noncentralities far past the
