@@ -34,6 +34,8 @@ from .fstats import (
     f_robust,
 )
 from .grouped_sim import (
+    DesignComparison,
+    GroupStats,
     GroupedDesign,
     SimSummary,
     available_designs,
@@ -48,15 +50,10 @@ from .weak_test import (
     Benchmark,
     GroupedBiasDiagnostics,
     SupResult,
-    TransformedMomentCov,
     WeakIvResult,
-    benchmark_scale,
-    concentration,
     critical_value,
     effective_dof,
     nagar_bias_grouped,
-    nagar_numerator,
-    structural_blocks,
     transform_moment_cov,
     weak_iv_test,
     worst_case_bias,

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 
 __all__ = ["Dataset", "PartialledData", "load_csv", "partial_out"]
 
@@ -161,8 +161,12 @@ class PartialledData:
 
     @cached_property
     def z_qr(self):
-        """Thin QR factors (q, r) of z, unchecked for rank."""
-        return np.linalg.qr(self.z)
+        """Thin QR factors (q, r) of z, after checking that z has full rank."""
+        q, r = np.linalg.qr(self.z)
+        d = np.abs(np.diag(r))
+        if d.min() <= 1e-12 * d.max():
+            raise NumericalError("instrument matrix is numerically rank deficient")
+        return q, r
 
     @cached_property
     def first_stage_residuals(self):

@@ -46,6 +46,8 @@ under a tenth of the spacing of doubles near 1."""
 _BLOCK_TERMS = 1 << 15
 """Laws x Poisson-series terms evaluated at once; a batch of laws is split
 into blocks under this budget, which bounds the memory of its tables."""
+_CDF_TOL = 1e-10
+"""Largest |CDF - p| a quantile may leave; past it the law fails."""
 
 
 def _gamma_series(a, x, log_prefac):
@@ -105,15 +107,19 @@ def _gamma_fraction(a, x, log_prefac):
     return out
 
 
-def _lower_gamma(a, x, lgamma_a):
-    """P(a, x) for 1-d arrays a > 0 and x >= 0, given lgamma(a); NaN where
-    the iteration did not converge."""
+def _lower_gamma(a, x):
+    """P(a, x) for 1-d arrays a > 0 and x >= 0; NaN where the iteration did
+    not converge."""
     out = np.zeros(x.shape)
     pos = x > 0.0
     # x^a e^-x / Gamma(a) is a times the Poisson(x) pmf at a; at large a the
     # first form cancels to rounding errors of size a log x, Loader's form of
-    # the pmf does not (it is -inf, as it should be, for subnormal x)
+    # the pmf does not (it is -inf, as it should be, for subnormal x) and
+    # needs no lgamma, which overflows for a above about 5e305
     big = pos & (a >= 15.0)
+    small = pos & (a < 15.0)
+    lgamma_a = np.zeros(a.shape)
+    lgamma_a[small] = _lgamma(a[small])
     with np.errstate(divide="ignore", over="ignore"):
         log_prefac = -x + a * np.log(x) - lgamma_a
         log_prefac[big] = np.log(a[big]) + _log_poisson(a[big], x[big])
@@ -141,7 +147,7 @@ def lower_gamma_regularized(a, x):
     if np.any(x_arr < 0):
         raise ValueError(f"argument must be nonnegative, got {x}")
     a1, x1 = np.atleast_1d(a_arr).ravel(), np.atleast_1d(x_arr).ravel()
-    p = _lower_gamma(a1, x1, _lgamma(a1))
+    p = _lower_gamma(a1, x1)
     if a_arr.ndim:
         return p.reshape(a_arr.shape)
     if math.isnan(p[0]):
@@ -375,8 +381,7 @@ class _Series:
             )
         need = ~(self.w_tot * bound <= _TOP_TOL)
         if need.any():
-            top = top[need]
-            total[need] += self.w_tot[need] * _lower_gamma(top, y[need], _lgamma(top))
+            total[need] += self.w_tot[need] * _lower_gamma(top[need], y[need])
         return np.where(self.outside <= _TAIL_TOL, np.clip(total, 0.0, 1.0), np.nan)
 
 
@@ -475,7 +480,7 @@ def _normal_tail_quantile(alpha):
 
 
 @np.errstate(invalid="ignore", divide="ignore")  # secants across NaN or equal gaps
-def _solve(law, p, cdf_tol):
+def _solve(law, p):
     """Quantiles of the batch `law` at `p` (see chisq_quantile), NaN where the
     law failed."""
     z = {v: _normal_tail_quantile(2.0 * min(v, 1.0 - v)) for v in set(p.tolist())}
@@ -528,18 +533,18 @@ def _solve(law, p, cdf_tol):
         live[live] = (b - a > 1e-12 * b + 5e-324) & (np.abs(g) > 0.0)
     (a, fa), (b, fb) = ends
     q = b - fb * (b - a) / (fb - fa)
-    q[~(np.abs(chisq_cdf(law, q) - p) <= cdf_tol)] = np.nan
+    q[~(np.abs(chisq_cdf(law, q) - p) <= _CDF_TOL)] = np.nan
     return q
 
 
-def chisq_quantile(d, p, cdf_tol=1e-10):
+def chisq_quantile(d, p):
     """Quantile of the (non)central chi-square `d` at probability `p`.
 
     Illinois regula falsi from +-0.05 sd around Sankaran's cube-root normal
     approximation at `p`, moved outward (down to 0, up to 1e300) where it
     misses `p`, with a bisection step after two that fail to halve the
     bracket, until it is 1e-12 of its upper end wide; the quantile is the
-    secant root of the last bracket, checked for |CDF - p| <= `cdf_tol`. A
+    secant root of the last bracket, checked for |CDF - p| <= 1e-10. A
     batch `d` is solved in blocks of laws, each step one `chisq_cdf` call on
     the block's laws still iterating; `p` broadcasts against the laws and the
     result is an array, NaN where a law fails. A scalar law gives a float or
@@ -553,11 +558,11 @@ def chisq_quantile(d, p, cdf_tol=1e-10):
     p = np.atleast_1d(p)
     q = np.empty(p.shape)
     for idx, law in _blocks(batch):
-        q[idx] = _solve(law, p[idx], cdf_tol)
+        q[idx] = _solve(law, p[idx])
     if np.ndim(d.df):
         return q
     if math.isnan(q[0]):
-        raise NumericalError(f"quantile did not reach CDF tolerance {cdf_tol} at p={p[0]}")
+        raise NumericalError(f"quantile did not reach CDF tolerance {_CDF_TOL} at p={p[0]}")
     return float(q[0])
 
 

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = ["InputError", "NumericalError", "WeakIvError"]
+
 
 class WeakIvError(Exception):
     """Base class for all errors raised by weakiv."""

@@ -94,13 +94,13 @@ class WeightSpec:
 @dataclass(frozen=True, eq=False)
 class MomentCov:
     """Covariance blocks of the stacked instrument moments (z v1, z v2)/sqrt(n),
-    where v1 is the reduced-form residual (or a structural residual when a
-    coefficient was imposed) and v2 the first-stage residual."""
+    where v1 is the reduced-form residual and v2 the first-stage residual;
+    `weak_test.transform_moment_cov` gives the blocks of the moments
+    transformed by a weight matrix's square root in the same type."""
 
     v1v1: np.ndarray
     v1v2: np.ndarray
     v2v2: np.ndarray
-    flavor: str = "hc0"
 
     def __post_init__(self):
         for name in ("v1v1", "v1v2", "v2v2"):
@@ -153,23 +153,12 @@ class EstimateResult:
     beta_hat: float
     se_robust: float
     se_nonrobust: float
-    residuals: np.ndarray
-    weights_used: WeightSpec | None
-    omega_used: np.ndarray | None
 
 
 @dataclass(frozen=True)
 class WaldResult:
     statistic: float
     pvalue: float
-
-
-def _first_stage_residuals(pd):
-    """pd's cached (v1, v2), after checking the rank of its QR of Z."""
-    d = np.abs(np.diag(pd.z_qr[1]))
-    if d.min() <= 1e-12 * d.max():
-        raise NumericalError("instrument matrix is numerically rank deficient")
-    return pd.first_stage_residuals
 
 
 def _cluster_sums(scores, labels):
@@ -218,36 +207,28 @@ def _resolve_flavor(pd, flavor):
     return None
 
 
-def estimate_moment_cov(pd, flavor="hc0", beta_for_v1=None, dof_correction=False):
+def estimate_moment_cov(pd, flavor="hc0", dof_correction=False):
     """Estimate the moment covariance blocks from first-stage and reduced-form
     residuals.
 
-    With `beta_for_v1` set, the first residual is the structural one
-    y - beta*x instead of the reduced-form projection residual. No
-    degrees-of-freedom correction is applied unless `dof_correction` is set
-    (then n/(n - k_z), or G/(G - 1) for the cluster flavor). Without
-    `beta_for_v1` the estimate is made once per `pd`, flavor and correction,
-    and later calls return the same MomentCov.
+    No degrees-of-freedom correction is applied unless `dof_correction` is
+    set (then n/(n - k_z), or G/(G - 1) for the cluster flavor). The estimate
+    is made once per `pd`, flavor and correction, and later calls return the
+    same MomentCov.
     """
     labels = _resolve_flavor(pd, flavor)
     key = (flavor, bool(dof_correction))
-    if beta_for_v1 is None and key in pd.moment_covs:
-        return pd.moment_covs[key]
-    v1, v2 = _first_stage_residuals(pd)
-    if beta_for_v1 is not None:
-        v1 = pd.y - float(beta_for_v1) * pd.x
-    blocks = _meat(pd.z, [v1, v2], labels, dof_correction)
-    cov = MomentCov(
-        v1v1=blocks[(0, 0)], v1v2=blocks[(0, 1)], v2v2=blocks[(1, 1)], flavor=flavor
-    )
-    if beta_for_v1 is None:
-        pd.moment_covs[key] = cov
-    return cov
+    if key not in pd.moment_covs:
+        blocks = _meat(pd.z, pd.first_stage_residuals, labels, dof_correction)
+        pd.moment_covs[key] = MomentCov(
+            v1v1=blocks[(0, 0)], v1v2=blocks[(0, 1)], v2v2=blocks[(1, 1)]
+        )
+    return pd.moment_covs[key]
 
 
 def residual_cov(pd):
     """Pooled covariance of the (reduced-form, first-stage) residual pair."""
-    v1, v2 = _first_stage_residuals(pd)
+    v1, v2 = pd.first_stage_residuals
     n = pd.n
     return ResidualCov(
         v1v1=float(v1 @ v1) / n, v1v2=float(v1 @ v2) / n, v2v2=float(v2 @ v2) / n
@@ -312,9 +293,6 @@ def estimate(pd, spec, flavor="hc0", dof_correction=False):
         beta_hat=beta,
         se_robust=se_rob,
         se_nonrobust=float(np.sqrt(max(var_nr, 0.0))),
-        residuals=u,
-        weights_used=spec,
-        omega_used=omega,
     )
 
 
@@ -333,9 +311,6 @@ def ols(pd, flavor="hc0", dof_correction=False):
         beta_hat=beta,
         se_robust=se_rob,
         se_nonrobust=float(np.sqrt(sigma_u2 / sxx)),
-        residuals=u,
-        weights_used=None,
-        omega_used=None,
     )
 
 

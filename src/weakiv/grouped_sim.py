@@ -45,8 +45,8 @@ from .data import Dataset
 from .distributions import RngStream, _normal_tail_quantile
 from .errors import InputError, NumericalError, WeakIvError
 from .weak_test import (
-    _check_alpha, _diagonal_worst_case_bias, _keff, _nagar_biases, _patnaik_quantile,
-    critical_value,
+    _check_alpha, _concentrations, _diagonal_worst_case_bias, _keff, _nagar_biases,
+    _patnaik_quantile, critical_value,
 )
 
 __all__ = [
@@ -68,6 +68,7 @@ _CHUNK_REPS = 1024
 """Most replications one chunk holds; bounds the memory of its columns."""
 _COMPARE_GROUPS = 10
 _COMPARE_BATCH = 20000
+_COMPARE_MAX_ATTEMPTS = 5_000_000
 _FAILURE_STAGES = ("draw", "moments", "moment_cov", "bias_bound", "critical_value")
 
 
@@ -777,7 +778,7 @@ class DesignComparison:
     cov_uv2: np.ndarray
 
 
-def random_design_comparison(count=1000, seed=0, max_attempts=5_000_000):
+def random_design_comparison(count=1000, seed=0):
     """Sample random grouped designs under concentration and endogeneity
     constraints and compare the closed-form approximate biases of 2SLS and
     GMMf.
@@ -785,7 +786,7 @@ def random_design_comparison(count=1000, seed=0, max_attempts=5_000_000):
     Each design has 10 groups with equal shares. Scaled first-stage
     coefficients are uniform on [-40, 40], variances uniform on (0, 10],
     within-group correlations uniform on (-1, 1). Designs are drawn in
-    batches of 20000 until `count` are kept, or `max_attempts` are drawn
+    batches of 20000 until `count` are kept, or 5 million are drawn
     (NumericalError). A draw is kept when the overall endogeneity correlation
     exceeds 0.2 in absolute value, the 2SLS concentration is in (5, 10), and
     the GMMf concentration is in (40, 45). Reports the fraction of kept
@@ -801,7 +802,7 @@ def random_design_comparison(count=1000, seed=0, max_attempts=5_000_000):
     attempts = 0
     n_kept = 0
     while n_kept < count:
-        if attempts >= max_attempts:
+        if attempts >= _COMPARE_MAX_ATTEMPTS:
             raise NumericalError(
                 f"constraint satisfaction drew {attempts} designs without "
                 f"reaching {count} accepted; constraints are too tight"
@@ -811,9 +812,7 @@ def random_design_comparison(count=1000, seed=0, max_attempts=5_000_000):
         v2 = 10.0 * (1.0 - gen.random(size))
         rho = gen.uniform(-1.0, 1.0, size)
         suv = rho * np.sqrt(vu * v2)
-        cf = c * c * share
-        mu2_2sls = cf.sum(axis=1) / v2.sum(axis=1)
-        mu2_gmmf = (cf / v2).sum(axis=1) / _COMPARE_GROUPS
+        mu2_2sls, mu2_gmmf = _concentrations(c * c * share, v2)
         rho_all = suv.mean(axis=1) / np.sqrt(vu.mean(axis=1) * v2.mean(axis=1))
         keep = (
             (np.abs(rho_all) > 0.2)

@@ -21,6 +21,7 @@ import numpy as np
 from .distributions import NoncentralChiSq, RngStream, chisq_quantile, mvn_sample
 from .errors import InputError, NumericalError
 from .estimators import (
+    MomentCov,
     ResidualCov,
     WeightSpec,
     _spd,
@@ -35,15 +36,10 @@ __all__ = [
     "Benchmark",
     "GroupedBiasDiagnostics",
     "SupResult",
-    "TransformedMomentCov",
     "WeakIvResult",
-    "benchmark_scale",
-    "concentration",
     "critical_value",
     "effective_dof",
     "nagar_bias_grouped",
-    "nagar_numerator",
-    "structural_blocks",
     "transform_moment_cov",
     "weak_iv_test",
     "worst_case_bias",
@@ -71,65 +67,15 @@ def _sym_sqrt(omega):
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
-@dataclass(frozen=True, eq=False)
-class TransformedMomentCov:
-    """Moment covariance after congruence by the symmetric square root of the
-    weight matrix; `omega` stores the weight matrix that was applied."""
-
-    v1v1: np.ndarray
-    v1v2: np.ndarray
-    v2v2: np.ndarray
-    omega: np.ndarray | None = None
-
-    def __post_init__(self):
-        for name in ("v1v1", "v1v2", "v2v2"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        object.__setattr__(self, "v1v1", _sym(self.v1v1))
-        object.__setattr__(self, "v2v2", _sym(self.v2v2))
-        full = np.block([[self.v1v1, self.v1v2], [self.v1v2.T, self.v2v2]])
-        try:
-            np.linalg.cholesky(full)
-        except np.linalg.LinAlgError:
-            raise NumericalError(
-                "transformed moment covariance is not positive definite"
-            ) from None
-
-    @property
-    def k_z(self):
-        return self.v2v2.shape[0]
-
-
 def transform_moment_cov(cov, omega):
     """Congruence-transform the covariance blocks by the symmetric square root
-    of `omega`."""
+    of `omega`: the moment covariance of the weighted moments, a MomentCov."""
     root = _sym_sqrt(omega)
-    return TransformedMomentCov(
+    return MomentCov(
         v1v1=root @ cov.v1v1 @ root,
         v1v2=root @ cov.v1v2 @ root,
         v2v2=root @ cov.v2v2 @ root,
-        omega=_sym(np.asarray(omega, dtype=float)),
     )
-
-
-def structural_blocks(beta, tc):
-    """Covariance blocks after replacing the reduced-form residual by the
-    structural residual v1 - beta*v2: returns (s1, s12)."""
-    sym12 = tc.v1v2 + tc.v1v2.T
-    s1 = tc.v1v1 - beta * sym12 + beta * beta * tc.v2v2
-    s12 = tc.v1v2 - beta * tc.v2v2
-    return s1, s12
-
-
-def nagar_numerator(beta, direction, tc):
-    """Approximate-bias numerator [tr(S12) - 2 c'S12 c] / tr(lower block) at a
-    unit direction c."""
-    direction = np.asarray(direction, dtype=float).ravel()
-    nrm = np.linalg.norm(direction)
-    if abs(nrm - 1.0) > 1e-8:
-        raise InputError(f"direction must be a unit vector, got norm {nrm}")
-    s12 = tc.v1v2 - beta * tc.v2v2
-    t = float(np.trace(tc.v2v2))
-    return float((np.trace(s12) - 2.0 * direction @ s12 @ direction) / t)
 
 
 @dataclass(frozen=True)
@@ -146,23 +92,6 @@ class Benchmark:
             raise InputError(f"unknown benchmark kind {self.kind!r}")
         if self.kind == "ls" and self.resid_cov is None:
             raise InputError("ls benchmark requires a residual covariance")
-
-
-def benchmark_scale(beta, tc, bench):
-    """Benchmark bias scale at `beta` (the sup objective's denominator)."""
-    t = float(np.trace(tc.v2v2))
-    if bench.kind == "mop":
-        s1, _ = structural_blocks(beta, tc)
-        rad = float(np.trace(s1)) / t
-    else:
-        rc = bench.resid_cov
-        rad = (rc.v1v1 - 2.0 * beta * rc.v1v2 + beta * beta * rc.v2v2) / rc.v2v2
-    if rad <= 0.0:
-        raise NumericalError(
-            f"benchmark scale degenerate at beta={beta}: nonpositive radicand "
-            "(residual correlation at the boundary)"
-        )
-    return math.sqrt(rad)
 
 
 @dataclass(frozen=True, eq=False)
@@ -488,17 +417,6 @@ def weak_iv_test(
     )
 
 
-def concentration(c, qzz, w2t, omega):
-    """Concentration parameter |Omega^{1/2} Qzz c|^2 / tr(transformed lower
-    block), for population diagnostics."""
-    c = np.asarray(c, dtype=float).ravel()
-    qzz = np.asarray(qzz, dtype=float)
-    w2t = np.asarray(w2t, dtype=float)
-    root = _sym_sqrt(omega)
-    ct = root @ (qzz @ c)
-    return float(ct @ ct) / float(np.trace(w2t))
-
-
 @dataclass(frozen=True)
 class GroupedBiasDiagnostics:
     nagar_2sls: float
@@ -519,6 +437,12 @@ def _nagar_biases(cf, sv2, suv):
     return nagar_2sls, nagar_gmmf
 
 
+def _concentrations(cf, sv2):
+    """Concentrations (2SLS, GMMf) of grouped designs, sum(cf) / sum(sv2) and
+    the mean of cf / sv2, over the last axis (see _nagar_biases)."""
+    return cf.sum(axis=-1) / sv2.sum(axis=-1), (cf / sv2).sum(axis=-1) / cf.shape[-1]
+
+
 def nagar_bias_grouped(design):
     """Closed-form approximate biases and concentrations for a grouped design
     with fixed group shares."""
@@ -532,13 +456,13 @@ def nagar_bias_grouped(design):
     sv2 = np.asarray(design.var_v2, dtype=float)
     suv = np.asarray(design.cov_uv2, dtype=float)
     cf = c * c * f
-    total = float(cf.sum())
-    if total <= 0.0:
+    if cf.sum() <= 0.0:
         raise NumericalError("zero concentration: all first-stage coefficients vanish")
     nagar_2sls, nagar_gmmf = _nagar_biases(cf, sv2, suv)
+    conc_2sls, conc_gmmf = _concentrations(cf, sv2)
     return GroupedBiasDiagnostics(
         nagar_2sls=float(nagar_2sls),
         nagar_gmmf=float(nagar_gmmf),
-        conc_2sls=total / float(sv2.sum()),
-        conc_gmmf=float((cf / sv2).sum()) / cf.size,
+        conc_2sls=float(conc_2sls),
+        conc_gmmf=float(conc_gmmf),
     )

@@ -1,9 +1,13 @@
-"""Shared construction helpers for the test suite."""
+"""Shared construction helpers and oracles for the test suite."""
+
+import math
 
 import numpy as np
 import pytest
 
-from weakiv import Dataset, MomentCov, TransformedMomentCov, distributions, partial_out
+from weakiv import Dataset, MomentCov, distributions, partial_out
+from weakiv.errors import InputError, NumericalError
+from weakiv.weak_test import _sym_sqrt
 
 
 def random_spd(rng, dim, jitter=0.1):
@@ -13,13 +17,64 @@ def random_spd(rng, dim, jitter=0.1):
 
 def random_transformed_cov(rng, kz, jitter=0.1):
     w = random_spd(rng, 2 * kz, jitter)
-    return TransformedMomentCov(
+    return MomentCov(
         v1v1=w[:kz, :kz], v1v2=w[:kz, kz:], v2v2=w[kz:, kz:]
     )
 
 
 def moment_cov_from_full(w, kz):
     return MomentCov(v1v1=w[:kz, :kz], v1v2=w[:kz, kz:], v2v2=w[kz:, kz:])
+
+
+def structural_blocks(beta, tc):
+    """Covariance blocks after replacing the reduced-form residual by the
+    structural residual v1 - beta*v2: returns (s1, s12)."""
+    sym12 = tc.v1v2 + tc.v1v2.T
+    s1 = tc.v1v1 - beta * sym12 + beta * beta * tc.v2v2
+    s12 = tc.v1v2 - beta * tc.v2v2
+    return s1, s12
+
+
+def nagar_numerator(beta, direction, tc):
+    """Approximate-bias numerator [tr(S12) - 2 c'S12 c] / tr(lower block) at a
+    unit direction c: the numerator of the functional `worst_case_bias`
+    maximizes."""
+    direction = np.asarray(direction, dtype=float).ravel()
+    nrm = np.linalg.norm(direction)
+    if abs(nrm - 1.0) > 1e-8:
+        raise InputError(f"direction must be a unit vector, got norm {nrm}")
+    s12 = tc.v1v2 - beta * tc.v2v2
+    t = float(np.trace(tc.v2v2))
+    return float((np.trace(s12) - 2.0 * direction @ s12 @ direction) / t)
+
+
+def benchmark_scale(beta, tc, bench):
+    """Benchmark bias scale at `beta`: the denominator of the functional
+    `worst_case_bias` maximizes."""
+    t = float(np.trace(tc.v2v2))
+    if bench.kind == "mop":
+        s1, _ = structural_blocks(beta, tc)
+        rad = float(np.trace(s1)) / t
+    else:
+        rc = bench.resid_cov
+        rad = (rc.v1v1 - 2.0 * beta * rc.v1v2 + beta * beta * rc.v2v2) / rc.v2v2
+    if rad <= 0.0:
+        raise NumericalError(
+            f"benchmark scale degenerate at beta={beta}: nonpositive radicand "
+            "(residual correlation at the boundary)"
+        )
+    return math.sqrt(rad)
+
+
+def concentration(c, qzz, w2t, omega):
+    """Concentration parameter |Omega^{1/2} Qzz c|^2 / tr(transformed lower
+    block), for population diagnostics."""
+    c = np.asarray(c, dtype=float).ravel()
+    qzz = np.asarray(qzz, dtype=float)
+    w2t = np.asarray(w2t, dtype=float)
+    root = _sym_sqrt(omega)
+    ct = root @ (qzz @ c)
+    return float(ct @ ct) / float(np.trace(w2t))
 
 
 def make_dataset(rng, n=300, kz=3, kc=0, beta=0.5, strength=0.6,

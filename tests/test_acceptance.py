@@ -12,16 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from helpers import make_pd, random_spd
+from helpers import benchmark_scale, make_pd, nagar_numerator, random_spd
 from weakiv import (
     Benchmark,
     MomentCov,
     NoncentralChiSq,
     ResidualCov,
     RngStream,
-    TransformedMomentCov,
     WeightSpec,
-    benchmark_scale,
     chisq_cdf,
     chisq_quantile,
     critical_value,
@@ -34,7 +32,6 @@ from weakiv import (
     group_stats,
     load_design,
     nagar_bias_grouped,
-    nagar_numerator,
     run_sim,
     transform_moment_cov,
     worst_case_bias,
@@ -114,7 +111,7 @@ def test_bias_bound_cap_and_tail_limit():
     for i in range(200):
         kz = kzs[i % 4]
         w = random_spd(rng, 2 * kz)
-        tc = TransformedMomentCov(
+        tc = MomentCov(
             v1v1=w[:kz, :kz], v1v2=w[:kz, kz:], v2v2=w[kz:, kz:]
         )
         res = worst_case_bias(tc, Benchmark("mop"))
@@ -153,7 +150,7 @@ def test_bias_bound_matches_dense_grid():
     rng = np.random.default_rng(2)
     for _ in range(20):
         w = random_spd(rng, 4)
-        tc = TransformedMomentCov(v1v1=w[:2, :2], v1v2=w[:2, 2:], v2v2=w[2:, 2:])
+        tc = MomentCov(v1v1=w[:2, :2], v1v2=w[:2, 2:], v2v2=w[2:, 2:])
         sig = random_spd(rng, 2, jitter=0.3)
         rc = ResidualCov(v1v1=sig[0, 0], v1v2=sig[0, 1], v2v2=sig[1, 1])
         for bench in (Benchmark("mop"), Benchmark("ls", rc)):

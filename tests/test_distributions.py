@@ -116,9 +116,9 @@ class TestNoncentralChiSq:
         top_terms = []
         lower = distributions._lower_gamma
 
-        def counting(a, x, lgamma_a):
+        def counting(a, x):
             top_terms.append(a.size)
-            return lower(a, x, lgamma_a)
+            return lower(a, x)
 
         monkeypatch.setattr(distributions, "_lower_gamma", counting)
         for ncp in [0.0, 1.0, 20.0, 170.0, 1000.0, 4200.0, 1e4]:
@@ -292,6 +292,20 @@ class TestNoncentralChiSq:
         q = chisq_quantile(d, 0.95)
         assert abs(scipy.stats.ncx2.cdf(q, 3.0, 2e7) - 0.95) <= 1e-9
 
+    def test_degrees_of_freedom_past_lgamma_range_fail(self):
+        """Above df about 5e305 math.lgamma overflows; such a law fails with
+        NumericalError alone and NaN in a batch, and never calls lgamma on
+        its window top or on a NaN argument."""
+        with pytest.raises(NumericalError):
+            chisq_cdf(NoncentralChiSq(1e306), 1e306)
+        with pytest.raises(NumericalError):
+            chisq_quantile(NoncentralChiSq(1e306), 0.95)
+        with pytest.raises(NumericalError):
+            lower_gamma_regularized(1e306, 1e306)
+        q = chisq_quantile(NoncentralChiSq(np.array([3.0, 1e306])), 0.95)
+        assert np.isnan(q[1])
+        assert q[0] == chisq_quantile(NoncentralChiSq(3.0), 0.95)
+
     def test_batch_equals_laws_alone(self):
         """A law's quantile and CDF are bit-equal alone and inside a shuffled
         batch that spans several blocks of series terms."""
@@ -317,11 +331,12 @@ class TestNoncentralChiSq:
         assert type(chisq_quantile(NoncentralChiSq(np.float64(2.0)), 0.5)) is float
         assert type(lower_gamma_regularized(2.0, 1.0)) is float
 
-    def test_batch_failure_is_per_law(self):
+    def test_batch_failure_is_per_law(self, monkeypatch):
         """Where the scalar call raises, the batch call marks the law NaN."""
+        monkeypatch.setattr(distributions, "_CDF_TOL", -1.0)
         with pytest.raises(NumericalError):
-            chisq_quantile(NoncentralChiSq(2.0, 1.0), 0.5, cdf_tol=-1.0)
-        q = chisq_quantile(NoncentralChiSq(np.array([2.0, 3.0]), 1.0), 0.5, cdf_tol=-1.0)
+            chisq_quantile(NoncentralChiSq(2.0, 1.0), 0.5)
+        q = chisq_quantile(NoncentralChiSq(np.array([2.0, 3.0]), 1.0), 0.5)
         assert np.isnan(q).all()
 
     def test_published_central_quantiles(self):

@@ -142,16 +142,6 @@ class TestMomentCov:
         corr = estimate_moment_cov(pd_, dof_correction=True)
         assert np.allclose(corr.full, base.full * 80 / (80 - 3), rtol=1e-12)
 
-    def test_structural_residual_option(self):
-        rng = np.random.default_rng(9)
-        pd_ = make_pd(rng, n=80, kz=2)
-        cov = estimate_moment_cov(pd_, beta_for_v1=0.5)
-        v1 = pd_.y - 0.5 * pd_.x
-        want = sum(
-            np.outer(pd_.z[i] * v1[i], pd_.z[i] * v1[i]) for i in range(80)
-        ) / 80
-        assert np.allclose(cov.v1v1, want, atol=1e-12)
-
     def test_homoskedastic_limit_kronecker(self):
         rng = np.random.default_rng(10)
         n = 40000

@@ -3,13 +3,14 @@ import pytest
 
 from helpers import make_pd
 from weakiv import (
+    PartialledData,
     estimate_moment_cov,
     f_effective,
     f_generalized,
     f_nonrobust,
     f_robust,
 )
-from weakiv.errors import InputError
+from weakiv.errors import InputError, NumericalError
 
 
 def proj(z):
@@ -107,3 +108,16 @@ class TestValidation:
         assert f_robust(pd_, cov.v2v2).kind == "robust"
         assert f_effective(pd_, cov.v2v2).kind == "effective"
         assert f_generalized(pd_, cov, np.eye(2)).kind == "generalized"
+
+
+def test_nonrobust_refuses_rank_deficient_instruments():
+    """f_nonrobust and f_effective refuse collinear instruments, as the
+    moment covariance does, instead of reading an arbitrary direction of
+    their QR."""
+    rng = np.random.default_rng(26)
+    col = rng.standard_normal(100)
+    pd_ = PartialledData(y=rng.standard_normal(100), x=col + rng.standard_normal(100),
+                         z=np.column_stack([col, col]))
+    for stat in (f_nonrobust, lambda d: f_effective(d, np.eye(2)), estimate_moment_cov):
+        with pytest.raises(NumericalError, match="rank deficient"):
+            stat(pd_)

@@ -607,6 +607,7 @@ class TestRandomDesignComparison:
         )
         assert np.all(np.abs(rho) > 0.2)
 
-    def test_attempt_cap(self):
+    def test_attempt_cap(self, monkeypatch):
+        monkeypatch.setattr(grouped_sim, "_COMPARE_MAX_ATTEMPTS", 100)
         with pytest.raises(NumericalError):
-            random_design_comparison(count=100, seed=0, max_attempts=100)
+            random_design_comparison(count=100, seed=0)

@@ -3,24 +3,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_pd, random_spd, random_transformed_cov
+from helpers import (
+    benchmark_scale,
+    concentration,
+    make_pd,
+    nagar_numerator,
+    random_spd,
+    random_transformed_cov,
+    structural_blocks,
+)
 from weakiv import (
     Benchmark,
+    MomentCov,
     NoncentralChiSq,
     ResidualCov,
-    TransformedMomentCov,
     WeightSpec,
-    benchmark_scale,
     chisq_quantile,
-    concentration,
     critical_value,
     effective_dof,
     estimate_moment_cov,
     f_generalized,
     load_design,
     nagar_bias_grouped,
-    nagar_numerator,
-    structural_blocks,
     transform_moment_cov,
     weak_iv_test,
     worst_case_bias,
@@ -68,7 +72,7 @@ class TestTransform:
 
     def test_rejects_indefinite_blocks(self):
         with pytest.raises(NumericalError, match="not positive definite"):
-            TransformedMomentCov(
+            MomentCov(
                 v1v1=np.eye(2),
                 v1v2=2.0 * np.eye(2),
                 v2v2=np.eye(2),
@@ -183,7 +187,7 @@ class TestWorstCaseBias:
     def test_scale_invariance(self):
         rng = np.random.default_rng(9)
         tc = random_transformed_cov(rng, 3)
-        scaled = TransformedMomentCov(
+        scaled = MomentCov(
             v1v1=7.0 * tc.v1v1, v1v2=7.0 * tc.v1v2, v2v2=7.0 * tc.v2v2
         )
         a = worst_case_bias(tc, Benchmark("mop")).value
@@ -263,7 +267,7 @@ class TestDiagonalWorstCaseBias:
         value, ok = _diagonal_worst_case_bias(
             v1v1[None], v1v2[None], v2v2[None], kind, rc_cols if kind == "ls" else None
         )
-        tc = TransformedMomentCov(np.diag(v1v1), np.diag(v1v2), np.diag(v2v2))
+        tc = MomentCov(np.diag(v1v1), np.diag(v1v2), np.diag(v2v2))
         try:
             want = worst_case_bias(tc, bench).value
         except NumericalError:
@@ -486,8 +490,6 @@ class TestWeakIvTest:
         cov = estimate_moment_cov(pd_, flavor="cluster")
         assert estimate_moment_cov(pd_, flavor="cluster") is cov
         assert estimate_moment_cov(pd_, flavor="cluster", dof_correction=True) is not cov
-        imposed = estimate_moment_cov(pd_, flavor="cluster", beta_for_v1=0.5)
-        assert imposed is not estimate_moment_cov(pd_, flavor="cluster", beta_for_v1=0.5)
 
     def test_singular_instruments_numerical_error(self):
         from weakiv import PartialledData
