@@ -9,7 +9,6 @@ instruments.
 from __future__ import annotations
 
 import csv
-import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,9 +20,6 @@ __all__ = ["Dataset", "PartialledData", "load_csv", "partial_out"]
 
 _RANK_RTOL = 1e-10
 _CONTROLS = "control matrix"
-
-_BLANK_LINE = re.compile(r"\n[^\S\n]*\n")
-_BARE_CR = re.compile(r"\r(?!\n)")
 
 
 def _as_matrix(a, name):
@@ -40,6 +36,18 @@ def _dense_cluster_codes(labels):
     already dense codes map to themselves."""
     _, codes = np.unique(labels, return_inverse=True)
     return codes.astype(np.int64)
+
+
+def _label_codes(cells):
+    """Dense codes of the stripped strings `cells` in sorted order, the codes
+    _dense_cluster_codes gives the stripped labels; None if one is empty."""
+    labels = [c.strip() for c in cells]
+    order = sorted(set(labels))
+    # the empty string sorts before every other
+    if not order or order[0] == "":
+        return None
+    code = {label: i for i, label in enumerate(order)}
+    return np.fromiter(map(code.__getitem__, labels), np.int64, len(labels))
 
 
 def _first_dependent_column(m, scale):
@@ -66,10 +74,14 @@ class _RankDeficient(InputError):
         self.what, self.column = what, column
 
 
-def _check_full_rank(m, what):
-    sv = np.linalg.svd(m, compute_uv=False)
+def _full_rank_qr(m, what):
+    """Thin QR factors (q, r) of `m`, after checking that it has full column
+    rank by the singular values of r, which are those of `m`."""
+    q, r = np.linalg.qr(m)
+    sv = np.linalg.svd(r, compute_uv=False)
     if sv.size == 0 or sv[-1] <= _RANK_RTOL * sv[0]:
         raise _RankDeficient(what, _first_dependent_column(m, sv.max(initial=0.0)))
+    return q, r
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +155,8 @@ class PartialledData:
 
     The arrays are treated as read-only: the thin QR of z, the first-stage
     residuals and the moment covariance estimates are computed once, on first
-    use, and shared by every estimator, statistic and test run on this data.
+    use (`partial_out` supplies the QR it made for its rank check), and shared
+    by every estimator, statistic and test run on this data.
     """
 
     y: np.ndarray
@@ -184,27 +197,32 @@ class PartialledData:
 def partial_out(data):
     """Residualize y, x, and each instrument column on the controls.
 
-    Uses a QR factorization of the control matrix. With no controls this is an
-    identity pass-through. The instruments must keep full column rank after
-    partialling. The result is computed once per Dataset; later calls return
-    the same PartialledData.
+    Uses a thin QR factorization of the control matrix. With no controls this
+    is an identity pass-through. The instruments must keep full column rank
+    after partialling; the thin QR that checks it becomes the result's
+    `z_qr`. The result is computed once per Dataset; later calls return the
+    same PartialledData.
     """
     return data._partialled
 
 
 def _partial_out(data):
     if data.controls is None:
-        _check_full_rank(data.z, "instrument matrix")
-        return PartialledData(y=data.y, x=data.x, z=data.z, cluster=data.cluster)
-    _check_full_rank(data.controls, _CONTROLS)
-    q, _ = np.linalg.qr(data.controls, mode="reduced")
+        y, x, z = data.y, data.x, data.z
+        what = "instrument matrix"
+    else:
+        q, _ = _full_rank_qr(data.controls, _CONTROLS)
 
-    def resid(m):
-        return m - q @ (q.T @ m)
+        def resid(m):
+            return m - q @ (q.T @ m)
 
-    z = resid(data.z)
-    _check_full_rank(z, "instrument matrix after partialling")
-    return PartialledData(y=resid(data.y), x=resid(data.x), z=z, cluster=data.cluster)
+        y, x, z = resid(data.y), resid(data.x), resid(data.z)
+        what = "instrument matrix after partialling"
+    z_qr = _full_rank_qr(z, what)
+    pd_ = PartialledData(y=y, x=x, z=z, cluster=data.cluster)
+    # seeds the cached property, which a PartialledData built directly computes
+    vars(pd_)["z_qr"] = z_qr
+    return pd_
 
 
 def load_csv(path, y, x, z, controls=(), cluster=None):
@@ -213,21 +231,25 @@ def load_csv(path, y, x, z, controls=(), cluster=None):
     `y`, `x` name single columns; `z` and `controls` are sequences of column
     names; `cluster` optionally names a label column (values kept as opaque
     strings, stripped of surrounding whitespace). A bound name that appears
-    more than once in the header is an error.
+    more than once in the header is an error. The file is read as UTF-8; a
+    leading byte-order mark is skipped.
 
-    The data rows are parsed in one C-level pass (`np.loadtxt`). When that
-    pass rejects a cell, or the file has a line it would skip or split
-    differently from the csv module (an empty or whitespace-only line, a bare
-    carriage return), or a cluster label is empty, a per-cell scan reads the
-    file instead. The scan accepts the number forms that only Python's
+    The file is opened once. The lines after the header stream to one C-level
+    pass (`np.loadtxt`), and one pass over the cluster labels codes them.
+    When that pass rejects a cell, or the file has a line it would skip or
+    split differently from the csv module (an empty or whitespace-only line,
+    a bare carriage return), or a cluster label is empty, a per-cell scan
+    rereads the file from the start. The scan accepts the number forms that only Python's
     `float` reads (such as `1_000`) and reports an empty or non-numeric cell
-    with its data row (1-based, header excluded) and column.
+    with its data row (1-based, header excluded) and column. Both give
+    bit-equal values. The result is partialled (`partial_out`) before it is
+    returned, so a collinear instrument is named here.
     """
     z = list(z)
     controls = list(controls)
     if not z:
         raise InputError("at least one instrument column must be given")
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -249,18 +271,21 @@ def load_csv(path, y, x, z, controls=(), cluster=None):
                 )
         names = [y, x, *z, *controls]
         label_col = None if cluster is None else index[cluster]
-        parsed = _parse_columns(path, fh.read(), [index[c] for c in names], label_col)
-    if parsed is None:
-        parsed = _scan_cells(path, index, names, cluster)
-    values, cl = parsed
+        parsed = _parse_columns(fh, [index[c] for c in names], label_col)
+        if parsed is None:
+            fh.seek(0)
+            parsed = _scan_cells(path, fh, index, names, cluster)
+    values, codes = parsed
     k = len(z)
     ds = Dataset(
         y=values[:, 0].copy(),
         x=values[:, 1].copy(),
         z=np.ascontiguousarray(values[:, 2:2 + k]),
         controls=np.ascontiguousarray(values[:, 2 + k:]) if controls else None,
-        cluster=cl,
+        cluster=codes,
     )
+    # free the parsed block before the QR factorizations run
+    del parsed, values
     try:
         partial_out(ds)
     except _RankDeficient as exc:
@@ -273,41 +298,49 @@ def load_csv(path, y, x, z, controls=(), cluster=None):
     return ds
 
 
-def _parse_columns(path, body, cols, label_col):
-    """(values, labels) of the data rows from one np.loadtxt pass: values
-    holds the columns `cols` in order, labels the stripped column `label_col`
-    (None when it is None). `body` is the text after the header. Returns None
-    where the per-cell scan must decide; see load_csv."""
-    # The leading newline stands for the header's, so a blank first data line
-    # is found too.
-    if not body or _BARE_CR.search(body) or _BLANK_LINE.search("\n" + body):
-        return None
+def _checked_lines(fh):
+    """The remaining lines of `fh`. Raises ValueError, as np.loadtxt does for
+    a cell it rejects, at a line it would read differently from the csv
+    module (empty or whitespace-only, or ended by a bare carriage return),
+    and at the end if there was no line."""
+    line = None
+    for line in fh:
+        if line.isspace() or line.endswith("\r"):
+            raise ValueError("line the csv module reads differently")
+        yield line
+    if line is None:
+        raise ValueError("no data rows")
+
+
+def _parse_columns(fh, cols, label_col):
+    """(values, codes) of the data rows left in `fh` from one np.loadtxt
+    pass: values holds the columns `cols` in order, codes the dense codes of
+    the stripped labels in column `label_col` (None when it is None). Returns
+    None where the per-cell scan must decide; see load_csv."""
     dtype = [("v", float, (len(cols),))]
     if label_col is not None:
         cols = [*cols, label_col]
         dtype.append(("c", object))
-    with open(path, newline="") as fh:
-        next(csv.reader(fh))
-        try:
-            block = np.loadtxt(fh, dtype=dtype, delimiter=",", usecols=cols,
-                               comments=None, quotechar='"', ndmin=1)
-        except ValueError:
-            return None
+    try:
+        block = np.loadtxt(_checked_lines(fh), dtype=dtype, delimiter=",",
+                           usecols=cols, comments=None, quotechar='"', ndmin=1)
+    except ValueError:
+        return None
     if label_col is None:
         return block["v"], None
-    labels = np.array([v.strip() for v in block["c"]], dtype=object)
-    if any(v == "" for v in labels):
+    codes = _label_codes(block["c"])
+    if codes is None:
         return None
-    return block["v"], labels
+    return block["v"], codes
 
 
-def _scan_cells(path, index, names, cluster):
-    """(values, labels) as _parse_columns returns them, read cell by cell
-    with Python's float; raises InputError naming the first bad cell."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        rows = list(reader)
+def _scan_cells(path, fh, index, names, cluster):
+    """(values, codes) as _parse_columns returns them, read cell by cell from
+    the start of `fh` with Python's float; raises InputError naming the first
+    bad cell."""
+    reader = csv.reader(fh)
+    next(reader)
+    rows = list(reader)
     if not rows:
         raise InputError(f"{path}: no data rows")
 
@@ -330,15 +363,14 @@ def _scan_cells(path, index, names, cluster):
         return out
 
     values = np.column_stack([numeric(name) for name in names])
-    cl = None
+    codes = None
     if cluster is not None:
         ci = index[cluster]
-        cl = np.array(
-            [row[ci].strip() if ci < len(row) else "" for row in rows], dtype=object
-        )
-        if any(v == "" for v in cl):
-            r = next(r for r, v in enumerate(cl) if v == "")
+        cells = [row[ci] if ci < len(row) else "" for row in rows]
+        codes = _label_codes(cells)
+        if codes is None:
+            r = next(r for r, cell in enumerate(cells) if not cell.strip())
             raise InputError(
                 f"{path}: empty cell at row {r + 1}, column {cluster!r}"
             )
-    return values, cl
+    return values, codes

@@ -77,8 +77,10 @@ def _gamma_series(a, x, log_prefac):
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _gamma_fraction(a, x, log_prefac):
-    # Lentz's method for the continued fraction of Q(a, x)
+    # Lentz's method for the continued fraction of Q(a, x); past an overflow
+    # the recurrence cannot converge, so that element fails at once
     out = np.full(a.shape, np.nan)
     idx = np.arange(a.size)
     b = x + 1.0 - a
@@ -96,10 +98,14 @@ def _gamma_fraction(a, x, log_prefac):
         d = 1.0 / d
         delta = d * c
         h *= delta
+        # d is 0 only where an * d + b overflowed
+        lost = (d == 0.0) | ~np.isfinite(h)
         done = np.abs(delta - 1.0) < _GAMMA_TOL
-        if done.any():
-            out[idx[done]] = np.maximum(0.0, 1.0 - np.exp(log_prefac[done]) * h[done])
-            go = ~done
+        stop = done | lost
+        if stop.any():
+            ok = done & ~lost
+            out[idx[ok]] = np.maximum(0.0, 1.0 - np.exp(log_prefac[ok]) * h[ok])
+            go = ~stop
             idx, a, log_prefac = idx[go], a[go], log_prefac[go]
             b, c, d, h = b[go], c[go], d[go], h[go]
             if not idx.size:
@@ -231,9 +237,9 @@ def _log_poisson(k, lam):
     is a few roundings of terms of size |k - lam|, not of size k log lam."""
     # stirlerr(k) = lgamma(k+1) - (k + 1/2) log k + k - log(2 pi) / 2, by its
     # asymptotic series, exact to rounding for k >= 15
-    k2 = k * k
-    stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * k2)) / k2) / k2) / k
     with np.errstate(over="ignore"):
+        k2 = k * k
+        stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * k2)) / k2) / k2) / k
         return -stirlerr - _bd0(k, lam, np.log(k / lam)) - 0.5 * np.log(2 * math.pi * k)
 
 

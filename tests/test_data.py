@@ -1,3 +1,5 @@
+import builtins
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -191,6 +193,12 @@ class TestLoadCsv:
         with pytest.raises(InputError, match="empty file"):
             load_csv(path, y="a", x="b", z=["c"])
 
+    @pytest.mark.filterwarnings("error")
+    def test_header_only_file(self, tmp_path):
+        path = self.write(tmp_path, "a,b,c\n")
+        with pytest.raises(InputError, match="no data rows"):
+            load_csv(path, y="a", x="b", z=["c"])
+
 
 def _write_bytes(tmp_path, text):
     path = tmp_path / "d.csv"
@@ -220,6 +228,7 @@ class TestLoadCsvCells:
         ids=["blank", "spaces", "crlf-tab", "crlf-trailing", "lf-trailing",
              "bare-cr", "leading"],
     )
+    @pytest.mark.filterwarnings("error")
     def test_blank_line_is_an_empty_cell(self, tmp_path, body, row):
         path = _write_bytes(tmp_path, "y,x,z,g\n" + body)
         with pytest.raises(InputError, match=rf"empty cell at row {row}, column 'y'$"):
@@ -281,6 +290,54 @@ class TestLoadCsvCells:
         path = _write_bytes(tmp_path, "y,x,z,g,state\n" + "\n".join(rows) + "\n")
         ds = load_csv(path, y="y", x="x", z=["z"], cluster="state")
         assert ds.cluster.tolist() == [0, 1, 0, 1, 2, 0] * 2
+
+    def test_quoted_label_with_newline_loads(self, tmp_path):
+        labels = ['"b\nx"', "c", "d", "a"] * 3
+        rows = [f"{r},{lab}" for r, lab in zip(_rows(12), labels)]
+        path = _write_bytes(tmp_path, "y,x,z,g,state\n" + "\n".join(rows) + "\n")
+        ds = load_csv(path, y="y", x="x", z=["z"], cluster="state")
+        assert ds.n == 12
+        assert ds.cluster.tolist() == [1, 2, 3, 0] * 3
+        assert ds.y[-1] == 12.0
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_no_trailing_newline(self, tmp_path, eol):
+        path = _write_bytes(tmp_path, "y,x,z,g" + eol + eol.join(_rows(12)))
+        ds = load_csv(path, y="y", x="x", z=["z"])
+        assert ds.n == 12
+        assert ds.x[-1] == 35.0
+
+    @pytest.mark.parametrize("cell", ["3", "1_000"], ids=["fast", "scan"])
+    def test_byte_order_mark_skipped(self, tmp_path, cell):
+        """A UTF-8 byte-order mark (as spreadsheet "CSV UTF-8" exports
+        write) is not part of the first column name, on either path."""
+        rows = _rows(12)
+        rows[2] = f"1.0,2.0,{cell},1"
+        text = "y,x,z,g\r\n" + "\r\n".join(rows) + "\r\n"
+        plain = load_csv(_write_bytes(tmp_path, text), y="y", x="x", z=["z"])
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        ds = load_csv(str(path), y="y", x="x", z=["z"])
+        assert ds.y.tobytes() == plain.y.tobytes()
+        assert ds.z.tobytes() == plain.z.tobytes()
+
+    @pytest.mark.parametrize("cell", ["3", "1_000"], ids=["fast", "scan"])
+    def test_file_opened_once(self, tmp_path, monkeypatch, cell):
+        rows = [r + f",s{i % 3}" for i, r in enumerate(_rows(12))]
+        rows[2] = f"1.0,2.0,{cell},1,s2"
+        path = _write_bytes(tmp_path, "y,x,z,g,state\n" + "\n".join(rows) + "\n")
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if file == path:
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        ds = load_csv(path, y="y", x="x", z=["z"], cluster="state")
+        assert len(opened) == 1
+        assert ds.cluster.tolist() == [i % 3 for i in range(12)]
 
     def test_bare_cr_line_endings_load(self, tmp_path):
         path = _write_bytes(tmp_path, "y,x,z,g\r" + "\r".join(_rows(12)) + "\r")

@@ -292,10 +292,12 @@ class TestNoncentralChiSq:
         q = chisq_quantile(d, 0.95)
         assert abs(scipy.stats.ncx2.cdf(q, 3.0, 2e7) - 0.95) <= 1e-9
 
+    @pytest.mark.filterwarnings("error")
     def test_degrees_of_freedom_past_lgamma_range_fail(self):
         """Above df about 5e305 math.lgamma overflows; such a law fails with
-        NumericalError alone and NaN in a batch, and never calls lgamma on
-        its window top or on a NaN argument."""
+        NumericalError alone and NaN in a batch, without a floating-point
+        warning, and never calls lgamma on its window top or on a NaN
+        argument."""
         with pytest.raises(NumericalError):
             chisq_cdf(NoncentralChiSq(1e306), 1e306)
         with pytest.raises(NumericalError):

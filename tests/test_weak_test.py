@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from helpers import (
     benchmark_scale,
     concentration,
+    make_dataset,
     make_pd,
     nagar_numerator,
     random_spd,
@@ -25,6 +26,7 @@ from weakiv import (
     f_generalized,
     load_design,
     nagar_bias_grouped,
+    partial_out,
     transform_moment_cov,
     weak_iv_test,
     worst_case_bias,
@@ -443,31 +445,40 @@ class TestWeakIvTest:
             weak_iv_test(pd_, WeightSpec("2sls"), benchmark="stock-yogo")
 
     def test_z_factored_once(self, monkeypatch):
-        """Both tests on one dataset share a single QR of Z; the results
-        equal those on fresh copies of the data."""
+        """From partialling through both tests on one dataset, z is factored
+        by a single QR and no SVD runs on an n-row matrix; the results equal
+        those on fresh copies of the partialled data, which factor z lazily."""
         from weakiv import PartialledData
 
-        rng = np.random.default_rng(28)
-        pd_ = make_pd(rng, n=300, kz=3, het=True, with_cluster=True)
-        fresh = [PartialledData(y=pd_.y, x=pd_.x, z=pd_.z, cluster=pd_.cluster)
-                 for _ in range(2)]
-        factored = []
-        qr = np.linalg.qr
+        for kc in (0, 2):
+            rng = np.random.default_rng(28)
+            data = make_dataset(rng, n=300, kz=3, kc=kc, het=True, with_cluster=True)
+            factored, decomposed = [], []
+            qr, svd = np.linalg.qr, np.linalg.svd
 
-        def counting_qr(a, *args, **kwargs):
-            factored.append(a)
-            return qr(a, *args, **kwargs)
+            def counting_qr(a, *args, **kwargs):
+                factored.append(a)
+                return qr(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "qr", counting_qr)
-        shared = [weak_iv_test(pd_, WeightSpec(kind), flavor="cluster")
-                  for kind in ("2sls", "gmmf")]
-        assert len(factored) == 1
-        assert factored[0] is pd_.z
-        for got, kind, data in zip(shared, ("2sls", "gmmf"), fresh):
-            want = weak_iv_test(data, WeightSpec(kind), flavor="cluster")
-            for field in ("bias_bound", "radius", "effective_dof", "cv", "reject"):
-                assert getattr(got, field) == getattr(want, field)
-            assert float(got.statistic) == float(want.statistic)
+            def counting_svd(a, *args, **kwargs):
+                decomposed.append(np.shape(a))
+                return svd(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, "qr", counting_qr)
+            monkeypatch.setattr(np.linalg, "svd", counting_svd)
+            pd_ = partial_out(data)
+            shared = [weak_iv_test(pd_, WeightSpec(kind), flavor="cluster")
+                      for kind in ("2sls", "gmmf")]
+            monkeypatch.undo()
+            assert sum(a is pd_.z for a in factored) == 1
+            assert len(factored) == (1 if kc == 0 else 2)
+            assert all(shape[0] < data.n for shape in decomposed)
+            for got, kind in zip(shared, ("2sls", "gmmf")):
+                fresh = PartialledData(y=pd_.y, x=pd_.x, z=pd_.z, cluster=pd_.cluster)
+                want = weak_iv_test(fresh, WeightSpec(kind), flavor="cluster")
+                for field in ("bias_bound", "radius", "effective_dof", "cv", "reject"):
+                    assert getattr(got, field) == getattr(want, field)
+                assert float(got.statistic) == float(want.statistic)
 
     def test_moment_cov_estimated_once(self, monkeypatch):
         """The 2sls and gmmf tests on one dataset share one clustered moment
