@@ -20,6 +20,9 @@ __all__ = ["Dataset", "PartialledData", "load_csv", "partial_out"]
 
 _RANK_RTOL = 1e-10
 _CONTROLS = "control matrix"
+_QR_BLOCK_ROWS = 1024
+"""Rows of a block in `_thin_qr`'s tall-skinny QR; at least four times the
+columns."""
 
 
 def _as_matrix(a, name):
@@ -74,10 +77,34 @@ class _RankDeficient(InputError):
         self.what, self.column = what, column
 
 
+def _thin_qr(m):
+    """Thin QR factors (q, r) of the n x k matrix `m`, n >= k.
+
+    Tall-skinny Householder QR (Demmel et al. 2012): the rows are cut into
+    blocks of max(_QR_BLOCK_ROWS, 4k), one batched QR factors the full
+    blocks, and one more factors their R factors stacked over the remainder
+    rows; each block's rows of q are its q times its rows of the second q.
+    A matrix shorter than two blocks is factored by `np.linalg.qr` directly.
+    """
+    n, k = m.shape
+    rows = max(_QR_BLOCK_ROWS, 4 * k)
+    blocks = n // rows
+    if blocks < 2:
+        return np.linalg.qr(m)
+    split = blocks * rows
+    q1, r1 = np.linalg.qr(m[:split].reshape(blocks, rows, k))
+    q2, r = np.linalg.qr(np.vstack([r1.reshape(blocks * k, k), m[split:]]))
+    q = np.empty((n, k))
+    np.matmul(q1, q2[:blocks * k].reshape(blocks, k, k),
+              out=q[:split].reshape(blocks, rows, k))
+    q[split:] = q2[blocks * k:]
+    return q, r
+
+
 def _full_rank_qr(m, what):
     """Thin QR factors (q, r) of `m`, after checking that it has full column
     rank by the singular values of r, which are those of `m`."""
-    q, r = np.linalg.qr(m)
+    q, r = _thin_qr(m)
     sv = np.linalg.svd(r, compute_uv=False)
     if sv.size == 0 or sv[-1] <= _RANK_RTOL * sv[0]:
         raise _RankDeficient(what, _first_dependent_column(m, sv.max(initial=0.0)))
@@ -175,7 +202,7 @@ class PartialledData:
     @cached_property
     def z_qr(self):
         """Thin QR factors (q, r) of z, after checking that z has full rank."""
-        q, r = np.linalg.qr(self.z)
+        q, r = _thin_qr(self.z)
         d = np.abs(np.diag(r))
         if d.min() <= 1e-12 * d.max():
             raise NumericalError("instrument matrix is numerically rank deficient")

@@ -465,6 +465,15 @@ def chisq_cdf(d, x):
     if np.ndim(d.df):
         return out
     if math.isnan(out[0]):
+        series = d._series
+        if series.outside[0] <= _TAIL_TOL:
+            # the only other NaN: the top term's P(b, y), b = a+e, y = x/2
+            top = series.a0[0] + (series.last[0] + 1)
+            branch = "series" if 0.5 * x[0] < top + 1.0 else "continued fraction"
+            raise NumericalError(
+                f"incomplete gamma {branch} did not converge at the top of the "
+                f"chi-square window of df {float(d.df):g}"
+            )
         raise NumericalError("noncentral chi-square series did not reach its tail bound")
     return float(out[0])
 

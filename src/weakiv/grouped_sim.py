@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-import yaml
 
 from .data import Dataset
 from .distributions import RngStream, _normal_tail_quantile
@@ -202,6 +201,9 @@ def available_designs():
 
 def load_design(source):
     """Load a design from a YAML file path or a shipped design name."""
+    # imported here, so a command that loads no design loads no yaml
+    import yaml
+
     source = os.fspath(source)
     if os.path.exists(source):
         with open(source, "r", encoding="utf-8") as fh:

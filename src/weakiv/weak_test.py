@@ -49,6 +49,9 @@ _MOP_CAP_TOL = 1e-6
 _SUP_RESTARTS = 64
 _SUP_MAX_ITER = 500
 _SUP_TOL = 1e-10
+_INVERSE_SHIFT = 1e-10
+"""Shift past the extreme eigenvalue, relative to the largest |eigenvalue|,
+of `_extreme_directions`' inverse iteration."""
 _MC_DIRECTIONS = 200
 
 
@@ -143,6 +146,39 @@ def _beta_step(a, b, d0, d1):
     return np.where(use_lim, f_lim, f_star), np.where(use_lim, np.inf, beta_star)
 
 
+def _extreme_directions(m12, w2, beta, tr12, t, probe):
+    """For each beta, the unit eigenvector of S = m12 - beta*w2 whose
+    eigenvalue lam is the farther extreme from tr S / 2: the best direction
+    at that fixed beta.
+
+    The eigenvalues come from `eigvalsh`; the eigenvector from two steps of
+    inverse iteration on s(lam I - S)/|S| + 1e-10 I, with s = +1 for the
+    largest eigenvalue and -1 for the smallest and |S| the largest
+    |eigenvalue|. That matrix is positive definite with lam's eigenvector as
+    its smallest, 1e-10, so each step shrinks every other eigenvector's
+    share by 1e-10 over its gap from lam relative to |S|. The steps start
+    from the fixed dense `probe`: a start's own direction, an axis when S is
+    diagonal, can be orthogonal to the eigenvector sought.
+    """
+    a = m12[None, :, :] - beta[:, None, None] * w2[None, :, :]
+    vals = np.linalg.eigvalsh(a)
+    trs = tr12 - beta * t
+    pick_max = np.abs(trs - 2.0 * vals[:, -1]) > np.abs(trs - 2.0 * vals[:, 0])
+    lam = np.where(pick_max, vals[:, -1], vals[:, 0])
+    scale = np.maximum(np.abs(vals[:, 0]), np.abs(vals[:, -1]))
+    scale[scale == 0.0] = 1.0
+    # a becomes s(lam I - S)/|S| + shift I, in place
+    sign = np.where(pick_max, 1.0, -1.0) / scale
+    a *= -sign[:, None, None]
+    k = m12.shape[0]
+    a.reshape(beta.size, k * k)[:, :: k + 1] += (sign * lam + _INVERSE_SHIFT)[:, None]
+    x = np.broadcast_to(probe, beta.shape + probe.shape)
+    for _ in range(2):
+        x = np.linalg.solve(a, x[:, :, None])[:, :, 0]
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return x
+
+
 def worst_case_bias(tc, bench):
     """Supremum over beta and unit directions of |bias numerator| / benchmark.
 
@@ -150,10 +186,11 @@ def worst_case_bias(tc, bench):
     (a + b*beta)^2 / (d0 + d1*beta + beta^2), maximized in closed form (linear
     stationarity equation, plus the beta -> +-inf candidate value b^2); for a
     fixed beta the best direction is the extreme eigenvector of the symmetric
-    part of S12(beta). Multi-start: 64 random unit vectors from a fixed seed
-    plus eigenvectors of sym(cross block) and of the lower block. The two
-    steps are each exact, so the objective value ascends monotonically; each
-    start stops when it changes by at most 1e-10 relative, or after 500 steps.
+    part of S12(beta) (`_extreme_directions`). Multi-start: 64 random unit
+    vectors from a fixed seed plus eigenvectors of sym(cross block) and of
+    the lower block. The two steps are each exact, so the objective value
+    ascends monotonically; each start stops when it changes by at most 1e-10
+    relative, or after 500 steps.
     """
     w2 = tc.v2v2
     k = w2.shape[0]
@@ -164,6 +201,7 @@ def worst_case_bias(tc, bench):
 
     gen = RngStream(0, 0).generator()
     rnd = gen.standard_normal((_SUP_RESTARTS, k))
+    probe = gen.standard_normal(k)
     vec12 = np.linalg.eigh(m12)[1].T
     vals2, vecs2 = np.linalg.eigh(w2)
     starts = np.vstack([rnd, vec12, vecs2.T])
@@ -193,12 +231,7 @@ def worst_case_bias(tc, bench):
         c_new = np.empty((idx.size, k))
         finite = np.isfinite(bet)
         if finite.any():
-            s12s = m12[None, :, :] - bet[finite, None, None] * w2[None, :, :]
-            vals, vecs = np.linalg.eigh(s12s)
-            trs = tr12 - bet[finite] * t
-            pick_max = np.abs(trs - 2.0 * vals[:, -1]) > np.abs(trs - 2.0 * vals[:, 0])
-            chosen = np.where(pick_max[:, None], vecs[:, :, -1], vecs[:, :, 0])
-            c_new[finite] = chosen
+            c_new[finite] = _extreme_directions(m12, w2, bet[finite], tr12, t, probe)
         if (~finite).any():
             c_new[~finite] = lim_dir
         a, b = ab_of(c_new)

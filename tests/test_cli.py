@@ -496,8 +496,9 @@ class TestConsoleScript:
         assert out.startswith(f"# weakiv simulate  design={name}  reps=3  failed=")
 
     def test_cli_import_leaves_scipy_out(self):
-        """scipy is a test-only oracle: the runtime imports numpy and pyyaml.
-        The process pool is imported only by a run with more than one worker."""
+        """scipy is a test-only oracle: the runtime imports numpy, and pyyaml
+        only to load a design. The process pool is imported only by a run
+        with more than one worker."""
         code = "import sys, weakiv.cli; print(sorted(sys.modules))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -506,4 +507,12 @@ class TestConsoleScript:
         assert "scipy" not in tops
         assert "numpy" in tops
         assert "multiprocessing" not in tops
+        assert "yaml" not in tops
         assert "concurrent.futures.process" not in loaded
+
+    def test_invalid_design_yaml_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "broken.yaml"
+        path.write_text("pi0: [1.0, 2.0\nvar_v2: [1.0]\n")
+        code, out, err = run_main(["nagar", str(path)], capsys)
+        assert code == 2
+        assert err.startswith("weakiv: error: design file is not valid YAML")

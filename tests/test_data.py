@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import make_dataset
 from weakiv import Dataset, load_csv, partial_out
+from weakiv.data import _QR_BLOCK_ROWS, _thin_qr
 from weakiv.errors import InputError
 
 
@@ -100,6 +101,43 @@ class TestPartialOut:
             partial_out(Dataset(y=y, x=x, z=z, controls=c))
 
 
+class TestBlockedQr:
+    """The blocked QR gives the projections and singular values of a plain
+    `np.linalg.qr`."""
+
+    @pytest.mark.parametrize("k", [1, 40, 300])
+    def test_matches_plain_qr(self, k, monkeypatch):
+        rows = max(_QR_BLOCK_ROWS, 4 * k)
+        n = 3 * rows + 17
+        rng = np.random.default_rng(k)
+        m = rng.standard_normal((n, k)) + rng.standard_normal(k)
+        x = rng.standard_normal((n, 2))
+        calls = []
+        qr = np.linalg.qr
+
+        def counting_qr(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        q, r = _thin_qr(m)
+        monkeypatch.undo()
+        assert calls == [(3, rows, k), (3 * k + 17, k)]
+        q0, r0 = np.linalg.qr(m)
+        scale = np.abs(x).max()
+        assert np.allclose(x - q @ (q.T @ x), x - q0 @ (q0.T @ x), rtol=0.0, atol=1e-12 * scale)
+        assert np.allclose((q.T @ x) ** 2, (q0.T @ x) ** 2, rtol=1e-12, atol=1e-12 * scale**2)
+        sv, sv0 = (np.linalg.svd(a, compute_uv=False) for a in (r, r0))
+        assert np.allclose(sv, sv0, rtol=1e-12, atol=0.0)
+        assert np.allclose(q @ r, m, rtol=0.0, atol=1e-12 * np.abs(m).max())
+
+    def test_short_matrix_factored_directly(self):
+        """Under two blocks of rows the result is `np.linalg.qr`'s, bit for bit."""
+        m = np.random.default_rng(3).standard_normal((2 * _QR_BLOCK_ROWS - 1, 5))
+        for got, want in zip(_thin_qr(m), np.linalg.qr(m)):
+            assert np.array_equal(got, want)
+
+
 class TestLoadCsv:
     def write(self, tmp_path, text):
         path = tmp_path / "d.csv"
@@ -161,16 +199,22 @@ class TestLoadCsv:
         with pytest.raises(InputError, match="'z2' is collinear"):
             load_csv(path, y="y", x="x", z=["z1", "z2"])
 
-    def test_collinear_instrument_past_index_nine_named(self, tmp_path):
-        """Index 10 must not be reported as the instrument at index 1."""
-        rng = np.random.default_rng(7)
-        data = rng.standard_normal((40, 14))
+    def assert_collinear_z10_named(self, tmp_path, rows, seed):
+        data = np.random.default_rng(seed).standard_normal((rows, 14))
         data[:, 12] = data[:, 2] - data[:, 3]  # z10 = z0 - z1
         names = [f"z{j}" for j in range(12)]
         lines = ["y,x," + ",".join(names)] + [",".join(map(str, row.tolist())) for row in data]
         path = self.write(tmp_path, "\n".join(lines) + "\n")
         with pytest.raises(InputError, match="instrument column 'z10' is collinear"):
             load_csv(path, y="y", x="x", z=names)
+
+    def test_collinear_instrument_past_index_nine_named(self, tmp_path):
+        """Index 10 must not be reported as the instrument at index 1."""
+        self.assert_collinear_z10_named(tmp_path, 40, 7)
+
+    def test_collinear_instrument_named_at_blocked_row_count(self, tmp_path):
+        """The rank check of the blocked QR still names z10."""
+        self.assert_collinear_z10_named(tmp_path, 2 * _QR_BLOCK_ROWS + 17, 9)
 
     def test_instrument_in_span_of_controls_named(self, tmp_path):
         """An instrument in the span of the controls is rounding noise once

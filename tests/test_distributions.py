@@ -308,6 +308,19 @@ class TestNoncentralChiSq:
         assert np.isnan(q[1])
         assert q[0] == chisq_quantile(NoncentralChiSq(3.0), 0.95)
 
+    def test_top_term_past_series_cap_named(self):
+        """Near its mean a law with df above about 1.2e8 needs more terms of
+        the window top's incomplete gamma series than its cap of 65536; the
+        error names that series and the df, not the Poisson tail. Away from
+        the mean, and below that df, the law still evaluates."""
+        with pytest.raises(NumericalError, match=r"incomplete gamma series .* df 1e\+09"):
+            chisq_cdf(NoncentralChiSq(1e9), 1e9)
+        assert chisq_cdf(NoncentralChiSq(1e9), 0.9e9) == 0.0
+        assert chisq_cdf(NoncentralChiSq(1e9), 1.1e9) == 1.0
+        assert chisq_cdf(NoncentralChiSq(1.2e8), 1.2e8) == pytest.approx(
+            scipy.stats.chi2.cdf(1.2e8, 1.2e8), abs=1e-12
+        )
+
     def test_batch_equals_laws_alone(self):
         """A law's quantile and CDF are bit-equal alone and inside a shuffled
         batch that spans several blocks of series terms."""

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from helpers import (
     benchmark_scale,
     concentration,
+    eigh_directions,
     make_dataset,
     make_pd,
     nagar_numerator,
@@ -31,6 +32,7 @@ from weakiv import (
     weak_iv_test,
     worst_case_bias,
 )
+from weakiv import weak_test
 from weakiv.weak_test import _denominator_coeffs, _diagonal_worst_case_bias
 from weakiv.errors import InputError, NumericalError
 
@@ -291,6 +293,72 @@ class TestDiagonalWorstCaseBias:
         assert ok.all()
 
 
+def assert_matches_eigh_step(tc, abs_tol=0.0):
+    """`worst_case_bias(tc, bench).value` under both benchmarks equals, to
+    relative 1e-10, the value with each direction step taken by a full eigh
+    (`eigh_directions`)."""
+    for bench in (Benchmark("mop"), Benchmark("ls", ResidualCov(2.0, 0.5, 1.0))):
+        got = worst_case_bias(tc, bench).value
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weak_test, "_extreme_directions", eigh_directions)
+            want = worst_case_bias(tc, bench).value
+        assert got == pytest.approx(want, rel=1e-10, abs=abs_tol)
+
+
+@pytest.mark.filterwarnings("error")
+class TestDirectionStep:
+    """The inverse-iteration direction step gives the bound of a full eigh of
+    each S(beta), to the search's own stopping tolerance 1e-10."""
+
+    @given(k=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_random_spd_blocks(self, k, seed):
+        tc = random_transformed_cov(np.random.default_rng(seed), k)
+        assert_matches_eigh_step(tc)
+
+    @pytest.mark.parametrize("v2v2", [
+        [1.0, 1.0, 1.0, 1.0],
+        [1.0, 1.0, 2.0, 2.0, 3.0, 3.0],
+        [0.5, 2.0, 0.5, 2.0, 0.5],
+    ])
+    def test_diagonal_blocks_with_ties(self, v2v2):
+        v2v2 = np.array(v2v2)
+        v1v2 = 0.4 * np.resize([1.0, 1.0, -1.0], v2v2.size) * v2v2
+        v1v1 = v1v2**2 / v2v2 + 1.0
+        tc = MomentCov(np.diag(v1v1), np.diag(v1v2), np.diag(v2v2))
+        assert_matches_eigh_step(tc)
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_zero_cross_block(self, k):
+        """At k = 2 and w2 = I every unit direction has a = b = 0, so the
+        step meets S(0) = 0, whose every direction is extreme."""
+        rng = np.random.default_rng(40 + k)
+        for w2 in (np.eye(k), random_spd(rng, k)):
+            tc = MomentCov(random_spd(rng, k), np.zeros((k, k)), w2)
+            assert_matches_eigh_step(tc, abs_tol=1e-15)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_axis_decoupled(self, seed):
+        """The first axis is an eigenvector of every S(beta) and the rest
+        is dense: inverse iteration started from that axis would never leave
+        it, so the steps must start from a dense vector."""
+        rng = np.random.default_rng(60 + seed)
+        w = random_spd(rng, 6)
+        blocks = [w[:3, :3], w[:3, 3:], w[3:, 3:]]
+        for b in blocks:
+            b[0, 1:] = b[1:, 0] = 0.0
+        tc = MomentCov(*blocks)
+        assert_matches_eigh_step(tc)
+
+    @pytest.mark.parametrize("k", [1, 3, 12])
+    def test_scalar_cross_block(self, k):
+        rng = np.random.default_rng(50 + k)
+        w2 = random_spd(rng, k)
+        rho = 0.3
+        tc = MomentCov(rho * rho * np.linalg.inv(w2) + np.eye(k), rho * np.eye(k), w2)
+        assert_matches_eigh_step(tc)
+
+
 class TestEffectiveDof:
     def test_identity_gives_dimension(self):
         for k in (1, 3, 10):
@@ -479,6 +547,32 @@ class TestWeakIvTest:
                 for field in ("bias_bound", "radius", "effective_dof", "cv", "reject"):
                     assert getattr(got, field) == getattr(want, field)
                 assert float(got.statistic) == float(want.statistic)
+
+    def test_z_factored_once_in_blocks(self, monkeypatch):
+        """At a row count the QR factors in blocks, z is still factored once:
+        one QR call reads pd.z, as its blocks."""
+        from weakiv.data import _QR_BLOCK_ROWS
+
+        for kc in (0, 2):
+            rng = np.random.default_rng(29)
+            data = make_dataset(rng, n=2 * _QR_BLOCK_ROWS + 17, kz=3, kc=kc,
+                                het=True, with_cluster=True)
+            factored = []
+            qr = np.linalg.qr
+
+            def counting_qr(a, *args, **kwargs):
+                factored.append(a)
+                return qr(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, "qr", counting_qr)
+            pd_ = partial_out(data)
+            for kind in ("2sls", "gmmf"):
+                weak_iv_test(pd_, WeightSpec(kind), flavor="cluster")
+            monkeypatch.undo()
+            reads_z = [a for a in factored if np.shares_memory(a, pd_.z)]
+            assert len(reads_z) == 1
+            assert reads_z[0].shape == (2, _QR_BLOCK_ROWS, 3)
+            assert len(factored) == (2 if kc == 0 else 4)
 
     def test_moment_cov_estimated_once(self, monkeypatch):
         """The 2sls and gmmf tests on one dataset share one clustered moment
