@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import InputError, NumericalError
 
 __all__ = [
     "NoncentralChiSq",
@@ -591,6 +591,11 @@ class RngStream:
 
     seed: int
     stream: int = 0
+
+    def __post_init__(self):
+        for name, value in (("seed", self.seed), ("stream", self.stream)):
+            if value < 0:
+                raise InputError(f"{name} must be a nonnegative integer, got {value}")
 
     def generator(self):
         key = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))

@@ -256,27 +256,39 @@ def _fixed_counts(n, probs):
 
 
 def _draw_labels(design, gen, tally=None):
-    """Group labels and group sizes of one dataset. Multinomial sizes take one
-    uniform per row and count the inner cut points of the normalized
-    cumulative shares that it reaches, which is bit for bit
-    `gen.choice(G, n, p=group_probs)` on the same uniforms. A draw that leaves
-    a group empty is redrawn from the same stream, at most _MAX_REDRAWS
-    times; redraws are counted in `tally["redraws"]` when given. Fixed sizes
-    use no random numbers."""
-    g = design.G
+    """Group labels (intp) and group sizes of one dataset. Multinomial sizes
+    take one uniform per row and count the inner cut points of the
+    normalized cumulative shares that it reaches, which is bit for bit
+    `gen.choice(G, n, p=group_probs)` on the same uniforms. The count
+    accumulates in the narrowest unsigned type that holds G - 1 (uint8 up to
+    256 groups) from one reused comparison mask per cut, and is cast to intp
+    once; the rows at or past each cut are counted from its mask, and the
+    group sizes are their differences. A draw that leaves a group empty is
+    redrawn from the same stream, at most _MAX_REDRAWS times; redraws are
+    counted in `tally["redraws"]` when given. Fixed sizes use no random
+    numbers."""
+    g, n = design.G, design.n
     if design.sizes == "fixed":
-        counts = _fixed_counts(design.n, design.group_probs)
+        counts = _fixed_counts(n, design.group_probs)
         return np.repeat(np.arange(g), counts), counts
     cuts = design.group_probs.cumsum()
     cuts /= cuts[-1]
+    labels = np.empty(n, dtype=np.min_scalar_type(g - 1))
+    reached = np.empty(n, dtype=bool)
+    reached_bytes = reached.view(np.uint8)
+    # rows at or past each cut point: all n at 0, none past the last
+    above = np.zeros(g + 1, dtype=np.intp)
+    above[0] = n
     for attempt in range(_MAX_REDRAWS + 1):
-        u = gen.random(design.n)
-        labels = (u >= cuts[0]).astype(np.intp)
-        for cut in cuts[1:-1]:
-            labels += u >= cut
-        counts = np.bincount(labels, minlength=g)
+        u = gen.random(n)
+        labels.fill(0)
+        for k, cut in enumerate(cuts[:-1].tolist(), 1):
+            np.greater_equal(u, cut, out=reached)
+            np.add(labels, reached_bytes, out=labels)
+            above[k] = np.count_nonzero(reached)
+        counts = above[:-1] - above[1:]
         if counts.min() > 0:
-            return labels, counts
+            return labels.astype(np.intp), counts
         if attempt < _MAX_REDRAWS:
             if tally is not None:
                 tally["redraws"] += 1
@@ -666,7 +678,7 @@ def run_sim(
         raise InputError(f"tau must be in (0, 1), got {tau}")
     _check_alpha(alpha)
     workers = _resolve_workers(workers)
-    seed = int(seed)
+    seed = RngStream(int(seed)).seed  # a bad seed fails here, before any worker starts
     wald_cv = None
     if design.has_structural:
         wald_cv = _wald_critical_value(alpha)

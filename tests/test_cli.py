@@ -84,6 +84,20 @@ class TestUsageErrors:
         assert (code, out) == (3, "")
         assert re.fullmatch(f"weakiv: numerical error: {message}\n", err)
 
+    @pytest.mark.parametrize("argv, seed", [
+        (["simulate", "me", "--reps", "2", "--seed", "-1"], -1),
+        (["curves", "me_reconstructed", "--reps", "2", "--scales", "1", "--seed", "-2"], -2),
+        (["compare", "--seed", "-1"], -1),
+        (["weakivtest", "DATA", "--y", "y", "--x", "x", "--z", "z0", "--method", "mc",
+          "--seed", "-1"], -1),
+    ], ids=["simulate", "curves", "compare", "weakivtest"])
+    def test_negative_seed_exits_2(self, argv, seed, tmp_path, capsys):
+        """A negative seed is one error line, not numpy's traceback."""
+        argv = [write_iv_csv(tmp_path / "d.csv") if a == "DATA" else a for a in argv]
+        code, out, err = run_main(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"weakiv: error: seed must be a nonnegative integer, got {seed}\n"
+
     def test_no_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -169,6 +169,12 @@ class TestGenerate:
         assert counts.sum() == design.n
         assert np.all(np.abs(counts - design.n / design.G) <= 1.0)
 
+    def test_negative_seed_refused(self):
+        with pytest.raises(InputError, match="seed must be a nonnegative integer, got -1"):
+            generate(small_structural(), -1)
+        with pytest.raises(InputError, match="stream must be a nonnegative integer, got -3"):
+            RngStream(0, -3)
+
     def test_first_stage_only_design_refused(self):
         with pytest.raises(InputError, match="structural"):
             generate(load_design("me"), rng=0)
@@ -364,6 +370,13 @@ class TestRunSim:
             run_sim(design, 2, alpha=0.0)
         with pytest.raises(InputError, match="1 - alpha rounds to 1"):
             run_sim(design, 2, alpha=1e-17)
+        with pytest.raises(InputError, match="seed must be a nonnegative integer, got -1"):
+            run_sim(design, 2, seed=-1)
+
+    @pytest.mark.parametrize("seed", [0, 12345678901234567890123])
+    def test_seed_zero_and_long_seed_run(self, seed):
+        assert run_sim(small_structural(), 2, seed=seed).failed == 0
+        assert generate(small_structural(), rng=seed).n == 600
 
     def test_impossible_group_fails_cleanly(self):
         probs = np.full(4, (1 - 1e-12) / 3)
@@ -439,11 +452,13 @@ class TestRunSim:
 
 
 class TestMomentKernel:
-    @pytest.mark.parametrize("g", [2, 3, 7, 10, 23, 40])
+    @pytest.mark.parametrize("g", [2, 3, 7, 10, 23, 40, 255, 256, 257, 300])
     def test_labels_are_generator_choice(self, g):
         """Counting the cut points each uniform reaches gives the labels of
         Generator.choice bit for bit, also next to shares near 1e-6, and
-        leaves the stream where choice leaves it (the next draws agree)."""
+        leaves the stream where choice leaves it (the next draws agree). The
+        labels are intp at every G, also past 256 groups, where the count no
+        longer fits in one byte."""
         rng = np.random.default_rng(100 + g)
         p = rng.uniform(0.2, 1.8, g)
         p[rng.choice(g, size=max(1, g // 10), replace=False)] = 5e-6 * p.sum()
@@ -455,8 +470,10 @@ class TestMomentKernel:
         labels, counts = grouped_sim._draw_labels(design, ours)
         want, redraws = choice_labels(theirs, g, design.n, design.group_probs)
         assert redraws == 0
+        assert labels.dtype == np.intp
         assert labels.tolist() == want.tolist()
         assert counts.tolist() == np.bincount(want, minlength=g).tolist()
+        assert counts.sum() == design.n
         assert ours.random(4).tolist() == theirs.random(4).tolist()
 
     def test_redrawn_labels_are_generator_choice(self):
