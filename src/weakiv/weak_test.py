@@ -4,7 +4,8 @@ Pipeline: transform the moment covariance by the symmetric square root of the
 GMM weight matrix; form the approximate-bias functional; maximize its absolute
 value over the structural coefficient and the unit sphere of first-stage
 directions relative to a benchmark scale ("mop": the estimator's own worst-case
-scale; "ls": the worst-case least-squares bias scale); turn the resulting bound
+scale; "ls": the worst-case least-squares bias scale), by a deterministic branch
+and bound over the coefficient with a certified upper bound; turn that bound
 into a noncentrality radius bound/tau; compute a critical value for the
 generalized effective F-statistic by a moment-matched noncentral chi-square
 (fractional effective dof) or by Monte Carlo; reject the null of weak
@@ -46,12 +47,10 @@ __all__ = [
 ]
 
 _MOP_CAP_TOL = 1e-6
-_SUP_RESTARTS = 64
-_SUP_MAX_ITER = 500
-_SUP_TOL = 1e-10
-_INVERSE_SHIFT = 1e-10
-"""Shift past the extreme eigenvalue, relative to the largest |eigenvalue|,
-of `_extreme_directions`' inverse iteration."""
+_BOUND_RTOL = 1e-13
+"""Relative gap to the best node below which the bias search drops an interval."""
+_MAX_NODES = 4096
+"""Cap on the bias search's nodes (eigenvalue evaluations)."""
 _MC_DIRECTIONS = 200
 
 
@@ -99,11 +98,15 @@ class Benchmark:
 
 @dataclass(frozen=True, eq=False)
 class SupResult:
+    """`worst_case_bias`'s bound `value`, attained at `argmax_beta` (inf for the
+    beta -> +-inf limit) and the unit direction `argmax_dir`; `upper`, a
+    certified upper bound on the supremum; `nodes`, eigenvalue evaluations."""
+
     value: float
     argmax_beta: float
     argmax_dir: np.ndarray
-    restarts_used: int
-    converged: bool
+    upper: float
+    nodes: int
 
 
 def _benchmark_coeffs(s11, s12, s22):
@@ -146,51 +149,24 @@ def _beta_step(a, b, d0, d1):
     return np.where(use_lim, f_lim, f_star), np.where(use_lim, np.inf, beta_star)
 
 
-def _extreme_directions(m12, w2, beta, tr12, t, probe):
-    """For each beta, the unit eigenvector of S = m12 - beta*w2 whose
-    eigenvalue lam is the farther extreme from tr S / 2: the best direction
-    at that fixed beta.
-
-    The eigenvalues come from `eigvalsh`; the eigenvector from two steps of
-    inverse iteration on s(lam I - S)/|S| + 1e-10 I, with s = +1 for the
-    largest eigenvalue and -1 for the smallest and |S| the largest
-    |eigenvalue|. That matrix is positive definite with lam's eigenvector as
-    its smallest, 1e-10, so each step shrinks every other eigenvector's
-    share by 1e-10 over its gap from lam relative to |S|. The steps start
-    from the fixed dense `probe`: a start's own direction, an axis when S is
-    diagonal, can be orthogonal to the eigenvector sought.
-    """
-    a = m12[None, :, :] - beta[:, None, None] * w2[None, :, :]
-    vals = np.linalg.eigvalsh(a)
-    trs = tr12 - beta * t
-    pick_max = np.abs(trs - 2.0 * vals[:, -1]) > np.abs(trs - 2.0 * vals[:, 0])
-    lam = np.where(pick_max, vals[:, -1], vals[:, 0])
-    scale = np.maximum(np.abs(vals[:, 0]), np.abs(vals[:, -1]))
-    scale[scale == 0.0] = 1.0
-    # a becomes s(lam I - S)/|S| + shift I, in place
-    sign = np.where(pick_max, 1.0, -1.0) / scale
-    a *= -sign[:, None, None]
-    k = m12.shape[0]
-    a.reshape(beta.size, k * k)[:, :: k + 1] += (sign * lam + _INVERSE_SHIFT)[:, None]
-    x = np.broadcast_to(probe, beta.shape + probe.shape)
-    for _ in range(2):
-        x = np.linalg.solve(a, x[:, :, None])[:, :, 0]
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-    return x
-
-
 def worst_case_bias(tc, bench):
     """Supremum over beta and unit directions of |bias numerator| / benchmark.
 
-    Alternating ascent: for a fixed direction the squared objective is
-    (a + b*beta)^2 / (d0 + d1*beta + beta^2), maximized in closed form (linear
-    stationarity equation, plus the beta -> +-inf candidate value b^2); for a
-    fixed beta the best direction is the extreme eigenvector of the symmetric
-    part of S12(beta) (`_extreme_directions`). Multi-start: 64 random unit
-    vectors from a fixed seed plus eigenvectors of sym(cross block) and of
-    the lower block. The two steps are each exact, so the objective value
-    ascends monotonically; each start stops when it changes by at most 1e-10
-    relative, or after 500 steps.
+    At a fixed beta the best direction is an extreme eigenvector of
+    S = sym(cross block) - beta*(lower block), and the squared objective is
+    h^2/q with h = max(tr S - 2 lam_min, 2 lam_max - tr S) / tr(lower block)
+    and q = d0 + d1*beta + beta^2. h is convex in beta (lam_max is convex,
+    lam_min concave), so on an interval it lies below its chord, and the max
+    of chord^2/q there is at an end or at the root of a linear equation. The
+    branch and bound runs on two folds: beta in [-1, 1], and gamma = 1/beta
+    in [-1, 1] with S = gamma*(cross block) - (lower block) and
+    q = d0*gamma^2 + d1*gamma + 1 (gamma = 0 is the beta -> +-inf limit).
+    Each level bisects, with one batched `eigvalsh`, every interval whose
+    chord bound exceeds the best node by over 1e-13 relative plus an
+    allowance for rounding; the search stops when none is left or at
+    `_MAX_NODES` nodes. `upper` is the largest final bound plus that
+    allowance. `value` is one closed-form beta step (`_beta_step`) on the
+    direction from one `eigh` at the best node.
     """
     w2 = tc.v2v2
     k = w2.shape[0]
@@ -199,63 +175,83 @@ def worst_case_bias(tc, bench):
     tr12 = float(np.trace(tc.v1v2))
     d0, d1 = _denominator_coeffs(tc, bench)
 
-    gen = RngStream(0, 0).generator()
-    rnd = gen.standard_normal((_SUP_RESTARTS, k))
-    probe = gen.standard_normal(k)
-    vec12 = np.linalg.eigh(m12)[1].T
-    vals2, vecs2 = np.linalg.eigh(w2)
-    starts = np.vstack([rnd, vec12, vecs2.T])
-    norms = np.linalg.norm(starts, axis=1)
-    norms[norms == 0.0] = 1.0
-    dirs = starts / norms[:, None]
-    m = dirs.shape[0]
+    def quad(fold, x):
+        return np.where(fold, 1.0, d0) + x * (d1 + x * np.where(fold, d0, 1.0))
 
-    # direction used by the beta -> inf branch: extreme eigenvector of w2
-    lim_idx = np.argmax(np.abs(2.0 * vals2 - t))
-    lim_dir = vecs2[:, lim_idx]
+    def node_values(fold, x):
+        """h / sqrt(q) and h at nodes x of each fold (0: beta, 1: gamma)."""
+        u, v = np.where(fold, x, 1.0), np.where(fold, 1.0, x)
+        vals = np.linalg.eigvalsh(u[:, None, None] * m12 - v[:, None, None] * w2)
+        trs = u * tr12 - v * t
+        h = np.maximum(trs - 2.0 * vals[:, 0], 2.0 * vals[:, -1] - trs) / t
+        return h / np.sqrt(quad(fold, x)), h
 
-    def ab_of(c):
-        a = (tr12 - 2.0 * np.einsum("ij,jk,ik->i", c, m12, c)) / t
-        b = (2.0 * np.einsum("ij,jk,ik->i", c, w2, c) - t) / t
-        return a, b
+    def chord_bound(fold, lo, hi, hlo, hhi):
+        """Max of (chord of h)/sqrt(q) at the stationary point clipped into
+        each interval; its ends are nodes, never above the best one."""
+        slope = (hhi - hlo) / (hi - lo)
+        icpt = hlo - slope * lo
+        p0, p2 = np.where(fold, 1.0, d0), np.where(fold, d0, 1.0)
+        with np.errstate(all="ignore"):
+            root = (icpt * d1 - 2.0 * slope * p0) / (slope * d1 - 2.0 * icpt * p2)
+            xs = np.clip(root, lo, hi)
+            return np.fmax((icpt + slope * xs) / np.sqrt(quad(fold, xs)), 0.0)
 
-    a, b = ab_of(dirs)
-    f, beta = _beta_step(a, b, d0, d1)
-    converged = np.zeros(m, dtype=bool)
-    active = np.ones(m, dtype=bool)
-    for _ in range(_SUP_MAX_ITER):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
+    # eigvalsh and forming S move each h by at most about k*eps*|S|/tr
+    folds = np.array([0.0, 1.0])
+    qmin = quad(folds, np.clip(-d1 / (2.0 * np.array([1.0, d0])), -1.0, 1.0)).min()
+    slack = (4.0 * (k + 1) * np.finfo(float).eps
+             * (np.linalg.norm(m12) + np.linalg.norm(w2)) / (t * math.sqrt(qmin)))
+    fold, x = np.repeat(folds, 3), np.tile([-1.0, 0.0, 1.0], 2)
+    g, h = node_values(fold, x)
+    nodes = x.size
+    best = int(np.argmax(g))
+    best_g, best_node = g[best], (fold[best], x[best])
+    # intervals as rows (fold, lo, hi, h(lo), h(hi))
+    left, right = [0, 1, 3, 4], [1, 2, 4, 5]
+    iv = np.column_stack([fold[left], x[left], x[right], h[left], h[right]])
+    upper = 0.0
+    while True:
+        bound = chord_bound(*iv.T)
+        done = bound <= best_g * (1.0 + _BOUND_RTOL) + slack
+        upper = max(upper, bound[done].max(initial=0.0))
+        iv, bound = iv[~done], bound[~done]
+        if not iv.size or nodes >= _MAX_NODES:
+            upper = max(upper, bound.max(initial=0.0), best_g)
             break
-        bet = beta[idx]
-        c_new = np.empty((idx.size, k))
-        finite = np.isfinite(bet)
-        if finite.any():
-            c_new[finite] = _extreme_directions(m12, w2, bet[finite], tr12, t, probe)
-        if (~finite).any():
-            c_new[~finite] = lim_dir
-        a, b = ab_of(c_new)
-        f_new, beta_new = _beta_step(a, b, d0, d1)
-        done = np.abs(f_new - f[idx]) <= _SUP_TOL * np.maximum(1.0, np.abs(f[idx]))
-        f[idx] = np.maximum(f_new, f[idx])
-        beta[idx] = beta_new
-        dirs[idx] = c_new
-        converged[idx] |= done
-        active[idx] &= ~done
-    best = int(np.argmax(f))
-    value = math.sqrt(max(float(f[best]), 0.0))
+        order = np.argsort(-bound, kind="stable")
+        split, rest = iv[order[:_MAX_NODES - nodes]], iv[order[_MAX_NODES - nodes:]]
+        fs, lo, hi, hlo, hhi = split.T
+        mid = 0.5 * (lo + hi)
+        gm, hm = node_values(fs, mid)
+        nodes += mid.size
+        if gm.max() > best_g:
+            best = int(np.argmax(gm))
+            best_g, best_node = gm[best], (fs[best], mid[best])
+        iv = np.vstack([np.column_stack([fs, lo, mid, hlo, hm]),
+                        np.column_stack([fs, mid, hi, hm, hhi]), rest])
+
+    f, xb = best_node
+    u, v = (xb, 1.0) if f else (1.0, xb)
+    vals, vecs = np.linalg.eigh(u * m12 - v * w2)
+    trs = u * tr12 - v * t
+    pick_max = abs(trs - 2.0 * vals[-1]) > abs(trs - 2.0 * vals[0])
+    direction = vecs[:, -1 if pick_max else 0]
+    a = (tr12 - 2.0 * direction @ m12 @ direction) / t
+    b = (2.0 * direction @ w2 @ direction - t) / t
+    f_best, beta = _beta_step(a, b, d0, d1)
+    value = math.sqrt(max(float(f_best), 0.0))
     if bench.kind == "mop" and value > 1.0 + _MOP_CAP_TOL:
         raise NumericalError(
             f"worst-case relative bias {value:.6g} exceeds its theoretical cap of 1 "
             "under the mop benchmark; the moment covariance estimate is inconsistent"
         )
-    direction = dirs[best] / np.linalg.norm(dirs[best])
     return SupResult(
         value=value,
-        argmax_beta=float(beta[best]),
+        argmax_beta=float(beta),
         argmax_dir=direction,
-        restarts_used=m,
-        converged=bool(converged[best]),
+        upper=float(upper + slack),
+        nodes=nodes,
     )
 
 
@@ -425,8 +421,12 @@ def weak_iv_test(
         radius = 1.0 / tau
     else:
         sup = worst_case_bias(tc, bench)
-        if not sup.converged:
-            warnings = ("bias-bound search did not converge; using best value found",)
+        if sup.nodes >= _MAX_NODES:
+            gap = (sup.upper - sup.value) / sup.value if sup.value > 0.0 else math.inf
+            warnings = (
+                f"bias-bound search stopped at its cap of {_MAX_NODES} nodes; the "
+                f"supremum may exceed the bound used by up to {gap:.3g} relative",
+            )
         bias_bound = sup.value
         radius = bias_bound / tau
     keff = effective_dof(tc.v2v2, radius)

@@ -77,15 +77,6 @@ def concentration(c, qzz, w2t, omega):
     return float(ct @ ct) / float(np.trace(w2t))
 
 
-def eigh_directions(m12, w2, beta, tr12, t, probe):
-    """`weak_test._extreme_directions` by a full `eigh` of each S(beta): the
-    direction step's oracle (`probe` is unused)."""
-    vals, vecs = np.linalg.eigh(m12[None, :, :] - beta[:, None, None] * w2[None, :, :])
-    trs = tr12 - beta * t
-    pick_max = np.abs(trs - 2.0 * vals[:, -1]) > np.abs(trs - 2.0 * vals[:, 0])
-    return np.where(pick_max[:, None], vecs[:, :, -1], vecs[:, :, 0])
-
-
 def make_dataset(rng, n=300, kz=3, kc=0, beta=0.5, strength=0.6,
                  with_cluster=False, het=False):
     """Simulated linear IV data with endogeneity and optional heteroskedasticity."""

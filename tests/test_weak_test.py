@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from helpers import (
     benchmark_scale,
     concentration,
-    eigh_directions,
     make_dataset,
     make_pd,
     nagar_numerator,
@@ -33,7 +32,7 @@ from weakiv import (
     worst_case_bias,
 )
 from weakiv import weak_test
-from weakiv.weak_test import _denominator_coeffs, _diagonal_worst_case_bias
+from weakiv.weak_test import _beta_step, _denominator_coeffs, _diagonal_worst_case_bias
 from weakiv.errors import InputError, NumericalError
 
 
@@ -211,12 +210,12 @@ class TestWorstCaseBias:
         rng = np.random.default_rng(11)
         tc = random_transformed_cov(rng, 3)
         res = worst_case_bias(tc, Benchmark("mop"))
-        assert res.converged
+        assert res.value <= res.upper <= res.value * (1.0 + 1e-12)
         if np.isfinite(res.argmax_beta):
             attained = abs(
                 nagar_numerator(res.argmax_beta, res.argmax_dir, tc)
             ) / benchmark_scale(res.argmax_beta, tc, Benchmark("mop"))
-            assert attained == pytest.approx(res.value, rel=1e-8)
+            assert attained == pytest.approx(res.value, rel=1e-12, abs=0.0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(12)
@@ -225,6 +224,49 @@ class TestWorstCaseBias:
         b = worst_case_bias(tc, Benchmark("mop"))
         assert a.value == b.value
         assert a.argmax_beta == b.argmax_beta
+
+    def test_draws_no_random_numbers(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the bias search drew random numbers")
+
+        rng = np.random.default_rng(12)
+        pd_ = make_pd(rng, n=300, kz=4, het=True)
+        monkeypatch.setattr(weak_test, "RngStream", refuse)
+        for kind in ("2sls", "gmmf"):
+            res = weak_iv_test(pd_, WeightSpec(kind), method="patnaik")
+            assert res.sup.value > 0.0
+
+    @pytest.mark.parametrize("k", [2, 5, 40])
+    def test_instrument_permutation_invariance(self, k):
+        rng = np.random.default_rng(70 + k)
+        tc = random_transformed_cov(rng, k)
+        perm = rng.permutation(k)
+        blocks = (tc.v1v1, tc.v1v2, tc.v2v2)
+        permuted = MomentCov(*(b[np.ix_(perm, perm)] for b in blocks))
+        for bench in (Benchmark("mop"), Benchmark("ls", ResidualCov(2.0, 0.5, 1.0))):
+            want = worst_case_bias(tc, bench).value
+            got = worst_case_bias(permuted, bench).value
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_node_cap_warns_with_gap(self, monkeypatch):
+        """Stopped at a cap of a few nodes, the search still brackets the
+        supremum of the full search, and weak_iv_test warns with the gap."""
+        rng = np.random.default_rng(13)
+        pd_ = make_pd(rng, n=400, kz=5, het=True)
+        full = weak_iv_test(pd_, WeightSpec("gmmf"))
+        assert full.warnings == ()
+        assert full.sup.nodes < weak_test._MAX_NODES
+        for cap in (4, 9):
+            monkeypatch.setattr(weak_test, "_MAX_NODES", cap)
+            capped = weak_iv_test(pd_, WeightSpec("gmmf"))
+            assert capped.sup.nodes <= max(cap, 6)
+            assert capped.sup.value <= full.sup.value * (1.0 + 1e-14)
+            assert full.sup.value <= capped.sup.upper
+            gap = (capped.sup.upper - capped.sup.value) / capped.sup.value
+            assert capped.warnings == (
+                f"bias-bound search stopped at its cap of {cap} nodes; the supremum "
+                f"may exceed the bound used by up to {gap:.3g} relative",
+            )
 
     def test_tail_limit(self):
         rng = np.random.default_rng(13)
@@ -262,7 +304,7 @@ class TestDiagonalWorstCaseBias:
     )
     @settings(max_examples=60, deadline=None)
     def test_closed_form_matches_search(self, kind, blocks, resid):
-        """The max over coordinate axes equals the general ascent on the
+        """The max over coordinate axes equals the general search on the
         diagonal matrices, and fails exactly where the search raises."""
         v1v1, v1v2, v2v2 = blocks
         rc = ResidualCov(resid[0], resid[1] * np.sqrt(resid[0] * resid[2]), resid[2])
@@ -278,8 +320,8 @@ class TestDiagonalWorstCaseBias:
             assert not ok[0]
             return
         assert ok[0]
-        # the search's random starts carry rounding noise (~1e-16) where the
-        # bound is exactly 0, e.g. equal groups without endogeneity
+        # the general search's rounding leaves ~1e-16 where the bound is
+        # exactly 0, e.g. equal groups without endogeneity
         assert value[0] == pytest.approx(want, rel=1e-12, abs=1e-14)
 
     def test_rows_are_independent(self):
@@ -293,28 +335,43 @@ class TestDiagonalWorstCaseBias:
         assert ok.all()
 
 
-def assert_matches_eigh_step(tc, abs_tol=0.0):
-    """`worst_case_bias(tc, bench).value` under both benchmarks equals, to
-    relative 1e-10, the value with each direction step taken by a full eigh
-    (`eigh_directions`)."""
+def assert_certified(tc, abs_tol=0.0, directions=2000):
+    """Under both benchmarks, `worst_case_bias(tc, bench)` has value <= upper
+    <= value*(1 + 1e-12); its value is attained at (argmax_beta, argmax_dir)
+    to relative 1e-12; and the closed-form beta maximum of no random unit
+    direction exceeds upper. `abs_tol` allows for a value of exactly 0."""
+    k = tc.v2v2.shape[0]
+    t = np.trace(tc.v2v2)
+    c = np.random.default_rng(k).standard_normal((directions, k))
+    c /= np.linalg.norm(c, axis=1, keepdims=True)
+    a = (np.trace(tc.v1v2) - 2.0 * np.einsum("ij,jk,ik->i", c, tc.v1v2, c)) / t
+    b = (2.0 * np.einsum("ij,jk,ik->i", c, tc.v2v2, c) - t) / t
     for bench in (Benchmark("mop"), Benchmark("ls", ResidualCov(2.0, 0.5, 1.0))):
-        got = worst_case_bias(tc, bench).value
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(weak_test, "_extreme_directions", eigh_directions)
-            want = worst_case_bias(tc, bench).value
-        assert got == pytest.approx(want, rel=1e-10, abs=abs_tol)
+        res = worst_case_bias(tc, bench)
+        assert res.value <= res.upper <= res.value * (1.0 + 1e-12) + abs_tol
+        beta, direction = res.argmax_beta, res.argmax_dir
+        if np.isfinite(beta):
+            attained = abs(nagar_numerator(beta, direction, tc)) / benchmark_scale(
+                beta, tc, bench
+            )
+        else:
+            attained = abs(2.0 * direction @ tc.v2v2 @ direction - t) / t
+        assert attained == pytest.approx(res.value, rel=1e-12, abs=abs_tol)
+        f, _ = _beta_step(a, b, *_denominator_coeffs(tc, bench))
+        assert np.sqrt(f.max()) <= res.upper
+    return res
 
 
 @pytest.mark.filterwarnings("error")
 class TestDirectionStep:
-    """The inverse-iteration direction step gives the bound of a full eigh of
-    each S(beta), to the search's own stopping tolerance 1e-10."""
+    """The bias search's certificate (`assert_certified`) on random dense
+    blocks and on inputs with tied, zero or decoupled eigenvalues."""
 
     @given(k=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_random_spd_blocks(self, k, seed):
         tc = random_transformed_cov(np.random.default_rng(seed), k)
-        assert_matches_eigh_step(tc)
+        assert_certified(tc)
 
     @pytest.mark.parametrize("v2v2", [
         [1.0, 1.0, 1.0, 1.0],
@@ -326,29 +383,28 @@ class TestDirectionStep:
         v1v2 = 0.4 * np.resize([1.0, 1.0, -1.0], v2v2.size) * v2v2
         v1v1 = v1v2**2 / v2v2 + 1.0
         tc = MomentCov(np.diag(v1v1), np.diag(v1v2), np.diag(v2v2))
-        assert_matches_eigh_step(tc)
+        assert_certified(tc)
 
     @pytest.mark.parametrize("k", [1, 2, 7])
     def test_zero_cross_block(self, k):
         """At k = 2 and w2 = I every unit direction has a = b = 0, so the
-        step meets S(0) = 0, whose every direction is extreme."""
+        supremum is exactly 0 and upper is the rounding allowance alone."""
         rng = np.random.default_rng(40 + k)
         for w2 in (np.eye(k), random_spd(rng, k)):
             tc = MomentCov(random_spd(rng, k), np.zeros((k, k)), w2)
-            assert_matches_eigh_step(tc, abs_tol=1e-15)
+            assert_certified(tc, abs_tol=1e-14)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_first_axis_decoupled(self, seed):
         """The first axis is an eigenvector of every S(beta) and the rest
-        is dense: inverse iteration started from that axis would never leave
-        it, so the steps must start from a dense vector."""
+        is dense."""
         rng = np.random.default_rng(60 + seed)
         w = random_spd(rng, 6)
         blocks = [w[:3, :3], w[:3, 3:], w[3:, 3:]]
         for b in blocks:
             b[0, 1:] = b[1:, 0] = 0.0
         tc = MomentCov(*blocks)
-        assert_matches_eigh_step(tc)
+        assert_certified(tc)
 
     @pytest.mark.parametrize("k", [1, 3, 12])
     def test_scalar_cross_block(self, k):
@@ -356,7 +412,35 @@ class TestDirectionStep:
         w2 = random_spd(rng, k)
         rho = 0.3
         tc = MomentCov(rho * rho * np.linalg.inv(w2) + np.eye(k), rho * np.eye(k), w2)
-        assert_matches_eigh_step(tc)
+        assert_certified(tc)
+
+    @pytest.mark.parametrize("k", [1, 3, 12])
+    def test_cross_block_proportional_to_lower(self, k):
+        """With the cross block 0.7*w2, S(0.7) = 0 and S(beta) = (0.7 - beta)*w2,
+        so the bound is the closed-form beta step of a = 0.7*s, b = -s, with s
+        the larger of |2 lam - tr w2| / tr w2 over w2's extreme eigenvalues."""
+        rng = np.random.default_rng(80 + k)
+        w2 = random_spd(rng, k)
+        tc = MomentCov(0.49 * w2 + np.eye(k), 0.7 * w2, w2)
+        res = assert_certified(tc)
+        lam = np.linalg.eigvalsh(w2)
+        s = max(abs(2.0 * lam[[0, -1]] - lam.sum()) / lam.sum())
+        ls = Benchmark("ls", ResidualCov(2.0, 0.5, 1.0))
+        f, _ = _beta_step(0.7 * s, -s, *_denominator_coeffs(tc, ls))
+        assert res.value == pytest.approx(np.sqrt(f), rel=1e-12, abs=0.0)
+
+    def test_limit_wins(self):
+        """With a zero cross block and an uncorrelated ls benchmark (d1 = 0)
+        the bound is the beta -> +-inf limit max |2 lam - tr w2| / tr w2."""
+        rng = np.random.default_rng(90)
+        w2 = random_spd(rng, 3)
+        tc = MomentCov(random_spd(rng, 3), np.zeros((3, 3)), w2)
+        res = worst_case_bias(tc, Benchmark("ls", ResidualCov(2.0, 0.0, 1.0)))
+        lam = np.linalg.eigvalsh(w2)
+        assert np.isinf(res.argmax_beta)
+        want = max(abs(2.0 * lam - lam.sum())) / lam.sum()
+        assert res.value == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert res.value <= res.upper <= res.value * (1.0 + 1e-12)
 
 
 class TestEffectiveDof:
