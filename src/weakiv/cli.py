@@ -223,13 +223,15 @@ def _table_lines(table):
 def _emit(args, meta, results, csv_rows, table):
     """Write one command's output, in args.format, to args.out or stdout.
 
-    json is {"meta": meta, "results": results}. csv_rows are rows of cells,
-    header first; a one-cell "# ..." row is a comment line. table is a list
-    of lines and of (columns, rows) blocks, columns being (title, format
-    spec) pairs: a block prints the titles, then each row's cells in their
-    specs, with None as a blank of its column's width.
+    json is {"meta": meta, "results": results}, meta led by the subcommand
+    and the package version. csv_rows are rows of cells, header first; a
+    one-cell "# ..." row is a comment line. table is a list of lines and of
+    (columns, rows) blocks, columns being (title, format spec) pairs: a block
+    prints the titles, then each row's cells in their specs, with None as a
+    blank of its column's width.
     """
     if args.format == "json":
+        meta = {"command": args.subcommand, "version": __version__, **meta}
         text = json.dumps({"meta": meta, "results": results}, indent=2) + "\n"
     elif args.format == "csv":
         text = "".join(",".join(map(_csv_cell, row)) + "\n" for row in csv_rows)
@@ -261,6 +263,24 @@ def _load(args):
     return partial_out(data), ("cluster" if args.cluster else "hc0")
 
 
+def _data_options(args, flavor):
+    """The meta options of a subcommand that reads a data file."""
+    return {
+        "y": args.y, "x": args.x, "z": args.z,
+        "controls": args.controls, "cluster": args.cluster,
+        "dof_correction": args.dof_correction, "flavor": flavor,
+    }
+
+
+def _run_options(args):
+    """The simulation options `run_sim` and `sweep_scale` take from args."""
+    return {
+        "tau": args.tau, "alpha": args.alpha, "seed": args.seed,
+        "benchmark": args.benchmark, "method": args.method,
+        "workers": args.workers,
+    }
+
+
 def cmd_estimate(args):
     pd_, flavor = _load(args)
     kw = {"flavor": flavor, "dof_correction": args.dof_correction}
@@ -282,16 +302,7 @@ def cmd_estimate(args):
         "f_eff": float(f_effective(pd_, cov.v2v2)),
         "f_r": float(f_robust(pd_, cov.v2v2)),
     }
-    meta = {
-        "command": "estimate",
-        "version": __version__,
-        "data": args.data,
-        "options": {
-            "y": args.y, "x": args.x, "z": args.z,
-            "controls": args.controls, "cluster": args.cluster,
-            "dof_correction": args.dof_correction, "flavor": flavor,
-        },
-    }
+    meta = {"data": args.data, "options": _data_options(args, flavor)}
     estimates = results["estimates"].items()
     csv_rows = [
         ("name", "value"),
@@ -340,14 +351,10 @@ def cmd_weakivtest(args):
             "warnings": list(res.warnings),
         }
     meta = {
-        "command": "weakivtest",
-        "version": __version__,
         "data": args.data,
         "seed": args.seed,
         "options": {
-            "y": args.y, "x": args.x, "z": args.z,
-            "controls": args.controls, "cluster": args.cluster,
-            "dof_correction": args.dof_correction, "flavor": flavor,
+            **_data_options(args, flavor),
             "tau": args.tau, "alpha": args.alpha,
             "benchmark": args.benchmark, "method": args.method,
             "stat": args.stat,
@@ -390,19 +397,8 @@ def _summary_columns(summ):
 
 def cmd_simulate(args):
     design = load_design(args.design)
-    summ = run_sim(
-        design,
-        args.reps,
-        tau=args.tau,
-        alpha=args.alpha,
-        seed=args.seed,
-        benchmark=args.benchmark,
-        method=args.method,
-        workers=args.workers,
-    )
+    summ = run_sim(design, args.reps, **_run_options(args))
     meta = {
-        "command": "simulate",
-        "version": __version__,
         "design": summ.design_name,
         "seed": summ.seed,
         "options": {
@@ -438,20 +434,8 @@ def cmd_simulate(args):
 
 def cmd_curves(args):
     design = load_design(args.design)
-    rows = sweep_scale(
-        design,
-        args.scales,
-        args.reps,
-        tau=args.tau,
-        alpha=args.alpha,
-        seed=args.seed,
-        benchmark=args.benchmark,
-        method=args.method,
-        workers=args.workers,
-    )
+    rows = sweep_scale(design, args.scales, args.reps, **_run_options(args))
     meta = {
-        "command": "curves",
-        "version": __version__,
         "design": design.name,
         "seed": args.seed,
         "options": {
@@ -475,7 +459,7 @@ def cmd_nagar(args):
     design = load_design(args.design)
     conc = design.n * design.pi**2 / design.var_v2
     scalars = vars(nagar_bias_grouped(design)) if design.has_structural else {}
-    meta = {"command": "nagar", "version": __version__, "design": design.name}
+    meta = {"design": design.name}
     results = {"concentration": conc.tolist(), **scalars}
     table = [f"# weakiv nagar  design={design.name}  n={design.n}  groups={design.G}"]
     if scalars:
@@ -489,12 +473,7 @@ def cmd_nagar(args):
 
 def cmd_compare(args):
     comp = random_design_comparison(count=args.count, seed=args.seed)
-    meta = {
-        "command": "compare",
-        "version": __version__,
-        "seed": comp.seed,
-        "options": {"count": comp.count},
-    }
+    meta = {"seed": comp.seed, "options": {"count": comp.count}}
     biases = {
         "fraction_2sls_worse": comp.fraction_2sls_worse,
         "mean_abs_nagar_2sls": float(abs(comp.nagar_2sls).mean()),

@@ -201,12 +201,12 @@ class PartialledData:
 
     @cached_property
     def z_qr(self):
-        """Thin QR factors (q, r) of z, after checking that z has full rank."""
-        q, r = _thin_qr(self.z)
-        d = np.abs(np.diag(r))
-        if d.min() <= 1e-12 * d.max():
-            raise NumericalError("instrument matrix is numerically rank deficient")
-        return q, r
+        """Thin QR factors (q, r) of z, after checking that z has full rank
+        by the rule `partial_out` applies."""
+        try:
+            return _full_rank_qr(self.z, "instrument matrix")
+        except _RankDeficient:
+            raise NumericalError("instrument matrix is numerically rank deficient") from None
 
     @cached_property
     def first_stage_residuals(self):

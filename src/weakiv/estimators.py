@@ -124,6 +124,12 @@ class MomentCov:
         return self.v2v2.shape[0]
 
 
+def _resid_cov_singular(v1v1, v1v2, v2v2):
+    """Elementwise: whether the residual covariance [[v1v1, v1v2], [v1v2,
+    v2v2]] is (near) singular, its determinant at most 1e-12."""
+    return v1v1 * v2v2 - v1v2 * v1v2 <= 1e-12
+
+
 @dataclass(frozen=True)
 class ResidualCov:
     """Pooled 2x2 covariance of (reduced-form, first-stage) residuals."""
@@ -133,15 +139,11 @@ class ResidualCov:
     v2v2: float
 
     def __post_init__(self):
-        if self.det <= 1e-12:
+        if _resid_cov_singular(self.v1v1, self.v1v2, self.v2v2):
             raise NumericalError(
                 "residual covariance is (near) singular: reduced-form and "
                 "first-stage residuals are almost perfectly correlated"
             )
-
-    @property
-    def det(self):
-        return self.v1v1 * self.v2v2 - self.v1v2 * self.v1v2
 
     @property
     def matrix(self):
@@ -243,23 +245,24 @@ def _sandwich(z, t, u, denom, labels, dof_correction):
 
 
 def weight_matrix(pd, spec, cov=None):
-    """The GMM weight matrix Omega that `spec` names for the data `pd`.
+    """The GMM weight matrix Omega that `spec` names for the data `pd`,
+    exactly symmetric.
 
-    "2sls" gives (Z'Z/n)^{-1}; "gmmf" gives the inverse of the first-stage
+    "2sls" gives (Z'Z/n)^{-1} = n R^{-1} R^{-T}, with R from the instruments'
+    thin QR `pd.z_qr`; "gmmf" gives the symmetrized inverse of the first-stage
     moment covariance block `cov.v2v2`, so it needs `cov`; "custom" gives the
-    validated `spec.omega`. The two inverses are returned as computed, not
-    symmetrized; callers that need exact symmetry symmetrize.
+    validated `spec.omega`.
     """
     if spec.kind == "custom":
         return spec.omega
     if spec.kind == "2sls":
-        m, what = pd.z.T @ pd.z / pd.n, "instrument cross-product matrix"
-    else:
-        m, what = cov.v2v2, "first-stage moment covariance"
+        rinv = np.linalg.inv(pd.z_qr[1])
+        # a @ a.T is formed symmetric (syrk)
+        return pd.n * (rinv @ rinv.T)
     try:
-        return np.linalg.inv(m)
+        return _sym(np.linalg.inv(cov.v2v2))
     except np.linalg.LinAlgError:
-        raise NumericalError(f"{what} is singular") from None
+        raise NumericalError("first-stage moment covariance is singular") from None
 
 
 def estimate(pd, spec, flavor="hc0", dof_correction=False):
@@ -268,7 +271,8 @@ def estimate(pd, spec, flavor="hc0", dof_correction=False):
     The robust variance uses the same HC0/cluster kernel as the moment
     covariance, applied to the structural residual y - x*beta_hat; this is the
     standard sandwich convention. The nonrobust variance replaces the kernel by
-    sigma_u^2 * Z'Z.
+    sigma_u^2 * Z'Z, whose quadratic form t'Z'Zt is |R t|^2 with R from the
+    instruments' thin QR.
     """
     labels = _resolve_flavor(pd, flavor)
     z, x, y, n = pd.z, pd.x, pd.y, pd.n
@@ -277,7 +281,7 @@ def estimate(pd, spec, flavor="hc0", dof_correction=False):
     cov = None
     if spec.kind == "gmmf":
         cov = estimate_moment_cov(pd, flavor=flavor, dof_correction=dof_correction)
-    omega = _sym(weight_matrix(pd, spec, cov))
+    omega = weight_matrix(pd, spec, cov)
     t = omega @ ztx
     denom = float(ztx @ t)
     if denom <= 0.0:
@@ -288,7 +292,8 @@ def estimate(pd, spec, flavor="hc0", dof_correction=False):
     u = y - beta * x
     se_rob = _sandwich(z, t, u, denom, labels, dof_correction)
     sigma_u2 = float(u @ u) / n
-    var_nr = sigma_u2 * float(t @ (z.T @ z) @ t) / denom**2
+    rt = pd.z_qr[1] @ t
+    var_nr = sigma_u2 * float(rt @ rt) / denom**2
     return EstimateResult(
         beta_hat=beta,
         se_robust=se_rob,

@@ -43,6 +43,7 @@ import numpy as np
 from .data import Dataset
 from .distributions import RngStream, _normal_tail_quantile
 from .errors import InputError, NumericalError, WeakIvError
+from .estimators import _resid_cov_singular
 from .weak_test import (
     _check_alpha, _concentrations, _diagonal_worst_case_bias, _keff, _nagar_biases,
     _patnaik_quantile, critical_value,
@@ -551,8 +552,7 @@ def _rep_stats(design, m, tau, alpha, benchmark, method, wald_cv, tally):
             (m["counts"] * cov_xy).sum(axis=1) / n,
             m["pooled_var_x"],
         )
-        # the singularity test of ResidualCov
-        fail("moment_cov", resid[0] * resid[2] - resid[1] * resid[1] <= 1e-12)
+        fail("moment_cov", _resid_cov_singular(*resid))
     # the diagonal transformed covariances are positive definite group by
     # group; the sample covariance of a two-observation group is singular, so
     # it fails whatever the rounding of its determinant

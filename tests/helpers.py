@@ -100,6 +100,19 @@ def make_dataset(rng, n=300, kz=3, kc=0, beta=0.5, strength=0.6,
     return Dataset(y=y, x=x, z=z, controls=controls, cluster=cluster)
 
 
+def ill_conditioned_dataset(seed=0, cond=1e4, n=4000, kz=6):
+    """Gaussian IV data whose n x kz instruments have singular values
+    sqrt(n) times log-spaced from 1 down to 1/cond."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, kz)))
+    v, _ = np.linalg.qr(rng.standard_normal((kz, kz)))
+    z = math.sqrt(n) * (q * np.logspace(0.0, -math.log10(cond), kz)) @ v.T
+    eps = rng.standard_normal((n, 2))
+    x = z @ np.full(kz, 0.05) + eps[:, 1]
+    y = 0.5 * x + 0.5 * eps[:, 1] + math.sqrt(0.75) * eps[:, 0]
+    return Dataset(y=y, x=x, z=z)
+
+
 def make_pd(rng, **kwargs):
     return partial_out(make_dataset(rng, **kwargs))
 

@@ -8,7 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+import weakiv
 import weakiv.cli
+from helpers import ill_conditioned_dataset
 from weakiv.cli import main
 from weakiv.grouped_sim import (
     available_designs,
@@ -273,6 +275,23 @@ class TestWeakIvTest:
         assert outs[0] == outs[1]
 
 
+    def test_ill_conditioned_instruments_exit_0(self, tmp_path, capsys):
+        """cond(Z) = 1e4: both tests run; no weight was given, so no omega
+        check may turn into an input error (exit 2)."""
+        data = ill_conditioned_dataset()
+        path = tmp_path / "ill.csv"
+        cols = np.column_stack([data.y, data.x, data.z])
+        header = ["y", "x"] + [f"z{j}" for j in range(data.k_z)]
+        path.write_text(",".join(header) + "\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in cols.tolist()
+        ))
+        argv = ["weakivtest", str(path), "--y", "y", "--x", "x", "--stat", "both"]
+        for name in header[2:]:
+            argv += ["--z", name]
+        code, out, err = run_main(argv, capsys)
+        assert code == 0, err
+
+
 class TestSimulateAndCurves:
     def test_simulate_csv_columns(self, capsys):
         code, out, err = run_main(
@@ -452,26 +471,29 @@ def _csv_cell(value):
     return repr(value) if isinstance(value, float) else str(value)
 
 
+_EVERY_COMMAND = pytest.mark.parametrize(
+    "argv, records",
+    [
+        (["estimate", "DATA", "--y", "y", "--x", "x", "--z", "z0",
+          "--z", "z1", "--controls", "c1"], _estimate_records),
+        (["weakivtest", "DATA", "--y", "y", "--x", "x", "--z", "z0",
+          "--z", "z1", "--z", "z2", "--cluster", "g"], _weakivtest_records),
+        (["simulate", "me_reconstructed", "--reps", "4", "--seed", "2"],
+         _simulate_records),
+        (["curves", "a2", "--scales", "0.5,1", "--reps", "4"],
+         lambda doc: doc["results"]),
+        (["nagar", "a2"], _nagar_records),
+        (["compare", "--count", "20", "--seed", "1"], _compare_records),
+    ],
+    ids=["estimate", "weakivtest", "simulate", "curves", "nagar", "compare"],
+)
+
+
 class TestCrossFormat:
     """Every csv cell is the json value it comes from, in repr round trip,
     and every float result shows in the table to 3 decimals."""
 
-    @pytest.mark.parametrize(
-        "argv, records",
-        [
-            (["estimate", "DATA", "--y", "y", "--x", "x", "--z", "z0",
-              "--z", "z1", "--controls", "c1"], _estimate_records),
-            (["weakivtest", "DATA", "--y", "y", "--x", "x", "--z", "z0",
-              "--z", "z1", "--z", "z2", "--cluster", "g"], _weakivtest_records),
-            (["simulate", "me_reconstructed", "--reps", "4", "--seed", "2"],
-             _simulate_records),
-            (["curves", "a2", "--scales", "0.5,1", "--reps", "4"],
-             lambda doc: doc["results"]),
-            (["nagar", "a2"], _nagar_records),
-            (["compare", "--count", "20", "--seed", "1"], _compare_records),
-        ],
-        ids=["estimate", "weakivtest", "simulate", "curves", "nagar", "compare"],
-    )
+    @_EVERY_COMMAND
     def test_csv_json_and_table_agree(self, argv, records, tmp_path, capsys):
         data = write_iv_csv(tmp_path / "d.csv", het=True)
         argv = [data if a == "DATA" else a for a in argv]
@@ -491,6 +513,17 @@ class TestCrossFormat:
             for key, value in rec.items():
                 if isinstance(value, float) and key not in ("tau", "alpha"):
                     assert f"{value:.3f}" in outs["table"], key
+
+    @_EVERY_COMMAND
+    def test_json_meta_leads_with_command_and_version(self, argv, records,
+                                                      tmp_path, capsys):
+        data = write_iv_csv(tmp_path / "d.csv", het=True)
+        argv = [data if a == "DATA" else a for a in argv]
+        code, out, err = run_main(argv + ["--format", "json"], capsys)
+        assert code == 0, err
+        meta = json.loads(out)["meta"]
+        assert list(meta)[:2] == ["command", "version"]
+        assert (meta["command"], meta["version"]) == (argv[0], weakiv.__version__)
 
 
 class TestConsoleScript:

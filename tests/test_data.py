@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_dataset
-from weakiv import Dataset, load_csv, partial_out
+from weakiv import (
+    Dataset, PartialledData, WeightSpec, load_csv, partial_out, weak_iv_test,
+)
 from weakiv.data import _QR_BLOCK_ROWS, _thin_qr
-from weakiv.errors import InputError
+from weakiv.errors import InputError, NumericalError
 
 
 class TestDataset:
@@ -99,6 +101,23 @@ class TestPartialOut:
         y = rng.standard_normal(n)
         with pytest.raises(InputError, match="instrument matrix after partialling"):
             partial_out(Dataset(y=y, x=x, z=z, controls=c))
+
+
+    def test_directly_built_data_uses_the_same_rank_rule(self):
+        """A near-duplicate instrument whose singular-value ratio (about
+        5e-12) fails partial_out's rule fails z_qr's too, though |diag R|
+        stays above 1e-12 of its largest entry."""
+        rng = np.random.default_rng(27)
+        a, b, c = rng.standard_normal((3, 200))
+        z = np.column_stack([a, a + 1e-11 * b, c])
+        y, x = rng.standard_normal((2, 200))
+        with pytest.raises(InputError, match="rank deficient"):
+            partial_out(Dataset(y=y, x=x, z=z))
+        pd_ = PartialledData(y=y, x=x, z=z)
+        with pytest.raises(NumericalError, match="numerically rank deficient"):
+            pd_.z_qr
+        with pytest.raises(NumericalError, match="numerically rank deficient"):
+            weak_iv_test(pd_, WeightSpec("2sls"))
 
 
 class TestBlockedQr:

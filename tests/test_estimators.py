@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from helpers import make_dataset, make_pd
+from helpers import ill_conditioned_dataset, make_dataset, make_pd
 from weakiv import (
     WeightSpec,
     estimate,
@@ -13,6 +13,8 @@ from weakiv import (
     partial_out,
     residual_cov,
     wald_test,
+    weak_iv_test,
+    weight_matrix,
 )
 from weakiv.errors import InputError, NumericalError
 
@@ -88,6 +90,35 @@ class TestDualFormulas:
         ]
         assert b[0] == pytest.approx(b[1], rel=1e-12)
         assert b[0] == pytest.approx(b[2], rel=1e-12)
+
+
+class TestWeightMatrix:
+    @pytest.mark.parametrize("kind", ["2sls", "gmmf", "custom"])
+    def test_exactly_symmetric_on_ill_conditioned_instruments(self, kind):
+        """cond(Z) = 1e4. The custom weight is an inverse as computed,
+        asymmetric in its last bits, which WeightSpec symmetrizes."""
+        pd_ = partial_out(ill_conditioned_dataset())
+        a = np.random.default_rng(29).standard_normal((pd_.k_z, pd_.k_z))
+        custom = np.linalg.inv(a @ a.T + np.eye(pd_.k_z))
+        assert not np.array_equal(custom, custom.T)
+        spec = WeightSpec(kind, custom if kind == "custom" else None)
+        omega = weight_matrix(pd_, spec, estimate_moment_cov(pd_))
+        assert np.array_equal(omega, omega.T)
+
+    def test_2sls_is_the_inverse_instrument_cross_product(self):
+        pd_ = make_pd(np.random.default_rng(28), n=400, kz=4, kc=3)
+        want = np.linalg.inv(pd_.z.T @ pd_.z / pd_.n)
+        got = weight_matrix(pd_, WeightSpec("2sls"))
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("kind", ["2sls", "gmmf"])
+    def test_ill_conditioned_instruments_are_not_an_input_error(self, kind):
+        """The package's own weight reaches the omega checks meant for a
+        user's matrix; on cond(Z) = 1e4 they once refused it as asymmetric."""
+        pd_ = partial_out(ill_conditioned_dataset())
+        res = weak_iv_test(pd_, WeightSpec(kind))
+        assert math.isfinite(res.cv) and math.isfinite(res.bias_bound)
+        assert math.isfinite(estimate(pd_, WeightSpec(kind)).se_nonrobust)
 
 
 class TestMomentCov:
