@@ -41,32 +41,6 @@ def _dense_cluster_codes(labels):
     return codes.astype(np.int64)
 
 
-def _label_codes(cells):
-    """Dense codes of the stripped strings `cells` in sorted order, the codes
-    _dense_cluster_codes gives the stripped labels; None if one is empty."""
-    labels = [c.strip() for c in cells]
-    order = sorted(set(labels))
-    # the empty string sorts before every other
-    if not order or order[0] == "":
-        return None
-    code = {label: i for i, label in enumerate(order)}
-    return np.fromiter(map(code.__getitem__, labels), np.int64, len(labels))
-
-
-def _first_dependent_column(m, scale):
-    """Index of the first column whose residual on its predecessors is at most
-    _RANK_RTOL times `scale`, the largest singular value of `m`."""
-    n, k = m.shape
-    basis = np.zeros((n, 0))
-    for j in range(k):
-        col = m[:, j]
-        resid = col - basis @ (basis.T @ col)
-        if np.linalg.norm(resid) <= max(_RANK_RTOL * scale, 1e-300):
-            return j
-        basis = np.column_stack([basis, resid / np.linalg.norm(resid)])
-    return None
-
-
 class _RankDeficient(InputError):
     """`what` is rank deficient; `column` is its first column dependent on
     its predecessors, or None."""
@@ -103,11 +77,15 @@ def _thin_qr(m):
 
 def _full_rank_qr(m, what):
     """Thin QR factors (q, r) of `m`, after checking that it has full column
-    rank by the singular values of r, which are those of `m`."""
+    rank by the singular values of r, which are those of `m`. A refusal names
+    the first column whose residual on its predecessors, |r_jj|, is at most
+    _RANK_RTOL times the largest singular value, or no column."""
     q, r = _thin_qr(m)
     sv = np.linalg.svd(r, compute_uv=False)
     if sv.size == 0 or sv[-1] <= _RANK_RTOL * sv[0]:
-        raise _RankDeficient(what, _first_dependent_column(m, sv.max(initial=0.0)))
+        tol = max(_RANK_RTOL * sv.max(initial=0.0), 1e-300)
+        dependent = np.flatnonzero(np.abs(np.diagonal(r)) <= tol)
+        raise _RankDeficient(what, int(dependent[0]) if dependent.size else None)
     return q, r
 
 
@@ -118,8 +96,8 @@ class Dataset:
     y: outcome (n,); x: endogenous regressor (n,); z: excluded instruments
     (n, k_z); controls: optional included exogenous columns (n, k_c), intercept
     included by the user; cluster: optional labels, stored as dense integer
-    codes in sorted label order. The arrays are treated as read-only: the
-    partialled view is computed once per Dataset.
+    codes in sorted label order, one code per distinct label. The arrays are
+    treated as read-only: the partialled view is computed once per Dataset.
     """
 
     y: np.ndarray
@@ -262,15 +240,16 @@ def load_csv(path, y, x, z, controls=(), cluster=None):
     leading byte-order mark is skipped.
 
     The file is opened once. The lines after the header stream to one C-level
-    pass (`np.loadtxt`), and one pass over the cluster labels codes them.
-    When that pass rejects a cell, or the file has a line it would skip or
-    split differently from the csv module (an empty or whitespace-only line,
-    a bare carriage return), or a cluster label is empty, a per-cell scan
-    rereads the file from the start. The scan accepts the number forms that only Python's
-    `float` reads (such as `1_000`) and reports an empty or non-numeric cell
-    with its data row (1-based, header excluded) and column. Both give
-    bit-equal values. The result is partialled (`partial_out`) before it is
-    returned, so a collinear instrument is named here.
+    pass (`np.loadtxt`); the stripped cluster labels go to `Dataset`, which
+    codes them. When that pass rejects a cell, or the file has a line it
+    would skip or split differently from the csv module (an empty or
+    whitespace-only line, a bare carriage return), or a cluster label is
+    empty, a per-cell scan rereads the file from the start. The scan accepts
+    the number forms that only Python's `float` reads (such as `1_000`) and
+    reports an empty or non-numeric cell with its data row (1-based, header
+    excluded) and column. Both give bit-equal values. The result is
+    partialled (`partial_out`) before it is returned, so a collinear
+    instrument is named here.
     """
     z = list(z)
     controls = list(controls)
@@ -302,14 +281,14 @@ def load_csv(path, y, x, z, controls=(), cluster=None):
         if parsed is None:
             fh.seek(0)
             parsed = _scan_cells(path, fh, index, names, cluster)
-    values, codes = parsed
+    values, labels = parsed
     k = len(z)
     ds = Dataset(
         y=values[:, 0].copy(),
         x=values[:, 1].copy(),
         z=np.ascontiguousarray(values[:, 2:2 + k]),
         controls=np.ascontiguousarray(values[:, 2 + k:]) if controls else None,
-        cluster=codes,
+        cluster=labels,
     )
     # free the parsed block before the QR factorizations run
     del parsed, values
@@ -340,10 +319,10 @@ def _checked_lines(fh):
 
 
 def _parse_columns(fh, cols, label_col):
-    """(values, codes) of the data rows left in `fh` from one np.loadtxt
-    pass: values holds the columns `cols` in order, codes the dense codes of
-    the stripped labels in column `label_col` (None when it is None). Returns
-    None where the per-cell scan must decide; see load_csv."""
+    """(values, labels) of the data rows left in `fh` from one np.loadtxt
+    pass: values holds the columns `cols` in order, labels the stripped
+    labels in column `label_col` as a str array (None when it is None).
+    Returns None where the per-cell scan must decide; see load_csv."""
     dtype = [("v", float, (len(cols),))]
     if label_col is not None:
         cols = [*cols, label_col]
@@ -355,14 +334,14 @@ def _parse_columns(fh, cols, label_col):
         return None
     if label_col is None:
         return block["v"], None
-    codes = _label_codes(block["c"])
-    if codes is None:
+    labels = np.char.strip(block["c"].astype(str))
+    if (labels == "").any():
         return None
-    return block["v"], codes
+    return block["v"], labels
 
 
 def _scan_cells(path, fh, index, names, cluster):
-    """(values, codes) as _parse_columns returns them, read cell by cell from
+    """(values, labels) as _parse_columns returns them, read cell by cell from
     the start of `fh` with Python's float; raises InputError naming the first
     bad cell."""
     reader = csv.reader(fh)
@@ -390,14 +369,14 @@ def _scan_cells(path, fh, index, names, cluster):
         return out
 
     values = np.column_stack([numeric(name) for name in names])
-    codes = None
+    labels = None
     if cluster is not None:
         ci = index[cluster]
         cells = [row[ci] if ci < len(row) else "" for row in rows]
-        codes = _label_codes(cells)
-        if codes is None:
-            r = next(r for r, cell in enumerate(cells) if not cell.strip())
+        labels = np.char.strip(np.array(cells, dtype=str))
+        empty = np.flatnonzero(labels == "")
+        if empty.size:
             raise InputError(
-                f"{path}: empty cell at row {r + 1}, column {cluster!r}"
+                f"{path}: empty cell at row {empty[0] + 1}, column {cluster!r}"
             )
-    return values, codes
+    return values, labels

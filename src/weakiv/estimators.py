@@ -126,8 +126,10 @@ class MomentCov:
 
 def _resid_cov_singular(v1v1, v1v2, v2v2):
     """Elementwise: whether the residual covariance [[v1v1, v1v2], [v1v2,
-    v2v2]] is (near) singular, its determinant at most 1e-12."""
-    return v1v1 * v2v2 - v1v2 * v1v2 <= 1e-12
+    v2v2]] is (near) singular, its determinant at most 1e-12 times the product
+    of its diagonal, so the rule does not depend on the units of y and x."""
+    diag = v1v1 * v2v2
+    return diag - v1v2 * v1v2 <= 1e-12 * diag
 
 
 @dataclass(frozen=True)
@@ -164,11 +166,12 @@ class WaldResult:
 
 
 def _cluster_sums(scores, labels):
-    g = int(labels.max()) + 1
-    out = np.zeros((g, scores.shape[1]))
-    for j in range(scores.shape[1]):
-        out[:, j] = np.bincount(labels, weights=scores[:, j], minlength=g)
-    return out
+    """Column sums of the rows of `scores` within each cluster: one row per
+    distinct label, in sorted label order."""
+    order = np.argsort(labels, kind="stable")
+    sorted_labels = labels[order]
+    starts = np.flatnonzero(np.r_[True, sorted_labels[1:] != sorted_labels[:-1]])
+    return np.add.reduceat(scores[order], starts, axis=0)
 
 
 def _meat(z, resids, labels, dof_correction):
@@ -214,9 +217,9 @@ def estimate_moment_cov(pd, flavor="hc0", dof_correction=False):
     residuals.
 
     No degrees-of-freedom correction is applied unless `dof_correction` is
-    set (then n/(n - k_z), or G/(G - 1) for the cluster flavor). The estimate
-    is made once per `pd`, flavor and correction, and later calls return the
-    same MomentCov.
+    set (then n/(n - k_z), or G/(G - 1) for the cluster flavor, with G the
+    number of distinct cluster labels). The estimate is made once per `pd`,
+    flavor and correction, and later calls return the same MomentCov.
     """
     labels = _resolve_flavor(pd, flavor)
     key = (flavor, bool(dof_correction))

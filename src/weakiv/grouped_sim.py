@@ -173,18 +173,7 @@ class GroupedDesign:
         return self.var_u is not None
 
 
-_DESIGN_KEYS = {
-    "name",
-    "pi0",
-    "var_v2",
-    "scale_e",
-    "beta",
-    "n",
-    "var_u",
-    "cov_uv2",
-    "group_probs",
-    "sizes",
-}
+_DESIGN_KEYS = {f.name for f in dataclasses.fields(GroupedDesign)}
 
 
 def _design_dir():

@@ -557,6 +557,24 @@ class TestConsoleScript:
         assert "yaml" not in tops
         assert "concurrent.futures.process" not in loaded
 
+    def test_weakivtest_run_leaves_random_and_yaml_out(self, tmp_path):
+        """A default weakivtest run draws no random numbers and loads no
+        design, so it imports neither numpy.random nor yaml."""
+        argv = ["weakivtest", write_iv_csv(tmp_path / "d.csv"), "--y", "y",
+                "--x", "x", "--z", "z0", "--z", "z1", "--z", "z2"]
+        code = (
+            "import sys, weakiv.cli\n"
+            f"code = weakiv.cli.main({argv!r})\n"
+            "print(code, sorted(sys.modules), file=sys.stderr)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        status, loaded = proc.stderr.rstrip("\n").split(" ", 1)
+        assert status == "0", proc.stderr
+        loaded = set(ast.literal_eval(loaded))
+        assert "numpy" in loaded
+        assert "numpy.random" not in loaded
+        assert "yaml" not in loaded
+
     def test_invalid_design_yaml_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.yaml"
         path.write_text("pi0: [1.0, 2.0\nvar_v2: [1.0]\n")

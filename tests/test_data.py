@@ -102,6 +102,20 @@ class TestPartialOut:
         with pytest.raises(InputError, match="instrument matrix after partialling"):
             partial_out(Dataset(y=y, x=x, z=z, controls=c))
 
+    def test_ill_conditioned_without_a_small_pivot_names_no_column(self):
+        """Z = Q R with R unit upper triangular, -1 above the diagonal: its
+        singular-value ratio (about 1e-13) fails the rank rule, but every
+        column's residual on its predecessors has norm 1, so no column is
+        named."""
+        rng = np.random.default_rng(30)
+        k, n = 40, 200
+        r = np.eye(k) - np.triu(np.ones((k, k)), 1)
+        q, _ = np.linalg.qr(rng.standard_normal((n, k)))
+        y, x = rng.standard_normal((2, n))
+        with pytest.raises(InputError, match="rank deficient") as exc:
+            partial_out(Dataset(y=y, x=x, z=q @ r))
+        assert exc.value.column is None
+        assert "column index" not in str(exc.value)
 
     def test_directly_built_data_uses_the_same_rank_rule(self):
         """A near-duplicate instrument whose singular-value ratio (about

@@ -6,6 +6,7 @@ import scipy.stats
 
 from helpers import ill_conditioned_dataset, make_dataset, make_pd
 from weakiv import (
+    PartialledData,
     WeightSpec,
     estimate,
     estimate_moment_cov,
@@ -153,6 +154,35 @@ class TestMomentCov:
             )
             want += np.outer(s, s) / n
         assert np.allclose(cov.full, want, atol=1e-12)
+
+    def test_cluster_count_is_the_number_of_distinct_labels(self):
+        """Relabelling the same clusters c as 7c + 3 leaves the corrected
+        clustered covariance and robust SEs unchanged: G/(G - 1) counts the
+        12 clusters, not the largest label + 1."""
+        rng = np.random.default_rng(5)
+        pd_ = make_pd(rng, n=300, kz=3, het=True, with_cluster=True)
+        assert np.unique(pd_.cluster).size == 12
+        relabelled = PartialledData(y=pd_.y, x=pd_.x, z=pd_.z,
+                                    cluster=7 * pd_.cluster + 3)
+        for block in ("v1v1", "v1v2", "v2v2"):
+            want, got = (
+                getattr(estimate_moment_cov(d, "cluster", dof_correction=True), block)
+                for d in (pd_, relabelled)
+            )
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        for kind in ("2sls", "gmmf"):
+            want, got = (
+                estimate(d, WeightSpec(kind), "cluster", dof_correction=True).se_robust
+                for d in (pd_, relabelled)
+            )
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_cluster_correction_needs_two_clusters(self):
+        rng = np.random.default_rng(9)
+        pd_ = make_pd(rng, n=60, kz=2)
+        one = PartialledData(y=pd_.y, x=pd_.x, z=pd_.z, cluster=np.full(60, 5))
+        with pytest.raises(InputError, match="at least 2 clusters"):
+            estimate_moment_cov(one, "cluster", dof_correction=True)
 
     def test_cluster_needs_labels(self):
         rng = np.random.default_rng(6)

@@ -103,6 +103,23 @@ class TestDesigns:
         with pytest.raises(InputError, match="rho"):
             load_design(str(path))
 
+    def test_every_design_field_loads_from_a_file(self, tmp_path):
+        path = tmp_path / "full.yaml"
+        path.write_text(
+            "name: full\npi0: [0.5, -0.2]\nvar_v2: [1.0, 2.0]\nscale_e: 2.0\n"
+            "beta: 0.3\nn: 50\nvar_u: [1.0, 1.0]\ncov_uv2: [0.2, 0.1]\n"
+            "group_probs: [0.4, 0.6]\nsizes: fixed\n"
+        )
+        design = load_design(str(path))
+        assert [f.name for f in dataclasses.fields(design)] == [
+            "pi0", "var_v2", "scale_e", "beta", "n", "var_u", "cov_uv2",
+            "group_probs", "sizes", "name",
+        ]
+        assert design.name == "full" and design.sizes == "fixed"
+        assert (design.scale_e, design.beta, design.n) == (2.0, 0.3, 50)
+        assert design.cov_uv2.tolist() == [0.2, 0.1]
+        assert design.group_probs.tolist() == [0.4, 0.6]
+
     def test_malformed_yaml_rejected(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("pi0: [0.5, -0.2\n")

@@ -15,6 +15,7 @@ from helpers import (
 )
 from weakiv import (
     Benchmark,
+    Dataset,
     MomentCov,
     NoncentralChiSq,
     ResidualCov,
@@ -535,6 +536,17 @@ class TestWeakIvTest:
         assert res.bias_bound == pytest.approx(sup.value, rel=1e-8)
         assert res.effective_dof == pytest.approx(keff, rel=1e-6)
         assert res.cv == pytest.approx(cv, rel=1e-6)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-6])
+    def test_ls_benchmark_does_not_depend_on_units(self, scale):
+        """The residual covariance's singularity rule is relative to its
+        diagonal, so y and x in other units give the same bias bound."""
+        data = make_dataset(np.random.default_rng(1), n=500, kz=3)
+        base = weak_iv_test(partial_out(data), "2sls")
+        scaled = Dataset(y=data.y * scale, x=data.x * scale, z=data.z)
+        res = weak_iv_test(partial_out(scaled), "2sls")
+        assert base.bias_bound == pytest.approx(0.430847, abs=5e-7)
+        assert res.bias_bound == pytest.approx(base.bias_bound, rel=1e-12)
 
     @pytest.mark.parametrize("named", ["2sls", "gmmf"])
     def test_custom_weight_reproduces_named_weight(self, named):
