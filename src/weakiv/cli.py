@@ -9,6 +9,10 @@ a table, csv or json. Exit codes: 0 ok, 2 usage, input or file error, 3
 numerical failure. Table output rounds to 3 decimals; csv and json carry
 full precision, and csv leaves out per-group vectors. Runs are deterministic
 given the seed.
+
+Until the arguments are parsed only the standard library and the package's
+errors are loaded; each subcommand imports the numeric modules it runs, so
+--version, --help and usage errors load no numpy.
 """
 
 from __future__ import annotations
@@ -17,15 +21,8 @@ import argparse
 import json
 import sys
 
-from . import __version__
-from .data import load_csv, partial_out
+from . import __version__, available_designs
 from .errors import InputError, NumericalError
-from .estimators import WeightSpec, estimate, estimate_moment_cov, ols
-from .fstats import f_effective, f_nonrobust, f_robust
-from .grouped_sim import (
-    available_designs, load_design, random_design_comparison, run_sim, sweep_scale,
-)
-from .weak_test import nagar_bias_grouped, weak_iv_test
 
 __all__ = ["main"]
 
@@ -252,6 +249,8 @@ def _vector_lines(vectors):
 
 
 def _load(args):
+    from .data import load_csv, partial_out
+
     data = load_csv(
         args.data,
         y=args.y,
@@ -282,6 +281,9 @@ def _run_options(args):
 
 
 def cmd_estimate(args):
+    from .estimators import WeightSpec, estimate, estimate_moment_cov, ols
+    from .fstats import f_effective, f_nonrobust, f_robust
+
     pd_, flavor = _load(args)
     kw = {"flavor": flavor, "dof_correction": args.dof_correction}
     results = {"estimates": {}, "fstats": {}}
@@ -324,6 +326,9 @@ def cmd_estimate(args):
 
 
 def cmd_weakivtest(args):
+    from .estimators import WeightSpec
+    from .weak_test import weak_iv_test
+
     pd_, flavor = _load(args)
     which = {"eff": ["eff"], "robust": ["robust"], "both": ["eff", "robust"]}[
         args.stat
@@ -396,6 +401,8 @@ def _summary_columns(summ):
 
 
 def cmd_simulate(args):
+    from .grouped_sim import load_design, run_sim
+
     design = load_design(args.design)
     summ = run_sim(design, args.reps, **_run_options(args))
     meta = {
@@ -433,6 +440,8 @@ def cmd_simulate(args):
 
 
 def cmd_curves(args):
+    from .grouped_sim import load_design, sweep_scale
+
     design = load_design(args.design)
     rows = sweep_scale(design, args.scales, args.reps, **_run_options(args))
     meta = {
@@ -456,6 +465,9 @@ def cmd_curves(args):
 
 
 def cmd_nagar(args):
+    from .grouped_sim import load_design
+    from .weak_test import nagar_bias_grouped
+
     design = load_design(args.design)
     conc = design.n * design.pi**2 / design.var_v2
     scalars = vars(nagar_bias_grouped(design)) if design.has_structural else {}
@@ -472,6 +484,8 @@ def cmd_nagar(args):
 
 
 def cmd_compare(args):
+    from .grouped_sim import random_design_comparison
+
     comp = random_design_comparison(count=args.count, seed=args.seed)
     meta = {"seed": comp.seed, "options": {"count": comp.count}}
     biases = {

@@ -77,12 +77,13 @@ def _thin_qr(m):
 
 def _full_rank_qr(m, what):
     """Thin QR factors (q, r) of `m`, after checking that it has full column
-    rank by the singular values of r, which are those of `m`. A refusal names
-    the first column whose residual on its predecessors, |r_jj|, is at most
-    _RANK_RTOL times the largest singular value, or no column."""
+    rank: no more columns than rows, and by the singular values of r, which
+    are those of `m`. A refusal names the first column whose residual on its
+    predecessors, |r_jj|, is at most _RANK_RTOL times the largest singular
+    value, or no column."""
     q, r = _thin_qr(m)
     sv = np.linalg.svd(r, compute_uv=False)
-    if sv.size == 0 or sv[-1] <= _RANK_RTOL * sv[0]:
+    if m.shape[0] < m.shape[1] or sv.size == 0 or sv[-1] <= _RANK_RTOL * sv[0]:
         tol = max(_RANK_RTOL * sv.max(initial=0.0), 1e-300)
         dependent = np.flatnonzero(np.abs(np.diagonal(r)) <= tol)
         raise _RankDeficient(what, int(dependent[0]) if dependent.size else None)

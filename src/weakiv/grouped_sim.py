@@ -36,10 +36,10 @@ import os
 import warnings as _pywarnings
 from collections import Counter
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
+from . import _design_dir, available_designs
 from .data import Dataset
 from .distributions import RngStream, _normal_tail_quantile
 from .errors import InputError, NumericalError, WeakIvError
@@ -174,19 +174,6 @@ class GroupedDesign:
 
 
 _DESIGN_KEYS = {f.name for f in dataclasses.fields(GroupedDesign)}
-
-
-def _design_dir():
-    return resources.files("weakiv").joinpath("designs")
-
-
-def available_designs():
-    """Names of the design files shipped with the package."""
-    return sorted(
-        entry.name[: -len(".yaml")]
-        for entry in _design_dir().iterdir()
-        if entry.name.endswith(".yaml")
-    )
 
 
 def load_design(source):

@@ -155,7 +155,7 @@ class TestUsageErrors:
         def fail(*args, **kwargs):
             raise OSError(11, "Resource temporarily unavailable")
 
-        monkeypatch.setattr(weakiv.cli, "run_sim", fail)
+        monkeypatch.setattr(weakiv.grouped_sim, "run_sim", fail)
         with pytest.raises(OSError):
             main(["simulate", "me", "--reps", "2"])
 
@@ -536,6 +536,45 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert proc.stdout.strip()
 
+    @pytest.mark.parametrize("argv, status", [
+        (["--version"], 0),
+        (["--help"], 0),
+        (["simulate", "--help"], 0),
+        (["simulate", "me", "--reps", "0"], 2),
+    ], ids=["version", "help", "simulate-help", "usage-error"])
+    def test_parse_only_invocation_loads_no_numpy(self, argv, status):
+        """Arguments are parsed before any numeric module loads, so version,
+        help and usage errors load neither numpy nor a weakiv submodule
+        beyond the CLI and its errors."""
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "weakiv.cli", *argv],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == status, proc.stderr
+        loaded = {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines() if line.startswith("import time:")
+        }
+        assert "weakiv" in loaded
+        assert "numpy" not in loaded
+        assert {m for m in loaded if m.startswith("weakiv.")} <= {"weakiv.cli", "weakiv.errors"}
+
+    def test_package_import_loads_no_numpy(self):
+        code = "import sys, weakiv; print(sorted(sys.modules))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(ast.literal_eval(proc.stdout))
+        assert "numpy" not in loaded
+        assert {m for m in loaded if m.startswith("weakiv.")} == set()
+
+    @pytest.mark.parametrize("sub", ["simulate", "curves", "nagar"])
+    def test_help_lists_the_shipped_designs(self, sub, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([sub, "--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert f"({', '.join(available_designs())})" in out
+
     @pytest.mark.parametrize("name", available_designs())
     def test_simulate_runs_every_shipped_design(self, name, capsys):
         code, out, err = run_main(["simulate", name, "--reps", "3"], capsys)
@@ -543,23 +582,24 @@ class TestConsoleScript:
         assert out.startswith(f"# weakiv simulate  design={name}  reps=3  failed=")
 
     def test_cli_import_leaves_scipy_out(self):
-        """scipy is a test-only oracle: the runtime imports numpy, and pyyaml
-        only to load a design. The process pool is imported only by a run
-        with more than one worker."""
+        """scipy is a test-only oracle, and the CLI module imports numpy only
+        when a subcommand runs, and pyyaml only to load a design. The
+        process pool is imported only by a run with more than one worker."""
         code = "import sys, weakiv.cli; print(sorted(sys.modules))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         loaded = set(ast.literal_eval(proc.stdout))
         tops = {m.split(".")[0] for m in loaded}
         assert "scipy" not in tops
-        assert "numpy" in tops
+        assert "numpy" not in tops
         assert "multiprocessing" not in tops
         assert "yaml" not in tops
         assert "concurrent.futures.process" not in loaded
 
     def test_weakivtest_run_leaves_random_and_yaml_out(self, tmp_path):
         """A default weakivtest run draws no random numbers and loads no
-        design, so it imports neither numpy.random nor yaml."""
+        design, so it imports neither numpy.random nor yaml, nor the
+        simulation module."""
         argv = ["weakivtest", write_iv_csv(tmp_path / "d.csv"), "--y", "y",
                 "--x", "x", "--z", "z0", "--z", "z1", "--z", "z2"]
         code = (
@@ -574,6 +614,7 @@ class TestConsoleScript:
         assert "numpy" in loaded
         assert "numpy.random" not in loaded
         assert "yaml" not in loaded
+        assert "weakiv.grouped_sim" not in loaded
 
     def test_invalid_design_yaml_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.yaml"

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from helpers import make_dataset
 from weakiv import (
-    Dataset, PartialledData, WeightSpec, load_csv, partial_out, weak_iv_test,
+    Dataset, PartialledData, WeightSpec, estimate, load_csv, partial_out,
+    weak_iv_test,
 )
 from weakiv.data import _QR_BLOCK_ROWS, _thin_qr
 from weakiv.errors import InputError, NumericalError
@@ -132,6 +133,20 @@ class TestPartialOut:
             pd_.z_qr
         with pytest.raises(NumericalError, match="numerically rank deficient"):
             weak_iv_test(pd_, WeightSpec("2sls"))
+
+    def test_directly_built_data_with_more_instruments_than_rows_is_refused(self):
+        """With 9 instruments and 6 rows, R is 6 x 9 and its 6 singular values
+        can all be positive; the column count alone fails the rank rule."""
+        rng = np.random.default_rng(0)
+        y, x = rng.standard_normal((2, 6))
+        z = rng.standard_normal((6, 9))
+        for fails in (
+            lambda pd_: pd_.z_qr,
+            lambda pd_: weak_iv_test(pd_, WeightSpec("2sls")),
+            lambda pd_: estimate(pd_, WeightSpec("2sls")),
+        ):
+            with pytest.raises(NumericalError, match="numerically rank deficient"):
+                fails(PartialledData(y=y, x=x, z=z))
 
 
 class TestBlockedQr:

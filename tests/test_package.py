@@ -1,20 +1,48 @@
+import subprocess
+import sys
 import types
+from pathlib import Path
+
+import pytest
 
 import weakiv
 from weakiv import data, distributions, errors, estimators, fstats, grouped_sim, weak_test
 
 
 def test_package_exports_exactly_its_modules_public_names():
-    """The package namespace holds every name in its modules' __all__ and no
-    other public name, so a name removed from or added to one list shows."""
+    """The package namespace lists every name in its modules' __all__ and no
+    other public name, so a name removed from or added to one list shows;
+    each name resolves, on first access, to its module's object."""
     modules = (data, distributions, errors, estimators, fstats, grouped_sim, weak_test)
     listed = [name for mod in modules for name in mod.__all__]
     public = {
-        name for name, value in vars(weakiv).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        name for name in dir(weakiv)
+        if not name.startswith("_")
+        and not isinstance(getattr(weakiv, name), types.ModuleType)
     }
     assert len(listed) == len(set(listed))
+    assert sorted(weakiv.__all__) == sorted(listed)
     assert public == set(listed)
     for mod in modules:
         for name in mod.__all__:
             assert getattr(weakiv, name) is getattr(mod, name)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        weakiv.no_such_name
+    code = "import weakiv; print(weakiv.grouped_sim.run_sim.__module__)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "weakiv.grouped_sim"
+
+
+def test_version_matches_pyproject():
+    """The version has two homes, the package and pyproject.toml, and
+    `weakiv --version` answers from the package before anything else loads."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        version = tomllib.load(fh)["project"]["version"]
+    proc = subprocess.run([sys.executable, "-m", "weakiv.cli", "--version"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert weakiv.__version__ == version
+    assert proc.stdout == version + "\n"
