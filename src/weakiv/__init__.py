@@ -8,7 +8,7 @@ A public name is imported from its submodule on first access (PEP 562), so
 numpy."""
 
 import importlib
-from importlib import resources
+import os
 
 __version__ = "0.1.0"
 
@@ -59,7 +59,7 @@ def __dir__():
 
 
 def _design_dir():
-    return resources.files(__name__).joinpath("designs")
+    return os.path.join(os.path.dirname(__file__), "designs")
 
 
 # Defined here, not in grouped_sim (which re-exports it), so that the
@@ -67,7 +67,7 @@ def _design_dir():
 def available_designs():
     """Names of the design files shipped with the package."""
     return sorted(
-        entry.name[: -len(".yaml")]
-        for entry in _design_dir().iterdir()
-        if entry.name.endswith(".yaml")
+        name[: -len(".yaml")]
+        for name in os.listdir(_design_dir())
+        if name.endswith(".yaml")
     )

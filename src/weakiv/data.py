@@ -76,18 +76,20 @@ def _thin_qr(m):
 
 
 def _full_rank_qr(m, what):
-    """Thin QR factors (q, r) of `m`, after checking that it has full column
-    rank: no more columns than rows, and by the singular values of r, which
-    are those of `m`. A refusal names the first column whose residual on its
-    predecessors, |r_jj|, is at most _RANK_RTOL times the largest singular
-    value, or no column."""
-    q, r = _thin_qr(m)
-    sv = np.linalg.svd(r, compute_uv=False)
+    """Thin QR factors (q, t) of the n-row `m` scaled so that q'q = n I, after
+    checking that `m` has full column rank: no more columns than rows, and by
+    the singular values of t, which are those of `m` over sqrt(n). A refusal
+    names the first column whose residual on its predecessors, |t_jj|, is at
+    most _RANK_RTOL times the largest singular value, or no column."""
+    q, t = _thin_qr(m)
+    sv = np.linalg.svd(t, compute_uv=False)
     if m.shape[0] < m.shape[1] or sv.size == 0 or sv[-1] <= _RANK_RTOL * sv[0]:
         tol = max(_RANK_RTOL * sv.max(initial=0.0), 1e-300)
-        dependent = np.flatnonzero(np.abs(np.diagonal(r)) <= tol)
+        dependent = np.flatnonzero(np.abs(np.diagonal(t)) <= tol)
         raise _RankDeficient(what, int(dependent[0]) if dependent.size else None)
-    return q, r
+    q *= np.sqrt(m.shape[0])
+    t /= np.sqrt(m.shape[0])
+    return q, t
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,8 +182,10 @@ class PartialledData:
 
     @cached_property
     def z_qr(self):
-        """Thin QR factors (q, r) of z, after checking that z has full rank
-        by the rule `partial_out` applies."""
+        """(q, t) with z = q t and q'q = n I, from the thin QR of z, after
+        checking that z has full rank by the rule `partial_out` applies. The
+        dense path works in basis q; t'C t and t^{-1} Omega t^{-T} map a
+        moment covariance C and a weight Omega in it to the columns of z."""
         try:
             return _full_rank_qr(self.z, "instrument matrix")
         except _RankDeficient:
@@ -191,13 +195,18 @@ class PartialledData:
     def first_stage_residuals(self):
         """(v1, v2): y and x less their projections on the columns of z."""
         q, _ = self.z_qr
-        return self.y - q @ (q.T @ self.y), self.x - q @ (q.T @ self.x)
+        return _resid(q, self.y), _resid(q, self.x)
 
     @cached_property
     def moment_covs(self):
         """`estimate_moment_cov` results made so far, by (flavor,
         dof_correction)."""
         return {}
+
+
+def _resid(q, m):
+    """`m` less its projection on the columns of q, where q'q = n I."""
+    return m - q @ ((q.T @ m) / q.shape[0])
 
 
 def partial_out(data):
@@ -218,11 +227,7 @@ def _partial_out(data):
         what = "instrument matrix"
     else:
         q, _ = _full_rank_qr(data.controls, _CONTROLS)
-
-        def resid(m):
-            return m - q @ (q.T @ m)
-
-        y, x, z = resid(data.y), resid(data.x), resid(data.z)
+        y, x, z = _resid(q, data.y), _resid(q, data.x), _resid(q, data.z)
         what = "instrument matrix after partialling"
     z_qr = _full_rank_qr(z, what)
     pd_ = PartialledData(y=y, x=x, z=z, cluster=data.cluster)

@@ -38,16 +38,20 @@ def _sym(m):
     return 0.5 * (m + m.T)
 
 
+def _square(m, k=None, name="omega"):
+    """`m` as a float array, after checking that it is a square matrix (k x k
+    when `k` is given)."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or k not in (None, m.shape[0]):
+        want = "square" if k is None else f"{k}x{k}"
+        raise InputError(f"{name} has the wrong shape {m.shape}: expected a {want} matrix")
+    return m
+
+
 def _spd(omega, k=None):
     """Symmetrized copy of a weight matrix after checking that it is square
     (k x k when `k` is given), symmetric and positive definite."""
-    omega = np.asarray(omega, dtype=float)
-    square = omega.ndim == 2 and omega.shape[0] == omega.shape[1]
-    if not square or k not in (None, omega.shape[0]):
-        want = "square" if k is None else f"{k}x{k}"
-        raise InputError(
-            f"omega has the wrong shape {omega.shape}: expected a {want} matrix"
-        )
+    omega = _square(omega, k)
     if not np.allclose(omega, omega.T, rtol=1e-10, atol=1e-12):
         raise InputError("omega must be symmetric")
     omega = _sym(omega)
@@ -93,8 +97,9 @@ class WeightSpec:
 
 @dataclass(frozen=True, eq=False)
 class MomentCov:
-    """Covariance blocks of the stacked instrument moments (z v1, z v2)/sqrt(n),
-    where v1 is the reduced-form residual and v2 the first-stage residual;
+    """Covariance blocks of the stacked instrument moments (q v1, q v2)/sqrt(n),
+    with q the basis of `PartialledData.z_qr` (a block C is t'C t on the
+    columns of z), v1 the reduced-form and v2 the first-stage residual;
     `weak_test.transform_moment_cov` gives the blocks of the moments
     transformed by a weight matrix's square root in the same type."""
 
@@ -224,7 +229,7 @@ def estimate_moment_cov(pd, flavor="hc0", dof_correction=False):
     labels = _resolve_flavor(pd, flavor)
     key = (flavor, bool(dof_correction))
     if key not in pd.moment_covs:
-        blocks = _meat(pd.z, pd.first_stage_residuals, labels, dof_correction)
+        blocks = _meat(pd.z_qr[0], pd.first_stage_residuals, labels, dof_correction)
         pd.moment_covs[key] = MomentCov(
             v1v1=blocks[(0, 0)], v1v2=blocks[(0, 1)], v2v2=blocks[(1, 1)]
         )
@@ -248,20 +253,20 @@ def _sandwich(z, t, u, denom, labels, dof_correction):
 
 
 def weight_matrix(pd, spec, cov=None):
-    """The GMM weight matrix Omega that `spec` names for the data `pd`,
-    exactly symmetric.
+    """The GMM weight matrix Omega that `spec` names for the data `pd`, in the
+    basis q of `pd.z_qr` and exactly symmetric.
 
-    "2sls" gives (Z'Z/n)^{-1} = n R^{-1} R^{-T}, with R from the instruments'
-    thin QR `pd.z_qr`; "gmmf" gives the symmetrized inverse of the first-stage
-    moment covariance block `cov.v2v2`, so it needs `cov`; "custom" gives the
-    validated `spec.omega`.
+    "2sls" gives (q'q/n)^{-1} = I; "gmmf" gives the symmetrized inverse of the
+    first-stage moment covariance block `cov.v2v2`, so it needs `cov`;
+    "custom" maps `spec.omega`, given on the columns of z, to t Omega t'.
     """
-    if spec.kind == "custom":
-        return spec.omega
     if spec.kind == "2sls":
-        rinv = np.linalg.inv(pd.z_qr[1])
-        # a @ a.T is formed symmetric (syrk)
-        return pd.n * (rinv @ rinv.T)
+        return np.eye(pd.k_z)
+    if spec.kind == "custom":
+        t = pd.z_qr[1]
+        return _sym(t @ spec.omega @ t.T)
+    if cov is None:
+        raise InputError("the gmmf weight needs the moment covariance: pass cov")
     try:
         return _sym(np.linalg.inv(cov.v2v2))
     except np.linalg.LinAlgError:
@@ -269,34 +274,31 @@ def weight_matrix(pd, spec, cov=None):
 
 
 def estimate(pd, spec, flavor="hc0", dof_correction=False):
-    """Point estimate with robust (sandwich) and nonrobust standard errors.
+    """Point estimate with robust (sandwich) and nonrobust standard errors,
+    computed in the instrument basis q of `pd.z_qr`.
 
     The robust variance uses the same HC0/cluster kernel as the moment
     covariance, applied to the structural residual y - x*beta_hat; this is the
     standard sandwich convention. The nonrobust variance replaces the kernel by
-    sigma_u^2 * Z'Z, whose quadratic form t'Z'Zt is |R t|^2 with R from the
-    instruments' thin QR.
+    sigma_u^2 * q'q = sigma_u^2 * n I.
     """
     labels = _resolve_flavor(pd, flavor)
-    z, x, y, n = pd.z, pd.x, pd.y, pd.n
-    ztx = z.T @ x
-    zty = z.T @ y
+    q, x, y = pd.z_qr[0], pd.x, pd.y
+    qtx = q.T @ x
     cov = None
     if spec.kind == "gmmf":
         cov = estimate_moment_cov(pd, flavor=flavor, dof_correction=dof_correction)
     omega = weight_matrix(pd, spec, cov)
-    t = omega @ ztx
-    denom = float(ztx @ t)
+    t = omega @ qtx
+    denom = float(qtx @ t)
     if denom <= 0.0:
         raise NumericalError(
             "degenerate identification: x'Z Omega Z'x is not positive"
         )
-    beta = float(t @ zty) / denom
+    beta = float(t @ (q.T @ y)) / denom
     u = y - beta * x
-    se_rob = _sandwich(z, t, u, denom, labels, dof_correction)
-    sigma_u2 = float(u @ u) / n
-    rt = pd.z_qr[1] @ t
-    var_nr = sigma_u2 * float(rt @ rt) / denom**2
+    se_rob = _sandwich(q, t, u, denom, labels, dof_correction)
+    var_nr = float(u @ u) * float(t @ t) / denom**2
     return EstimateResult(
         beta_hat=beta,
         se_robust=se_rob,

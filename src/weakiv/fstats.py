@@ -1,16 +1,17 @@
 """First-stage F-statistics.
 
-Four variants on the partialled model x = Z pi + v2:
+Four variants on the partialled model x = Z pi + v2, in the instrument basis
+q of `PartialledData.z_qr` (z = q t, q'q = n I):
 
 - nonrobust:   x'P_Z x / (k_z sigma_v2^2)
-- robust:      x'Z W2^{-1} Z'x / (n k_z)
-- effective:   x'P_Z x / tr(W2 (Z'Z/n)^{-1})
-- generalized: x'Z Omega Z'x / (n tr(W2 Omega)) for a weight matrix Omega
+- robust:      x'q W2^{-1} q'x / (n k_z)
+- effective:   x'P_Z x / tr(W2)
+- generalized: x'q Omega q'x / (n tr(W2 Omega)) for a weight matrix Omega
 
-with W2 the first-stage moment covariance block. The generalized statistic
-specializes to the effective one at Omega = (Z'Z/n)^{-1} and to the robust one
-at Omega = W2^{-1}. Pass blocks from a single moment-covariance estimation so
-that one report stays internally consistent.
+with W2 the first-stage moment covariance block, and W2 and Omega in basis q.
+The generalized statistic specializes to the effective one at Omega = I and
+to the robust one at Omega = W2^{-1}. Pass blocks from a single
+moment-covariance estimation so that one report stays internally consistent.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .estimators import WeightSpec, _spd, weight_matrix
+from .estimators import _spd, _square
 
 __all__ = [
     "FStatValue",
@@ -40,10 +41,9 @@ class FStatValue:
         return float(self.value)
 
 
-def _proj_quad(pd):
-    """x' P_Z x via the thin QR of the instruments."""
-    w = pd.z_qr[0].T @ pd.x
-    return float(w @ w)
+def _qtx(pd):
+    """q'x, with q from `pd.z_qr`: x'P_Z x = |q'x|^2 / n."""
+    return pd.z_qr[0].T @ pd.x
 
 
 def f_nonrobust(pd):
@@ -51,31 +51,32 @@ def f_nonrobust(pd):
     sigma2 = float(v2 @ v2) / pd.n
     if sigma2 <= 0.0:
         raise NumericalError("zero first-stage residual variance")
-    return FStatValue("nonrobust", _proj_quad(pd) / (pd.k_z * sigma2))
+    qtx = _qtx(pd)
+    return FStatValue("nonrobust", float(qtx @ qtx) / (pd.n * pd.k_z * sigma2))
 
 
 def f_robust(pd, w2):
-    w2 = np.asarray(w2, dtype=float)
-    ztx = pd.z.T @ pd.x
+    w2 = _square(w2, pd.k_z, "w2")
+    qtx = _qtx(pd)
     try:
-        t = np.linalg.solve(w2, ztx)
+        t = np.linalg.solve(w2, qtx)
     except np.linalg.LinAlgError:
         raise NumericalError("first-stage moment covariance is singular") from None
-    return FStatValue("robust", float(ztx @ t) / (pd.n * pd.k_z))
+    return FStatValue("robust", float(qtx @ t) / (pd.n * pd.k_z))
 
 
 def f_effective(pd, w2):
-    w2 = np.asarray(w2, dtype=float)
-    denom = float(np.trace(w2 @ weight_matrix(pd, WeightSpec("2sls"))))
+    denom = float(np.trace(_square(w2, pd.k_z, "w2")))
     if denom <= 0.0:
         raise NumericalError("nonpositive trace in effective F denominator")
-    return FStatValue("effective", _proj_quad(pd) / denom)
+    qtx = _qtx(pd)
+    return FStatValue("effective", float(qtx @ qtx) / (pd.n * denom))
 
 
 def f_generalized(pd, cov, omega):
     omega = _spd(omega, k=pd.k_z)
-    ztx = pd.z.T @ pd.x
+    qtx = _qtx(pd)
     denom = pd.n * float(np.trace(cov.v2v2 @ omega))
     if denom <= 0.0:
         raise NumericalError("nonpositive trace in generalized F denominator")
-    return FStatValue("generalized", float(ztx @ omega @ ztx) / denom)
+    return FStatValue("generalized", float(qtx @ omega @ qtx) / denom)

@@ -183,18 +183,18 @@ def load_design(source):
 
     source = os.fspath(source)
     if os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        path = source
         default_name = os.path.splitext(os.path.basename(source))[0]
     else:
-        entry = _design_dir().joinpath(source + ".yaml")
-        if not entry.is_file():
+        path = os.path.join(_design_dir(), source + ".yaml")
+        if not os.path.isfile(path):
             raise InputError(
                 f"unknown design {source!r}: not a file and not one of the shipped "
                 f"designs ({', '.join(available_designs())})"
             )
-        text = entry.read_text(encoding="utf-8")
         default_name = source
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:

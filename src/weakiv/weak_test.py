@@ -31,7 +31,7 @@ from .estimators import (
     residual_cov,
     weight_matrix,
 )
-from .fstats import FStatValue, f_effective, f_generalized, f_robust
+from .fstats import FStatValue, f_generalized
 
 __all__ = [
     "Benchmark",
@@ -52,6 +52,8 @@ _BOUND_RTOL = 1e-13
 _MAX_NODES = 4096
 """Cap on the bias search's nodes (eigenvalue evaluations)."""
 _MC_DIRECTIONS = 200
+_STATISTIC = {"2sls": "effective", "gmmf": "robust", "custom": "generalized"}
+"""The name of the generalized F-statistic at each weight kind's Omega."""
 
 
 def _check_alpha(alpha):
@@ -99,8 +101,10 @@ class Benchmark:
 @dataclass(frozen=True, eq=False)
 class SupResult:
     """`worst_case_bias`'s bound `value`, attained at `argmax_beta` (inf for the
-    beta -> +-inf limit) and the unit direction `argmax_dir`; `upper`, a
-    certified upper bound on the supremum; `nodes`, eigenvalue evaluations."""
+    beta -> +-inf limit) and the unit direction `argmax_dir` in the basis of
+    the transformed moment covariance (basis q of `PartialledData.z_qr` as
+    `weak_iv_test` runs it); `upper`, a certified upper bound on the
+    supremum; `nodes`, eigenvalue evaluations."""
 
     value: float
     argmax_beta: float
@@ -171,9 +175,13 @@ def worst_case_bias(tc, bench):
     w2 = tc.v2v2
     k = w2.shape[0]
     t = float(np.trace(w2))
-    m12 = _sym(tc.v1v2)
-    tr12 = float(np.trace(tc.v1v2))
     d0, d1 = _denominator_coeffs(tc, bench)
+    # search over beta' = beta / sqrt(d0), so that the objective, and with it
+    # the rounding allowance, carries no units of y or x
+    unit = math.sqrt(d0)
+    m12 = _sym(tc.v1v2) / unit
+    tr12 = float(np.trace(tc.v1v2)) / unit
+    d0, d1 = 1.0, d1 / unit
 
     def quad(fold, x):
         return np.where(fold, 1.0, d0) + x * (d1 + x * np.where(fold, d0, 1.0))
@@ -248,7 +256,7 @@ def worst_case_bias(tc, bench):
         )
     return SupResult(
         value=value,
-        argmax_beta=float(beta),
+        argmax_beta=float(beta * unit),
         argmax_dir=direction,
         upper=float(upper + slack),
         nodes=nodes,
@@ -385,8 +393,8 @@ def weak_iv_test(
 
     Rejecting means the worst-case approximate relative bias of the estimator
     is below tau at level alpha. Every weight runs the same pipeline on its
-    Omega from `weight_matrix`; the kind only picks the statistic: effective
-    F for "2sls", robust F for "gmmf", generalized F for "custom". `method`
+    Omega from `weight_matrix`, with the generalized F-statistic at that
+    Omega: the effective F for "2sls" and the robust F for "gmmf". `method`
     is "patnaik", "mc", or "conservative" (radius fixed at 1/tau, valid and
     conservative for the mop benchmark only). The bias bound comes from
     `worst_case_bias`; `mc_draws` and `mc_seed` are the draws and seed of the
@@ -403,12 +411,7 @@ def weak_iv_test(
     cov = estimate_moment_cov(pd, flavor=flavor, dof_correction=dof_correction)
     omega = weight_matrix(pd, spec, cov)
     tc = transform_moment_cov(cov, omega)
-    if spec.kind == "2sls":
-        stat = f_effective(pd, cov.v2v2)
-    elif spec.kind == "gmmf":
-        stat = f_robust(pd, cov.v2v2)
-    else:
-        stat = f_generalized(pd, cov, omega)
+    stat = FStatValue(_STATISTIC[spec.kind], f_generalized(pd, cov, omega).value)
     warnings = ()
     sup = None
     if method == "conservative":

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import benchmark_scale, make_pd, nagar_numerator, random_spd
+from helpers import benchmark_scale, make_pd, nagar_numerator, q_basis, random_spd, z_basis
 from weakiv import (
     Benchmark,
     MomentCov,
@@ -54,7 +54,8 @@ def test_fstat_and_estimator_identities():
         cov = estimate_moment_cov(pd_)
         qn_inv = np.linalg.inv(pd_.z.T @ pd_.z / pd_.n)
         # generalized statistic specializes to the effective and robust ones
-        assert float(f_generalized(pd_, cov, qn_inv)) == pytest.approx(
+        omega_2sls = q_basis(pd_, qn_inv, weight=True)
+        assert float(f_generalized(pd_, cov, omega_2sls)) == pytest.approx(
             float(f_effective(pd_, cov.v2v2)), rel=1e-10
         )
         assert float(f_generalized(pd_, cov, np.linalg.inv(cov.v2v2))) == (
@@ -68,7 +69,7 @@ def test_fstat_and_estimator_identities():
             want_2sls, rel=1e-10
         )
         zx = pd_.z.T @ pd_.x
-        t = np.linalg.solve(cov.v2v2, zx)
+        t = np.linalg.solve(z_basis(pd_, cov.v2v2), zx)
         want_gmmf = float(t @ (pd_.z.T @ pd_.y)) / float(t @ zx)
         assert estimate(pd_, WeightSpec("gmmf")).beta_hat == pytest.approx(
             want_gmmf, rel=1e-10

@@ -1,6 +1,7 @@
 import ast
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -566,6 +567,28 @@ class TestConsoleScript:
         loaded = set(ast.literal_eval(proc.stdout))
         assert "numpy" not in loaded
         assert {m for m in loaded if m.startswith("weakiv.")} == set()
+
+    @pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
+    @pytest.mark.parametrize("argv", [["--version"], ["simulate", "--help"]],
+                             ids=["version", "simulate-help"])
+    def test_design_listing_loads_no_resource_machinery(self, flags, argv):
+        """The shipped designs are listed with os.listdir, so a run imports
+        none of importlib.resources and what its package reader pulls in,
+        beyond what `site` has already loaded."""
+        src = os.path.dirname(os.path.dirname(weakiv.__file__))
+        path = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        proc = subprocess.run(
+            [sys.executable, *flags, "-X", "importtime", "-m", "weakiv.cli", *argv],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        names = [line.rsplit("|", 1)[1].strip()
+                 for line in proc.stderr.splitlines() if line.startswith("import time:")]
+        after_site = names[names.index("site") + 1:] if "site" in names else names
+        assert "weakiv" in after_site
+        assert not {"importlib.resources", "importlib.readers", "pathlib", "tempfile",
+                    "zipfile", "threading"} & set(after_site)
 
     @pytest.mark.parametrize("sub", ["simulate", "curves", "nagar"])
     def test_help_lists_the_shipped_designs(self, sub, capsys):

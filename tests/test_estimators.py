@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from helpers import ill_conditioned_dataset, make_dataset, make_pd
+from helpers import ill_conditioned_dataset, make_dataset, make_pd, z_basis
 from weakiv import (
     PartialledData,
     WeightSpec,
@@ -66,7 +66,7 @@ class TestDualFormulas:
             res = estimate(pd_, WeightSpec("gmmf"))
             zx = pd_.z.T @ pd_.x
             zy = pd_.z.T @ pd_.y
-            t = np.linalg.solve(cov.v2v2, zx)
+            t = np.linalg.solve(z_basis(pd_, cov.v2v2), zx)
             want = float(t @ zy) / float(t @ zx)
             assert res.beta_hat == pytest.approx(want, rel=1e-10, abs=1e-12)
 
@@ -106,10 +106,15 @@ class TestWeightMatrix:
         omega = weight_matrix(pd_, spec, estimate_moment_cov(pd_))
         assert np.array_equal(omega, omega.T)
 
+    def test_gmmf_without_cov_names_it(self):
+        pd_ = make_pd(np.random.default_rng(30), n=100, kz=3)
+        with pytest.raises(InputError, match="cov"):
+            weight_matrix(pd_, WeightSpec("gmmf"))
+
     def test_2sls_is_the_inverse_instrument_cross_product(self):
         pd_ = make_pd(np.random.default_rng(28), n=400, kz=4, kc=3)
         want = np.linalg.inv(pd_.z.T @ pd_.z / pd_.n)
-        got = weight_matrix(pd_, WeightSpec("2sls"))
+        got = z_basis(pd_, weight_matrix(pd_, WeightSpec("2sls")), weight=True)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("kind", ["2sls", "gmmf"])
@@ -135,7 +140,7 @@ class TestMomentCov:
         for i in range(n):
             s = np.concatenate([pd_.z[i] * v1[i], pd_.z[i] * v2[i]])
             blocks += np.outer(s, s) / n
-        assert np.allclose(cov.full, blocks, atol=1e-12)
+        assert np.allclose(z_basis(pd_, cov.full), blocks, atol=1e-12)
 
     def test_cluster_matches_brute_force(self):
         rng = np.random.default_rng(5)
@@ -153,7 +158,7 @@ class TestMomentCov:
                 [pd_.z[idx].T @ v1[idx], pd_.z[idx].T @ v2[idx]]
             )
             want += np.outer(s, s) / n
-        assert np.allclose(cov.full, want, atol=1e-12)
+        assert np.allclose(z_basis(pd_, cov.full), want, atol=1e-12)
 
     def test_cluster_count_is_the_number_of_distinct_labels(self):
         """Relabelling the same clusters c as 7c + 3 leaves the corrected

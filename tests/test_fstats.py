@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import make_pd
+from helpers import make_pd, q_basis, z_basis
 from weakiv import (
     PartialledData,
     estimate_moment_cov,
@@ -32,7 +32,7 @@ class TestBruteForce:
         pd_ = make_pd(rng, n=120, kz=3, het=True)
         cov = estimate_moment_cov(pd_)
         zx = pd_.z.T @ pd_.x
-        want = float(zx @ np.linalg.solve(cov.v2v2, zx)) / (120 * 3)
+        want = float(zx @ np.linalg.solve(z_basis(pd_, cov.v2v2), zx)) / (120 * 3)
         assert float(f_robust(pd_, cov.v2v2)) == pytest.approx(want, rel=1e-10)
 
     def test_effective(self):
@@ -41,7 +41,8 @@ class TestBruteForce:
         cov = estimate_moment_cov(pd_)
         p = proj(pd_.z)
         qn_inv = np.linalg.inv(pd_.z.T @ pd_.z / 120)
-        want = float(pd_.x @ p @ pd_.x) / float(np.trace(cov.v2v2 @ qn_inv))
+        w2 = z_basis(pd_, cov.v2v2)
+        want = float(pd_.x @ p @ pd_.x) / float(np.trace(w2 @ qn_inv))
         assert float(f_effective(pd_, cov.v2v2)) == pytest.approx(want, rel=1e-10)
 
 
@@ -51,7 +52,7 @@ class TestSpecializations:
         for _ in range(25):
             pd_ = make_pd(rng, n=150, kz=3, het=True)
             cov = estimate_moment_cov(pd_)
-            omega = np.linalg.inv(pd_.z.T @ pd_.z / pd_.n)
+            omega = q_basis(pd_, np.linalg.inv(pd_.z.T @ pd_.z / pd_.n), weight=True)
             a = float(f_generalized(pd_, cov, omega))
             b = float(f_effective(pd_, cov.v2v2))
             assert a == pytest.approx(b, rel=1e-10)
@@ -82,7 +83,7 @@ class TestSpecializations:
         p = proj(pd_.z)
         v2 = pd_.x - p @ pd_.x
         sigma2 = float(v2 @ v2) / pd_.n
-        w2 = sigma2 * (pd_.z.T @ pd_.z / pd_.n)
+        w2 = q_basis(pd_, sigma2 * (pd_.z.T @ pd_.z / pd_.n))
         assert float(f_effective(pd_, w2)) == pytest.approx(
             float(f_nonrobust(pd_)), rel=1e-10
         )
@@ -99,6 +100,15 @@ class TestValidation:
             f_generalized(pd_, cov, np.array([[1.0, 0.4], [0.0, 1.0]]))
         with pytest.raises(InputError, match="positive definite"):
             f_generalized(pd_, cov, np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("stat", [f_effective, f_robust])
+    def test_w2_must_be_k_by_k(self, stat):
+        """A 2x2 w2 on 3 instruments is refused, not read as a short trace
+        or a bare numpy shape error."""
+        pd_ = make_pd(np.random.default_rng(9), n=100, kz=3)
+        for w2 in (np.eye(2), np.eye(4), np.ones(3), np.eye(3)[:, :2]):
+            with pytest.raises(InputError, match="wrong shape"):
+                stat(pd_, w2)
 
     def test_kinds_labelled(self):
         rng = np.random.default_rng(8)

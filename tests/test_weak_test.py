@@ -12,6 +12,7 @@ from helpers import (
     random_spd,
     random_transformed_cov,
     structural_blocks,
+    z_basis,
 )
 from weakiv import (
     Benchmark,
@@ -548,6 +549,22 @@ class TestWeakIvTest:
         assert base.bias_bound == pytest.approx(0.430847, abs=5e-7)
         assert res.bias_bound == pytest.approx(base.bias_bound, rel=1e-12)
 
+    @pytest.mark.parametrize("kind", ["2sls", "gmmf"])
+    @pytest.mark.parametrize("bench", ["ls", "mop"])
+    @pytest.mark.parametrize("sy, sx", [(1e12, 1.0), (1e-12, 1.0), (1.0, 1e12),
+                                        (1.0, 1e-12), (1e12, 1e12), (1e-12, 1e-12)])
+    def test_bias_search_allowance_has_no_units(self, kind, bench, sy, sx):
+        """The bias search runs over beta / sqrt(d0), so its rounding
+        allowance has no units: y or x scaled by 1e+-12 leave the bound and
+        its certified gap as they were, and the argmax beta scales by sy/sx."""
+        data = make_dataset(np.random.default_rng(3), n=1000, kz=4, het=True)
+        base = weak_iv_test(partial_out(data), kind, benchmark=bench).sup
+        scaled = Dataset(y=data.y * sy, x=data.x * sx, z=data.z)
+        sup = weak_iv_test(partial_out(scaled), kind, benchmark=bench).sup
+        assert sup.upper - sup.value <= 1e-12 * sup.value
+        assert sup.value == pytest.approx(base.value, rel=1e-12)
+        assert sup.argmax_beta * sx / sy == pytest.approx(base.argmax_beta, rel=1e-6)
+
     @pytest.mark.parametrize("named", ["2sls", "gmmf"])
     def test_custom_weight_reproduces_named_weight(self, named):
         rng = np.random.default_rng(26)
@@ -555,7 +572,7 @@ class TestWeakIvTest:
         if named == "2sls":
             omega = np.linalg.inv(pd_.z.T @ pd_.z / pd_.n)
         else:
-            omega = np.linalg.inv(estimate_moment_cov(pd_).v2v2)
+            omega = np.linalg.inv(z_basis(pd_, estimate_moment_cov(pd_).v2v2))
         want = weak_iv_test(pd_, WeightSpec(named))
         got = weak_iv_test(pd_, WeightSpec("custom", omega=omega))
         assert got.statistic.kind == "generalized"
