@@ -31,7 +31,11 @@ __all__ = [
 _TINY = 1e-300
 _GAMMA_TOL = 1e-15
 _GAMMA_MAX_ITER = 20000
-_SERIES_MAX_TERMS = 1 << 16
+_SERIES_MIN_TERMS = 1 << 16
+_SERIES_MAX_TERMS = 900_000
+"""Cap on the gamma series' terms, whose limit is max(65536, 9 sqrt(a)) for
+the batch's largest a: near x = a the series takes about sqrt(70 a) terms,
+so the cap lets it converge up to a = 1e10 and bounds the work past that."""
 _TAIL_TOL = 1e-13
 """Largest Poisson mass a noncentral series may leave out: the windows of
 `_window` leave out at most about 3.5e-22 at every ncp up to 2e7."""
@@ -59,7 +63,9 @@ def _gamma_series(a, x, log_prefac):
     step = np.arange(1.0, 65.0)
     term = 1.0 / a
     total = term.copy()
-    for n in range(0, _SERIES_MAX_TERMS, step.size):
+    # bounded before the ceil, so an infinite a runs to the cap and gives NaN
+    limit = math.ceil(min(_SERIES_MAX_TERMS, max(_SERIES_MIN_TERMS, 9.0 * math.sqrt(a.max()))))
+    for n in range(0, limit, step.size):
         terms = x[:, None] / (a[:, None] + (n + step))
         with np.errstate(under="ignore"):
             np.cumprod(terms, axis=1, out=terms)
@@ -141,8 +147,9 @@ def lower_gamma_regularized(a, x):
 
     Power series for x < a + 1, modified Lentz continued fraction for the
     complement otherwise; both iterated to relative tolerance 1e-15, each
-    element until it converges, the series for at most 65536 terms (about
-    sqrt(70 a) are needed near x = a), the fraction for at most 20000 steps.
+    element until it converges, the series for at most max(65536, 9 sqrt(a))
+    terms and never more than 900000 (about sqrt(70 a) are needed near x = a,
+    so it converges up to a = 1e10), the fraction for at most 20000 steps.
     `a` and `x` broadcast; a scalar pair gives a float and raises
     NumericalError if the iteration does not converge, an array gives NaN
     where it does not.

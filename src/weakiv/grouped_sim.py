@@ -72,8 +72,22 @@ _COMPARE_MAX_ATTEMPTS = 5_000_000
 _FAILURE_STAGES = ("draw", "moments", "moment_cov", "bias_bound", "critical_value")
 
 
+def _as_float(value, name):
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{name} must be a number, got {value!r}") from None
+
+
+def _as_float_array(value, name):
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{name} must be a number or a list of numbers") from None
+
+
 def _as_float_vector(value, g, name):
-    arr = np.asarray(value, dtype=float)
+    arr = _as_float_array(value, name)
     if arr.ndim == 0:
         arr = np.full(g, float(arr))
     if arr.ndim != 1 or arr.size != g:
@@ -106,7 +120,7 @@ class GroupedDesign:
     name: str = ""
 
     def __post_init__(self):
-        pi0 = np.asarray(self.pi0, dtype=float)
+        pi0 = _as_float_array(self.pi0, "pi0")
         if pi0.ndim != 1 or pi0.size < 2:
             raise InputError("pi0 must be a 1-d sequence with at least two groups")
         if not np.all(np.isfinite(pi0)):
@@ -117,14 +131,20 @@ class GroupedDesign:
         if np.any(var_v2 <= 0.0):
             raise InputError("var_v2 entries must be positive")
         object.__setattr__(self, "var_v2", var_v2)
-        scale = float(self.scale_e)
+        scale = _as_float(self.scale_e, "scale_e")
         if not math.isfinite(scale) or scale <= 0.0:
             raise InputError(f"scale_e must be a positive number, got {self.scale_e}")
         object.__setattr__(self, "scale_e", scale)
-        object.__setattr__(self, "beta", float(self.beta))
+        object.__setattr__(self, "beta", _as_float(self.beta, "beta"))
         if not math.isfinite(self.beta):
             raise InputError("beta must be finite")
-        n = int(self.n)
+        try:
+            n = float(self.n)
+        except (TypeError, ValueError, OverflowError):
+            n = math.nan
+        if not n.is_integer():
+            raise InputError(f"n must be an integer, got {self.n!r}")
+        n = int(n)
         if n < g + 2:
             raise InputError(f"n must be at least G + 2 = {g + 2}, got {n}")
         object.__setattr__(self, "n", n)
@@ -201,7 +221,7 @@ def load_design(source):
         raise InputError(f"design file is not valid YAML: {exc}") from None
     if not isinstance(raw, dict):
         raise InputError("design file must contain a mapping of design fields")
-    unknown = sorted(set(raw) - _DESIGN_KEYS)
+    unknown = sorted(str(key) for key in raw.keys() - _DESIGN_KEYS)
     if unknown:
         raise InputError(f"unknown design fields: {', '.join(unknown)}")
     for key in ("pi0", "var_v2"):

@@ -160,6 +160,38 @@ class TestUsageErrors:
         with pytest.raises(OSError):
             main(["simulate", "me", "--reps", "2"])
 
+    @pytest.mark.parametrize("field, line", [
+        ("n", "n: ten"),
+        ("n", "n: 5.7"),
+        ("pi0", "pi0: abc"),
+        ("scale_e", "scale_e: big"),
+        ("beta", "beta: [1, 2]"),
+        ("var_v2", "var_v2: [1.0, x]"),
+    ], ids=["n-word", "n-fraction", "pi0", "scale_e", "beta", "var_v2"])
+    def test_bad_design_field_exits_2(self, field, line, tmp_path, capsys):
+        fields = {"pi0": "pi0: [0.5, -0.2, 0.1]", "var_v2": "var_v2: [1.0, 2.0, 0.5]"}
+        fields[field] = line
+        path = tmp_path / "bad.yaml"
+        path.write_text("\n".join(fields.values()) + "\n")
+        code, out, err = run_main(["nagar", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"weakiv: error: {field} must be ")
+
+    @pytest.mark.parametrize("n", ["1.0e4", "1.0e+4", "10000"])
+    def test_integral_n_is_accepted(self, n, tmp_path, capsys):
+        path = tmp_path / "d.yaml"
+        path.write_text(f"pi0: [0.5, -0.2, 0.1]\nvar_v2: [1.0, 2.0, 0.5]\nn: {n}\n")
+        code, out, err = run_main(["nagar", str(path)], capsys)
+        assert code == 0, err
+        assert out.startswith("# weakiv nagar  design=d  n=10000  groups=3\n")
+
+    def test_non_string_design_key_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("pi0: [0.5, -0.2]\nvar_v2: [1.0, 2.0]\n1: 2\nnull: 3\n")
+        code, out, err = run_main(["nagar", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "weakiv: error: unknown design fields: 1, None\n"
+
 
 class TestEstimate:
     def test_table_lists_all_estimators(self, tmp_path, capsys):
@@ -638,6 +670,45 @@ class TestConsoleScript:
         assert "numpy.random" not in loaded
         assert "yaml" not in loaded
         assert "weakiv.grouped_sim" not in loaded
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "me_reconstructed", "--reps", "2"],
+        ["curves", "me_reconstructed", "--scales", "0.04", "--reps", "2"],
+        ["nagar", "a2"],
+        ["compare", "--count", "20"],
+    ], ids=["simulate", "curves", "nagar", "compare"])
+    def test_design_table_run_loads_no_json(self, argv):
+        """A table is written without json: the handlers import it only for
+        --format json."""
+        code = (
+            "import sys, weakiv.cli\n"
+            f"code = weakiv.cli.main({argv!r})\n"
+            "print(code, sorted(sys.modules), file=sys.stderr)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        status, loaded = proc.stderr.rstrip("\n").split(" ", 1)
+        assert status == "0", proc.stderr
+        loaded = set(ast.literal_eval(loaded))
+        assert {"weakiv.commands", "weakiv.grouped_sim"} <= loaded
+        assert "json" not in loaded
+
+    def test_version_run_loads_only_the_parser(self):
+        """--version compiles no subcommand handler and loads no json."""
+        code = (
+            "import sys, weakiv.cli\n"
+            "try:\n"
+            "    weakiv.cli.main(['--version'])\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, sorted(sys.modules), file=sys.stderr)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        status, loaded = proc.stderr.rstrip("\n").split(" ", 1)
+        assert status == "0", proc.stderr
+        loaded = set(ast.literal_eval(loaded))
+        assert {m for m in loaded if m.startswith("weakiv")} == {
+            "weakiv", "weakiv.cli", "weakiv.errors"
+        }
+        assert "json" not in loaded
 
     def test_invalid_design_yaml_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.yaml"

@@ -40,6 +40,17 @@ class TestLowerGamma:
         with pytest.raises(ValueError):
             lower_gamma_regularized(1.0, -0.5)
 
+    def test_infinite_shape_is_nan_in_a_batch(self):
+        """An infinite shape never converges: NumericalError alone, NaN at its
+        element of a batch whose other elements still evaluate."""
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalError, match="series did not converge"):
+                lower_gamma_regularized(math.inf, 1.0)
+            p = lower_gamma_regularized(np.array([2.0, math.inf, 3.0]), 1.0)
+        assert np.isnan(p[1])
+        assert p[[0, 2]].tolist() == [lower_gamma_regularized(2.0, 1.0),
+                                      lower_gamma_regularized(3.0, 1.0)]
+
     @given(
         a=st.floats(0.05, 150.0),
         x=st.floats(0.0, 600.0),
@@ -308,15 +319,35 @@ class TestNoncentralChiSq:
         assert np.isnan(q[1])
         assert q[0] == chisq_quantile(NoncentralChiSq(3.0), 0.95)
 
+    @pytest.mark.parametrize("df", [2e8, 1e9])
+    def test_large_df_near_its_mean(self, df):
+        """Near x = a the window top's gamma series takes about sqrt(70 a)
+        terms, past 65536 from df about 1.2e8: the CDF, the incomplete gamma
+        and the quantile still match scipy there."""
+        sd = math.sqrt(2.0 * df)
+        for k in [-1.0, 0.0, 0.1, 1.0]:
+            x = df + k * sd
+            assert chisq_cdf(NoncentralChiSq(df), x) == pytest.approx(
+                scipy.stats.chi2.cdf(x, df), rel=1e-10
+            )
+            a = 0.5 * df
+            y = a + k * math.sqrt(a)
+            assert lower_gamma_regularized(a, y) == pytest.approx(
+                scipy.special.gammainc(a, y), rel=1e-10
+            )
+        assert chisq_quantile(NoncentralChiSq(df), 0.95) == pytest.approx(
+            scipy.stats.chi2.ppf(0.95, df), rel=1e-10
+        )
+
     def test_top_term_past_series_cap_named(self):
-        """Near its mean a law with df above about 1.2e8 needs more terms of
-        the window top's incomplete gamma series than its cap of 65536; the
+        """Near its mean a law with df above about 2.3e10 needs more terms of
+        the window top's incomplete gamma series than its cap of 900000; the
         error names that series and the df, not the Poisson tail. Away from
         the mean, and below that df, the law still evaluates."""
-        with pytest.raises(NumericalError, match=r"incomplete gamma series .* df 1e\+09"):
-            chisq_cdf(NoncentralChiSq(1e9), 1e9)
-        assert chisq_cdf(NoncentralChiSq(1e9), 0.9e9) == 0.0
-        assert chisq_cdf(NoncentralChiSq(1e9), 1.1e9) == 1.0
+        with pytest.raises(NumericalError, match=r"incomplete gamma series .* df 4e\+10"):
+            chisq_cdf(NoncentralChiSq(4e10), 4e10)
+        assert chisq_cdf(NoncentralChiSq(4e10), 3.6e10) == 0.0
+        assert chisq_cdf(NoncentralChiSq(4e10), 4.4e10) == 1.0
         assert chisq_cdf(NoncentralChiSq(1.2e8), 1.2e8) == pytest.approx(
             scipy.stats.chi2.cdf(1.2e8, 1.2e8), abs=1e-12
         )

@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 import types
@@ -46,3 +47,34 @@ def test_version_matches_pyproject():
     assert proc.returncode == 0, proc.stderr
     assert weakiv.__version__ == version
     assert proc.stdout == version + "\n"
+
+
+# The package modules each submodule loads, itself included: the command
+# line loads no numpy-backed module and no handler until it has parsed, and
+# the handlers load what they call.
+LOADS = {
+    "errors": {"errors"},
+    "distributions": {"distributions", "errors"},
+    "estimators": {"estimators", "errors"},
+    "fstats": {"fstats", "estimators", "errors"},
+    "data": {"data", "errors"},
+    "weak_test": {"weak_test", "distributions", "estimators", "fstats", "errors"},
+    "grouped_sim": {"grouped_sim", "data", "weak_test", "distributions", "estimators",
+                    "fstats", "errors"},
+    "cli": {"cli", "errors"},
+    "commands": {"commands"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(LOADS))
+def test_submodule_loads_only_what_it_imports(module):
+    code = f"import sys, weakiv.{module}; print(sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name for name in ast.literal_eval(proc.stdout) if name.startswith("weakiv.")}
+    assert loaded == {f"weakiv.{name}" for name in LOADS[module]}
+
+
+def test_load_table_lists_every_submodule():
+    package = Path(weakiv.__file__).parent
+    assert set(LOADS) == {path.stem for path in package.glob("*.py")} - {"__init__"}
