@@ -18,7 +18,7 @@ _EXPORTS = {
     "partial_out": "data",
     "NoncentralChiSq": "distributions", "RngStream": "distributions",
     "chisq_cdf": "distributions", "chisq_quantile": "distributions",
-    "lower_gamma_regularized": "distributions", "mvn_sample": "distributions",
+    "lower_gamma_regularized": "distributions",
     "InputError": "errors", "NumericalError": "errors", "WeakIvError": "errors",
     "EstimateResult": "estimators", "MomentCov": "estimators",
     "ResidualCov": "estimators", "WaldResult": "estimators",

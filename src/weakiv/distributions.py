@@ -1,5 +1,5 @@
-"""Special functions and samplers: regularized incomplete gamma, central and
-noncentral chi-square CDF/quantile, reproducible multivariate normal streams.
+"""Special functions and random streams: regularized incomplete gamma, central
+and noncentral chi-square CDF/quantile, reproducible counter-based streams.
 
 The noncentral chi-square supports fractional degrees of freedom, which the
 moment-matched effective-dof critical values in :mod:`weakiv.weak_test` produce
@@ -25,7 +25,6 @@ __all__ = [
     "chisq_cdf",
     "chisq_quantile",
     "lower_gamma_regularized",
-    "mvn_sample",
 ]
 
 _TINY = 1e-300
@@ -607,19 +606,3 @@ class RngStream:
     def generator(self):
         key = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.Generator(np.random.Philox(key))
-
-
-def mvn_sample(mean, cov, rng, count):
-    """Draw `count` samples from N(mean, cov) using a lower Cholesky factor.
-
-    `rng` may be an RngStream or a numpy Generator.
-    """
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    cov = np.asarray(cov, dtype=float)
-    try:
-        lower = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("covariance matrix is not positive definite") from exc
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    z = gen.standard_normal((count, mean.size))
-    return mean + z @ lower.T

@@ -45,8 +45,8 @@ from .distributions import RngStream, _normal_tail_quantile
 from .errors import InputError, NumericalError, WeakIvError
 from .estimators import _resid_cov_singular
 from .weak_test import (
-    _check_alpha, _concentrations, _diagonal_worst_case_bias, _keff, _nagar_biases,
-    _patnaik_quantile, critical_value,
+    _check_alpha, _concentrations, _critical_values, _diagonal_worst_case_bias,
+    _nagar_biases,
 )
 
 __all__ = [
@@ -64,6 +64,9 @@ __all__ = [
 ]
 
 _MAX_REDRAWS = 10
+_MAX_N = 10**7
+"""Largest design n. One replication's draw holds about 48 bytes per row of a
+structural design (24 of a first-stage one), so about 480 MB at the cap."""
 _CHUNK_REPS = 1024
 """Most replications one chunk holds; bounds the memory of its columns."""
 _COMPARE_GROUPS = 10
@@ -147,6 +150,8 @@ class GroupedDesign:
         n = int(n)
         if n < g + 2:
             raise InputError(f"n must be at least G + 2 = {g + 2}, got {n}")
+        if n > _MAX_N:
+            raise InputError(f"n must be at most {_MAX_N}, got {n}")
         object.__setattr__(self, "n", n)
         if (self.var_u is None) != (self.cov_uv2 is None):
             raise InputError("var_u and cov_uv2 must be given together or not at all")
@@ -564,16 +569,8 @@ def _rep_stats(design, m, tau, alpha, benchmark, method, wald_cv, tally):
             radius = bias / tau
         cv = np.full(radius.shape, np.nan)
         idx = np.flatnonzero(ok & valid & np.isfinite(radius))
-        if method == "mc":
-            for i in idx:
-                try:
-                    cv[i] = critical_value(np.diag(v2v2[i]), radius[i], alpha, "mc")
-                except WeakIvError:
-                    pass
-        elif idx.size:
-            w = v2v2[idx]
-            keff = _keff(w.sum(axis=1), (w * w).sum(axis=1), w.max(axis=1), radius[idx])
-            cv[idx] = _patnaik_quantile(keff, radius[idx], alpha)
+        if idx.size:
+            cv[idx] = _critical_values(v2v2[idx], radius[idx], alpha, method)
         fail("bias_bound", ~ok)
         fail("critical_value", np.isnan(cv))
         b = m[f"beta_{est}"]

@@ -9,7 +9,9 @@ and bound over the coefficient with a certified upper bound; turn that bound
 into a noncentrality radius bound/tau; compute a critical value for the
 generalized effective F-statistic by a moment-matched noncentral chi-square
 (fractional effective dof) or by Monte Carlo; reject the null of weak
-instruments when the statistic exceeds the critical value.
+instruments when the statistic exceeds the critical value. The critical value
+depends on the transformed lower block W only through its eigenvalues, and
+`_critical_values` forms it from them for the dense test and the simulation.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import NoncentralChiSq, RngStream, chisq_quantile, mvn_sample
+from .distributions import NoncentralChiSq, RngStream, chisq_quantile
 from .errors import InputError, NumericalError
 from .estimators import (
     MomentCov,
@@ -288,67 +290,81 @@ def _diagonal_worst_case_bias(v1v1, v1v2, v2v2, kind, resid=None):
     return value, ok
 
 
-def _keff(t, t2, lmax, radius):
-    """Patnaik effective dof from tr W, tr W^2 and the largest eigenvalue of
-    the transformed lower block W."""
-    return t * t * (1.0 + 2.0 * radius) / (t2 + 2.0 * radius * t * lmax)
-
-
-def _patnaik_quantile(keff, radius, alpha):
-    """Upper-alpha quantile of chi2(keff, radius*keff)/keff; elementwise over
-    arrays of keff and radius as one batched quantile."""
-    return chisq_quantile(NoncentralChiSq(keff, radius * keff), 1.0 - alpha) / keff
-
-
-def effective_dof(w2t, radius):
-    """Moment-matched effective degrees of freedom for the critical value."""
-    w2t = np.asarray(w2t, dtype=float)
-    if radius < 0.0:
-        raise InputError(f"radius must be nonnegative, got {radius}")
-    return _keff(
-        float(np.trace(w2t)),
-        float(np.sum(w2t * w2t)),
-        float(np.linalg.eigvalsh(w2t)[-1]),
-        radius,
+def _effective_dof(lam, radius):
+    """Patnaik effective dof from the eigenvalues `lam` of the transformed
+    lower block W on the last axis: from tr W, tr W^2 and lam_max."""
+    t = lam.sum(axis=-1)
+    return t * t * (1.0 + 2.0 * radius) / (
+        (lam * lam).sum(axis=-1) + 2.0 * radius * t * lam.max(axis=-1)
     )
 
 
-def critical_value(w2t, radius, alpha, method="patnaik", draws=100000, seed=0):
-    """Critical value for the generalized effective F-statistic.
+def _critical_values(lam, radius, alpha, method="patnaik", draws=100000, seed=0):
+    """Critical values for the generalized effective F-statistic from the
+    eigenvalues `lam` of the transformed lower block W on the last axis: one
+    (k,) law and a scalar `radius`, or an (R, k) batch and R radii. A batch
+    gives an array, NaN where a law fails; one law a float or NumericalError.
 
     "patnaik": upper-alpha quantile of chi2(keff, radius*keff)/keff with keff
-    the moment-matched effective dof. "mc": max over a grid of max(200, k)
-    directions (the k eigenvectors of the lower block, then random unit
-    directions from `seed`) of the empirical upper-alpha quantile of
-    |c + xi|^2 / tr over `draws` draws xi ~ N(0, lower block),
-    |c|^2 = radius * tr; one shared draw batch is reused across directions.
+    the moment-matched effective dof. "mc": in W's eigenbasis, `lam`
+    ascending, the max over max(200, k) unit directions c (the k axes, then
+    random ones from `seed`) of the empirical upper-alpha quantile of
+    |c sqrt(radius tr W) + xi|^2 / tr W over `draws` draws xi = sqrt(lam) zeta,
+    zeta ~ N(0, I), shared by the batch; it needs every eigenvalue positive.
     """
-    _check_alpha(alpha)
+    if method == "patnaik":
+        keff = _effective_dof(lam, radius)
+        return chisq_quantile(NoncentralChiSq(keff, radius * keff), 1.0 - alpha) / keff
+    if method != "mc":
+        raise InputError(f"unknown critical-value method {method!r}")
+    lam = np.sort(lam, axis=-1)
+    k = lam.shape[-1]
+    gen = RngStream(seed, 0).generator()
+    rnd = gen.standard_normal((max(0, _MC_DIRECTIONS - k), k))
+    rnorm = np.linalg.norm(rnd, axis=1)
+    rnorm[rnorm == 0.0] = 1.0
+    grid = np.vstack([np.eye(k), rnd / rnorm[:, None]])
+    zeta = gen.standard_normal((draws, k))
+    t = lam.sum(axis=-1)
+    scale = np.sqrt(radius * t)
+    cv = np.full(t.shape, np.nan)
+    for i in np.ndindex(t.shape):
+        if lam[i][0] <= 0.0:
+            continue
+        xi = zeta * np.sqrt(lam[i])
+        cv[i] = max(
+            float(np.quantile(np.square(xi + scale[i] * c).sum(axis=1) / t[i], 1.0 - alpha))
+            for c in grid
+        )
+    if cv.ndim:
+        return cv
+    if math.isnan(cv):
+        raise NumericalError("the transformed lower block is not positive definite")
+    return float(cv)
+
+
+def _check_radius(radius):
     if radius < 0.0:
         raise InputError(f"radius must be nonnegative, got {radius}")
     if not math.isfinite(radius):
         # bias_bound / tau overflows at a tau near 0
         raise NumericalError(f"noncentrality radius {radius} is not finite")
-    w2t = np.asarray(w2t, dtype=float)
-    if method == "patnaik":
-        return _patnaik_quantile(effective_dof(w2t, radius), radius, alpha)
-    if method == "mc":
-        k = w2t.shape[0]
-        t = float(np.trace(w2t))
-        gen = RngStream(seed, 0).generator()
-        n_rand = max(0, _MC_DIRECTIONS - k)
-        rnd = gen.standard_normal((n_rand, k))
-        rnorm = np.linalg.norm(rnd, axis=1)
-        rnorm[rnorm == 0.0] = 1.0
-        grid = np.vstack([np.linalg.eigh(w2t)[1].T, rnd / rnorm[:, None]])
-        xi = mvn_sample(np.zeros(k), w2t, gen, draws)
-        scale = math.sqrt(radius * t)
-        best = 0.0
-        for c in grid:
-            s = np.square(xi + scale * c).sum(axis=1) / t
-            best = max(best, float(np.quantile(s, 1.0 - alpha)))
-        return best
-    raise InputError(f"unknown critical-value method {method!r}")
+
+
+def effective_dof(w2t, radius):
+    """Moment-matched effective degrees of freedom for the critical value."""
+    _check_radius(radius)
+    return float(_effective_dof(np.linalg.eigvalsh(np.asarray(w2t, dtype=float)), radius))
+
+
+def critical_value(w2t, radius, alpha, method="patnaik", draws=100000, seed=0):
+    """Critical value for the generalized effective F-statistic on the
+    transformed lower block `w2t`, "patnaik" or "mc" (`_critical_values`).
+    Both depend on `w2t` only through its eigenvalues."""
+    _check_alpha(alpha)
+    _check_radius(radius)
+    lam = np.linalg.eigvalsh(np.asarray(w2t, dtype=float))
+    return float(_critical_values(lam, radius, alpha, method, draws, seed))
 
 
 @dataclass(frozen=True, eq=False)

@@ -185,6 +185,16 @@ class TestUsageErrors:
         assert code == 0, err
         assert out.startswith("# weakiv nagar  design=d  n=10000  groups=3\n")
 
+    def test_n_past_its_cap_exits_2(self, tmp_path, capsys):
+        """An n that the draw could not hold is one error line, not numpy's
+        allocation traceback."""
+        path = tmp_path / "d.yaml"
+        path.write_text("pi0: [0.5, -0.2]\nvar_v2: [1.0, 2.0]\nvar_u: 1.0\n"
+                        "cov_uv2: 0.3\nn: 1000000000000000\n")
+        code, out, err = run_main(["simulate", str(path), "--reps", "2"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "weakiv: error: n must be at most 10000000, got 1000000000000000\n"
+
     def test_non_string_design_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text("pi0: [0.5, -0.2]\nvar_v2: [1.0, 2.0]\n1: 2\nnull: 3\n")

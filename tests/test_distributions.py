@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import cdf_calls  # noqa: F401  (fixture)
-from weakiv import NoncentralChiSq, RngStream, chisq_cdf, chisq_quantile, mvn_sample
+from weakiv import NoncentralChiSq, RngStream, chisq_cdf, chisq_quantile
 from weakiv import distributions
 from weakiv.distributions import lower_gamma_regularized
 from weakiv.errors import NumericalError
@@ -449,22 +449,3 @@ class TestRngStream:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-
-class TestMvnSample:
-    def test_moments(self):
-        cov = np.array([[2.0, 0.8], [0.8, 1.0]])
-        mean = np.array([1.0, -2.0])
-        draws = mvn_sample(mean, cov, RngStream(0, 0), 200000)
-        assert draws.shape == (200000, 2)
-        assert np.allclose(draws.mean(axis=0), mean, atol=0.02)
-        assert np.allclose(np.cov(draws.T), cov, atol=0.03)
-
-    def test_accepts_generator(self):
-        gen = np.random.default_rng(9)
-        draws = mvn_sample(np.zeros(3), np.eye(3), gen, 10)
-        assert draws.shape == (10, 3)
-
-    def test_rejects_non_pd(self):
-        cov = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(NumericalError):
-            mvn_sample(np.zeros(2), cov, RngStream(0, 0), 5)

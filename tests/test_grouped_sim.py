@@ -13,6 +13,7 @@ from weakiv import (
     RngStream,
     WeightSpec,
     available_designs,
+    critical_value,
     estimate,
     estimate_moment_cov,
     f_effective,
@@ -131,6 +132,9 @@ class TestDesigns:
             GroupedDesign(pi0=np.ones(3), var_v2=np.array([1.0, -1.0, 1.0]))
         with pytest.raises(InputError):
             GroupedDesign(pi0=np.ones(3), var_v2=np.ones(3), n=4)
+        assert GroupedDesign(pi0=np.ones(3), var_v2=np.ones(3), n=10**7).n == 10**7
+        with pytest.raises(InputError, match=r"^n must be at most 10000000, got 10000001$"):
+            GroupedDesign(pi0=np.ones(3), var_v2=np.ones(3), n=10**7 + 1)
         with pytest.raises(InputError, match="var_u"):
             GroupedDesign(pi0=np.ones(3), var_v2=np.ones(3), var_u=np.ones(3))
         with pytest.raises(InputError, match="not positive definite"):
@@ -438,6 +442,25 @@ class TestRunSim:
         }
         with pytest.raises(NumericalError, match="every replication failed"):
             run_sim(design, 4, seed=0, tau=tau)
+
+    def test_mc_method_matches_dense_critical_value(self):
+        """`method="mc"` on a 2-group design: each critical value is the
+        dense `critical_value` on the replication's diagonal W, bit for bit,
+        and the failures are the patnaik run's."""
+        design = small_structural(g=2)
+        summ = run_sim(design, 1, seed=5, benchmark="mop", method="mc")
+        patnaik = run_sim(design, 1, seed=5, benchmark="mop")
+        assert summ.method == "mc"
+        assert (summ.failures, summ.redraws) == (patnaik.failures, patnaik.redraws)
+        m = grouped_sim._moment_columns(design, 5, range(1), Counter())
+        for _, stat, d in grouped_sim._estimators(m["var_x"]):
+            w = m["var_x"] / d
+            bias, ok = weak_test._diagonal_worst_case_bias(
+                m["var_y"] / d, m["cov_xy"] / d, w, "mop"
+            )
+            assert ok.all()
+            want = critical_value(np.diag(w[0]), bias[0] / 0.1, 0.05, "mc")
+            assert summ.means[f"cv_{stat}"] == want
 
     def test_failed_quantile_fails_its_replication_only(self, monkeypatch):
         design = small_structural()

@@ -8,6 +8,11 @@ Every case is seeded: clustered data with two controls (an intercept and one
 regressor), n = 1000 and k_z from 2 to 8, run through `weak_iv_test` (2SLS and
 GMMf, each under the ls and mop benchmarks) and `estimate`, with the
 cluster-robust moment covariance and its degrees-of-freedom correction.
+
+The Monte Carlo critical value (`method="mc"`) depends on the transformed
+lower block W only through its eigenvalues, so it is held to the same
+tolerances, with fixed draws and seed, on one dataset per k_z under the ls
+benchmark.
 """
 
 import math
@@ -25,6 +30,7 @@ BENCHMARKS = ("ls", "mop")
 TEST_FIELDS = ("statistic", "bias_bound", "effective_dof", "cv")
 ESTIMATE_FIELDS = ("beta_hat", "se_robust", "se_nonrobust")
 OPTIONS = {"flavor": "cluster", "dof_correction": True}
+MC = {"method": "mc", "mc_draws": 5000, "mc_seed": 7}
 
 
 @lru_cache(maxsize=None)
@@ -53,11 +59,16 @@ def with_cond(rng, k, cond):
     return (u * np.logspace(0.0, -math.log10(cond), k)) @ v.T
 
 
-def outputs(data):
-    """Each (kind, benchmark)'s test outputs, and each kind's estimates."""
+def outputs(data, method="patnaik"):
+    """Each (kind, benchmark)'s test outputs, and each kind's estimates; under
+    "mc", each kind's test outputs under the ls benchmark only."""
     pd_ = partial_out(data)
     out = {}
     for kind in KINDS:
+        if method == "mc":
+            res = weak_iv_test(pd_, WeightSpec(kind), benchmark="ls", **OPTIONS, **MC)
+            out[kind, "ls"] = {f: float(getattr(res, f)) for f in TEST_FIELDS}
+            continue
         for bench in BENCHMARKS:
             res = weak_iv_test(pd_, WeightSpec(kind), benchmark=bench, **OPTIONS)
             out[kind, bench] = {f: float(getattr(res, f)) for f in TEST_FIELDS}
@@ -67,15 +78,15 @@ def outputs(data):
 
 
 @lru_cache(maxsize=None)
-def seed_outputs(seed):
-    return outputs(make_data(seed))
+def seed_outputs(seed, method):
+    return outputs(make_data(seed), method)
 
 
-def assert_invariant(seed, moved, rtol_test, rtol_est, a=1.0, b=1.0, c=0.0):
+def assert_invariant(seed, method, moved, rtol_test, rtol_est, a=1.0, b=1.0, c=0.0):
     """The outputs on `moved` equal those on `make_data(seed)`, where `moved`
     has y -> a y + c x and x -> b x: the coefficient maps to (a beta + c) / b
     and the standard errors scale by |a / b|."""
-    want, got = seed_outputs(seed), outputs(moved)
+    want, got = seed_outputs(seed, method), outputs(moved, method)
     for key, fields in want.items():
         for field, value in fields.items():
             if field == "beta_hat":
@@ -93,44 +104,47 @@ def rebuilt(data, **changes):
 
 
 SEEDS = range(len(KZ) * 2)
+CASES = [("patnaik", seed) for seed in SEEDS] + [("mc", seed) for seed in range(len(KZ))]
+"""(method, seed): every seed under patnaik, one per k_z under mc."""
+CASE_IDS = [f"mc-{seed}" if method == "mc" else str(seed) for method, seed in CASES]
 
 
 @pytest.mark.parametrize("cond, rtol_test, rtol_est",
                          [(1e4, 1e-9, 1e-8), (1e6, 1e-9, 1e-8), (1e8, 1e-7, 1e-5)])
-@pytest.mark.parametrize("seed", SEEDS)
-def test_instrument_basis(seed, cond, rtol_test, rtol_est):
+@pytest.mark.parametrize("method, seed", CASES, ids=CASE_IDS)
+def test_instrument_basis(method, seed, cond, rtol_test, rtol_est):
     data = make_data(seed)
     a = with_cond(np.random.default_rng(100 + seed), data.k_z, cond)
-    assert_invariant(seed, rebuilt(data, z=data.z @ a), rtol_test, rtol_est)
+    assert_invariant(seed, method, rebuilt(data, z=data.z @ a), rtol_test, rtol_est)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_control_basis_and_controls_added_to_instruments(seed):
+@pytest.mark.parametrize("method, seed", CASES, ids=CASE_IDS)
+def test_control_basis_and_controls_added_to_instruments(method, seed):
     data = make_data(seed)
     rng = np.random.default_rng(200 + seed)
     b = with_cond(rng, 2, 1e2)
     c = rng.standard_normal((2, data.k_z))
-    assert_invariant(seed, rebuilt(data, controls=data.controls @ b), 1e-9, 1e-8)
-    assert_invariant(seed, rebuilt(data, z=data.z + data.controls @ c), 1e-9, 1e-8)
+    assert_invariant(seed, method, rebuilt(data, controls=data.controls @ b), 1e-9, 1e-8)
+    assert_invariant(seed, method, rebuilt(data, z=data.z + data.controls @ c), 1e-9, 1e-8)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_row_order_and_cluster_labels(seed):
+@pytest.mark.parametrize("method, seed", CASES, ids=CASE_IDS)
+def test_row_order_and_cluster_labels(method, seed):
     data = make_data(seed)
     rng = np.random.default_rng(300 + seed)
     rows = rng.permutation(N)
     permuted = Dataset(y=data.y[rows], x=data.x[rows], z=data.z[rows],
                        controls=data.controls[rows], cluster=data.cluster[rows])
-    assert_invariant(seed, permuted, 1e-9, 1e-8)
+    assert_invariant(seed, method, permuted, 1e-9, 1e-8)
     names = np.array([f"g{i}" for i in rng.permutation(40)])
-    assert_invariant(seed, rebuilt(data, cluster=names[data.cluster]), 1e-9, 1e-8)
+    assert_invariant(seed, method, rebuilt(data, cluster=names[data.cluster]), 1e-9, 1e-8)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("method, seed", CASES, ids=CASE_IDS)
 @pytest.mark.parametrize("a, b, c", [(1.0, 1.0, 2.5), (1.0, 1.0, -0.7), (1e8, 1.0, 0.0),
                                      (1e-8, 1.0, 0.0), (1.0, 1e8, 0.0), (1.0, 1e-8, 0.0),
                                      (-3.0, 0.01, 40.0)])
-def test_units_of_y_and_x(seed, a, b, c):
+def test_units_of_y_and_x(method, seed, a, b, c):
     data = make_data(seed)
     moved = rebuilt(data, y=a * data.y + c * data.x, x=b * data.x)
-    assert_invariant(seed, moved, 1e-9, 1e-8, a=a, b=b, c=c)
+    assert_invariant(seed, method, moved, 1e-9, 1e-8, a=a, b=b, c=c)

@@ -514,6 +514,33 @@ class TestCriticalValue:
         b = critical_value(w, 4.0, 0.05, method="mc", draws=20000, seed=11)
         assert a == b
 
+    def test_mc_depends_on_eigenvalues_only(self):
+        rng = np.random.default_rng(21)
+        w = random_spd(rng, 4)
+        rot, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        lam = np.linalg.eigvalsh(w)
+        a = critical_value(w, 3.0, 0.05, method="mc", draws=5000, seed=2)
+        b = critical_value(rot @ w @ rot.T, 3.0, 0.05, method="mc", draws=5000, seed=2)
+        c = critical_value(np.diag(lam[::-1]), 3.0, 0.05, method="mc", draws=5000, seed=2)
+        assert b == pytest.approx(a, rel=1e-12)
+        assert c == pytest.approx(a, rel=1e-12)
+
+    def test_batch_matches_one_law_at_a_time(self):
+        """A batch of diagonal laws, as the grouped simulation passes them:
+        each row's value is the dense critical value on its diagonal, bit for
+        bit under mc; a row with a zero eigenvalue has no mc value."""
+        lam = np.array([[2.0, 0.5, 1.0], [0.3, 0.3, 4.0], [1.0, 0.0, 2.0]])
+        radius = np.array([0.0, 5.0, 2.0])
+        mc = weak_test._critical_values(lam, radius, 0.05, "mc", draws=3000, seed=4)
+        for row, r, got in zip(lam[:2], radius, mc):
+            assert got == critical_value(np.diag(row), r, 0.05, "mc", draws=3000, seed=4)
+        assert np.isnan(mc[2])
+        with pytest.raises(NumericalError, match="not positive definite"):
+            critical_value(np.diag(lam[2]), 2.0, 0.05, "mc", draws=3000, seed=4)
+        pat = weak_test._critical_values(lam, radius, 0.05)
+        for row, r, got in zip(lam, radius, pat):
+            assert got == pytest.approx(critical_value(np.diag(row), r, 0.05), rel=1e-12)
+
     def test_unknown_method(self):
         with pytest.raises(InputError, match="unknown critical-value method"):
             critical_value(np.eye(2), 1.0, 0.05, method="bootstrap")
