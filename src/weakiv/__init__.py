@@ -29,15 +29,15 @@ _EXPORTS = {
     "FStatValue": "fstats", "f_effective": "fstats", "f_generalized": "fstats",
     "f_nonrobust": "fstats", "f_robust": "fstats",
     "DesignComparison": "grouped_sim", "GroupStats": "grouped_sim",
-    "GroupedDesign": "grouped_sim", "SimSummary": "grouped_sim",
-    "available_designs": "grouped_sim", "generate": "grouped_sim",
-    "group_stats": "grouped_sim", "load_design": "grouped_sim",
+    "GroupedBiasDiagnostics": "grouped_sim", "GroupedDesign": "grouped_sim",
+    "SimSummary": "grouped_sim", "available_designs": "grouped_sim",
+    "generate": "grouped_sim", "group_stats": "grouped_sim",
+    "load_design": "grouped_sim", "nagar_bias_grouped": "grouped_sim",
     "random_design_comparison": "grouped_sim", "run_sim": "grouped_sim",
     "sweep_scale": "grouped_sim",
-    "Benchmark": "weak_test", "GroupedBiasDiagnostics": "weak_test",
-    "SupResult": "weak_test", "WeakIvResult": "weak_test",
-    "critical_value": "weak_test", "effective_dof": "weak_test",
-    "nagar_bias_grouped": "weak_test", "transform_moment_cov": "weak_test",
+    "Benchmark": "weak_test", "SupResult": "weak_test",
+    "WeakIvResult": "weak_test", "critical_value": "weak_test",
+    "effective_dof": "weak_test", "transform_moment_cov": "weak_test",
     "weak_iv_test": "weak_test", "worst_case_bias": "weak_test",
 }
 __all__ = list(_EXPORTS)

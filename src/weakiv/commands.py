@@ -294,8 +294,7 @@ def cmd_curves(args):
 
 
 def cmd_nagar(args):
-    from .grouped_sim import load_design
-    from .weak_test import nagar_bias_grouped
+    from .grouped_sim import load_design, nagar_bias_grouped
 
     design = load_design(args.design)
     conc = design.n * design.pi**2 / design.var_v2

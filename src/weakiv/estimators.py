@@ -252,6 +252,15 @@ def _sandwich(z, t, u, denom, labels, dof_correction):
     return math.sqrt(max(var, 0.0))
 
 
+def _gmmf_weight(w2):
+    """The GMMf weight: the symmetrized inverse of the first-stage moment
+    covariance block `w2`."""
+    try:
+        return _sym(np.linalg.inv(w2))
+    except np.linalg.LinAlgError:
+        raise NumericalError("first-stage moment covariance is singular") from None
+
+
 def weight_matrix(pd, spec, cov=None):
     """The GMM weight matrix Omega that `spec` names for the data `pd`, in the
     basis q of `pd.z_qr` and exactly symmetric.
@@ -267,10 +276,7 @@ def weight_matrix(pd, spec, cov=None):
         return _sym(t @ spec.omega @ t.T)
     if cov is None:
         raise InputError("the gmmf weight needs the moment covariance: pass cov")
-    try:
-        return _sym(np.linalg.inv(cov.v2v2))
-    except np.linalg.LinAlgError:
-        raise NumericalError("first-stage moment covariance is singular") from None
+    return _gmmf_weight(cov.v2v2)
 
 
 def estimate(pd, spec, flavor="hc0", dof_correction=False):

@@ -1,17 +1,20 @@
 """First-stage F-statistics.
 
-Four variants on the partialled model x = Z pi + v2, in the instrument basis
-q of `PartialledData.z_qr` (z = q t, q'q = n I):
+On the partialled model x = Z pi + v2, in the instrument basis q of
+`PartialledData.z_qr` (z = q t, q'q = n I), with W2 the first-stage moment
+covariance block in basis q:
 
 - nonrobust:   x'P_Z x / (k_z sigma_v2^2)
-- robust:      x'q W2^{-1} q'x / (n k_z)
-- effective:   x'P_Z x / tr(W2)
 - generalized: x'q Omega q'x / (n tr(W2 Omega)) for a weight matrix Omega
 
-with W2 the first-stage moment covariance block, and W2 and Omega in basis q.
-The generalized statistic specializes to the effective one at Omega = I and
-to the robust one at Omega = W2^{-1}. Pass blocks from a single
-moment-covariance estimation so that one report stays internally consistent.
+The three weighted statistics are that one formula at three weights, the
+weights of the GMM estimators they test: the effective F at Omega = I
+(2SLS), the robust F at the GMMf weight Omega = W2^{-1} (from the helper
+that `weight_matrix` uses), and the generalized F at a given Omega.
+`weak_iv_test` tests the same formula at its estimator's weight, so
+`weakiv estimate` and `weakiv weakivtest` print the same robust F. Pass
+blocks from a single moment-covariance estimation so that one report stays
+internally consistent.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .estimators import _spd, _square
+from .estimators import _gmmf_weight, _spd, _square
 
 __all__ = [
     "FStatValue",
@@ -55,28 +58,23 @@ def f_nonrobust(pd):
     return FStatValue("nonrobust", float(qtx @ qtx) / (pd.n * pd.k_z * sigma2))
 
 
+def _weighted_f(pd, kind, w2, omega):
+    """x'q Omega q'x / (n tr(W2 Omega)), labelled `kind`."""
+    qtx = _qtx(pd)
+    denom = pd.n * float(np.trace(w2 @ omega))
+    if denom <= 0.0:
+        raise NumericalError(f"nonpositive trace in {kind} F denominator")
+    return FStatValue(kind, float(qtx @ omega @ qtx) / denom)
+
+
 def f_robust(pd, w2):
     w2 = _square(w2, pd.k_z, "w2")
-    qtx = _qtx(pd)
-    try:
-        t = np.linalg.solve(w2, qtx)
-    except np.linalg.LinAlgError:
-        raise NumericalError("first-stage moment covariance is singular") from None
-    return FStatValue("robust", float(qtx @ t) / (pd.n * pd.k_z))
+    return _weighted_f(pd, "robust", w2, _gmmf_weight(w2))
 
 
 def f_effective(pd, w2):
-    denom = float(np.trace(_square(w2, pd.k_z, "w2")))
-    if denom <= 0.0:
-        raise NumericalError("nonpositive trace in effective F denominator")
-    qtx = _qtx(pd)
-    return FStatValue("effective", float(qtx @ qtx) / (pd.n * denom))
+    return _weighted_f(pd, "effective", _square(w2, pd.k_z, "w2"), np.eye(pd.k_z))
 
 
 def f_generalized(pd, cov, omega):
-    omega = _spd(omega, k=pd.k_z)
-    qtx = _qtx(pd)
-    denom = pd.n * float(np.trace(cov.v2v2 @ omega))
-    if denom <= 0.0:
-        raise NumericalError("nonpositive trace in generalized F denominator")
-    return FStatValue("generalized", float(qtx @ omega @ qtx) / denom)
+    return _weighted_f(pd, "generalized", cov.v2v2, _spd(omega, k=pd.k_z))

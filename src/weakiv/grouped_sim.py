@@ -12,7 +12,10 @@ generalized effective F is
     F_d = sum_g(n_g xbar_g^2 / d_g) / sum_g(var_x,g / d_g),
 
 the effective F (f_eff) at d = 1 and the robust F (f_r, the mean of the
-per-group F-statistics) at d = var_x. Replication r draws from an independent
+per-group F-statistics) at d = var_x. The closed-form concentrations and
+Nagar biases of designs with fixed shares (`nagar_bias_grouped`,
+`random_design_comparison`) run the same divisor table at d = var_v2.
+Replication r draws from an independent
 counter-based substream (seed, r), which makes results invariant to the
 worker count.
 
@@ -44,20 +47,19 @@ from .data import Dataset
 from .distributions import RngStream, _normal_tail_quantile
 from .errors import InputError, NumericalError, WeakIvError
 from .estimators import _resid_cov_singular
-from .weak_test import (
-    _check_alpha, _concentrations, _critical_values, _diagonal_worst_case_bias,
-    _nagar_biases,
-)
+from .weak_test import _check_alpha, _critical_values, _diagonal_worst_case_bias
 
 __all__ = [
     "DesignComparison",
     "GroupStats",
+    "GroupedBiasDiagnostics",
     "GroupedDesign",
     "SimSummary",
     "available_designs",
     "generate",
     "group_stats",
     "load_design",
+    "nagar_bias_grouped",
     "random_design_comparison",
     "run_sim",
     "sweep_scale",
@@ -67,6 +69,12 @@ _MAX_REDRAWS = 10
 _MAX_N = 10**7
 """Largest design n. One replication's draw holds about 48 bytes per row of a
 structural design (24 of a first-stage one), so about 480 MB at the cap."""
+_MAX_G = 1000
+"""Largest design G. A chunk holds a (chunk, 6, G) table of group sums and each
+draw makes G - 1 passes over its rows; 1024 replications peak at about 300 MB
+at the cap."""
+_GENERATE_CELLS = 10**8
+"""Largest n * G for `generate`, whose dense instrument matrix is then 800 MB."""
 _CHUNK_REPS = 1024
 """Most replications one chunk holds; bounds the memory of its columns."""
 _COMPARE_GROUPS = 10
@@ -130,6 +138,8 @@ class GroupedDesign:
             raise InputError("pi0 contains non-finite values")
         object.__setattr__(self, "pi0", pi0)
         g = pi0.size
+        if g > _MAX_G:
+            raise InputError(f"G (the length of pi0) must be at most {_MAX_G}, got {g}")
         var_v2 = _as_float_vector(self.var_v2, g, "var_v2")
         if np.any(var_v2 <= 0.0):
             raise InputError("var_v2 entries must be positive")
@@ -320,14 +330,20 @@ def generate(design, rng=0):
             "design has no structural covariances (var_u, cov_uv2); it can only "
             "be used for first-stage summaries via run_sim"
         )
+    n, g = design.n, design.G
+    if n * g > _GENERATE_CELLS:
+        raise InputError(
+            f"generate builds a dense n x G instrument matrix: n = {n} and G = {g} "
+            f"give {n * g} cells, past its budget of {_GENERATE_CELLS}"
+        )
     gen = _as_generator(rng)
     labels, _ = _draw_labels(design, gen)
     l11, l21, l22 = _cholesky(design)
-    eps = gen.standard_normal((design.n, 2))
+    eps = gen.standard_normal((n, 2))
     x = design.pi[labels] + (l21[labels] * eps[:, 0] + l22[labels] * eps[:, 1])
     y = design.beta * x + l11[labels] * eps[:, 0]
-    z = np.zeros((design.n, design.G))
-    z[np.arange(design.n), labels] = 1.0
+    z = np.zeros((n, g))
+    z[np.arange(n), labels] = 1.0
     return Dataset(y=y, x=x, z=z, cluster=labels)
 
 
@@ -769,6 +785,50 @@ def sweep_scale(design, scales, reps, **options):
     return rows
 
 
+def _closed_forms(cf, sv2, suv=None):
+    """Closed-form concentration and, given the structural covariances `suv`,
+    Nagar bias of each estimator of `_estimators` in grouped designs with
+    fixed group shares, from the per-group concentrations cf = c^2 f and the
+    first-stage variances sv2 (so d = sv2 for GMMf). With r = cf / d, the
+    concentration is sum(r) / sum(sv2 / d) and the Nagar bias
+    sum((1 - 2 r / sum(r)) suv / d) / sum(r). The last axis indexes groups,
+    leading axes are designs; returns conc_<estimator> and nagar_<estimator>."""
+    out = {}
+    for est, _, d in _estimators(sv2):
+        r = cf / d
+        rtot = r.sum(axis=-1)
+        out[f"conc_{est}"] = rtot / (sv2 / d).sum(axis=-1)
+        if suv is not None:
+            out[f"nagar_{est}"] = (
+                ((1.0 - 2.0 * r / rtot[..., None]) * (suv / d)).sum(axis=-1) / rtot
+            )
+    return out
+
+
+@dataclass(frozen=True)
+class GroupedBiasDiagnostics:
+    nagar_2sls: float
+    nagar_gmmf: float
+    conc_2sls: float
+    conc_gmmf: float
+
+
+def nagar_bias_grouped(design):
+    """Closed-form approximate biases and concentrations for a grouped design
+    with fixed group shares (`_closed_forms`)."""
+    if design.cov_uv2 is None:
+        raise InputError(
+            "design has no structural covariances (cov_uv2); closed-form bias "
+            "diagnostics need them"
+        )
+    c = math.sqrt(design.n) * design.pi
+    cf = c * c * design.group_probs
+    if cf.sum() <= 0.0:
+        raise NumericalError("zero concentration: all first-stage coefficients vanish")
+    forms = _closed_forms(cf, design.var_v2, design.cov_uv2)
+    return GroupedBiasDiagnostics(**{k: float(v) for k, v in forms.items()})
+
+
 @dataclass(frozen=True, eq=False)
 class DesignComparison:
     """Closed-form bias comparison over random grouped designs."""
@@ -819,7 +879,8 @@ def random_design_comparison(count=1000, seed=0):
         v2 = 10.0 * (1.0 - gen.random(size))
         rho = gen.uniform(-1.0, 1.0, size)
         suv = rho * np.sqrt(vu * v2)
-        mu2_2sls, mu2_gmmf = _concentrations(c * c * share, v2)
+        forms = _closed_forms(c * c * share, v2)
+        mu2_2sls, mu2_gmmf = forms["conc_2sls"], forms["conc_gmmf"]
         rho_all = suv.mean(axis=1) / np.sqrt(vu.mean(axis=1) * v2.mean(axis=1))
         keep = (
             (np.abs(rho_all) > 0.2)
@@ -833,11 +894,9 @@ def random_design_comparison(count=1000, seed=0):
         if idx.size:
             kept.append((c[idx], vu[idx], v2[idx], suv[idx]))
             n_kept += idx.size
-    c = np.concatenate([part[0] for part in kept])[:count]
-    vu = np.concatenate([part[1] for part in kept])[:count]
-    v2 = np.concatenate([part[2] for part in kept])[:count]
-    suv = np.concatenate([part[3] for part in kept])[:count]
-    nagar_2sls, nagar_gmmf = _nagar_biases(c * c * share, v2, suv)
+    c, vu, v2, suv = (np.concatenate(part)[:count] for part in zip(*kept))
+    forms = _closed_forms(c * c * share, v2, suv)
+    nagar_2sls, nagar_gmmf = forms["nagar_2sls"], forms["nagar_gmmf"]
     return DesignComparison(
         count=count,
         attempts=attempts,

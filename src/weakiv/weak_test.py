@@ -37,12 +37,10 @@ from .fstats import FStatValue, f_generalized
 
 __all__ = [
     "Benchmark",
-    "GroupedBiasDiagnostics",
     "SupResult",
     "WeakIvResult",
     "critical_value",
     "effective_dof",
-    "nagar_bias_grouped",
     "transform_moment_cov",
     "weak_iv_test",
     "worst_case_bias",
@@ -448,9 +446,11 @@ def weak_iv_test(
             )
         bias_bound = sup.value
         radius = bias_bound / tau
-    keff = effective_dof(tc.v2v2, radius)
-    cv = critical_value(
-        tc.v2v2, radius, alpha, "patnaik" if method == "conservative" else method,
+    _check_radius(radius)
+    lam = np.linalg.eigvalsh(tc.v2v2)
+    keff = _effective_dof(lam, radius)
+    cv = _critical_values(
+        lam, radius, alpha, "patnaik" if method == "conservative" else method,
         draws=mc_draws, seed=mc_seed,
     )
     return WeakIvResult(
@@ -466,55 +466,4 @@ def weak_iv_test(
         reject=bool(stat.value > cv),
         sup=sup,
         warnings=warnings,
-    )
-
-
-@dataclass(frozen=True)
-class GroupedBiasDiagnostics:
-    nagar_2sls: float
-    nagar_gmmf: float
-    conc_2sls: float
-    conc_gmmf: float
-
-
-def _nagar_biases(cf, sv2, suv):
-    """Closed-form Nagar biases (2SLS, GMMf) of grouped designs, from the
-    per-group concentrations c^2 f, first-stage variances and structural
-    covariances; the last axis indexes groups, leading axes are designs."""
-    total = cf.sum(axis=-1, keepdims=True)
-    r = cf / sv2
-    rtot = r.sum(axis=-1, keepdims=True)
-    nagar_2sls = ((1.0 - 2.0 * cf / total) * suv).sum(axis=-1) / total[..., 0]
-    nagar_gmmf = ((1.0 - 2.0 * r / rtot) * (suv / sv2)).sum(axis=-1) / rtot[..., 0]
-    return nagar_2sls, nagar_gmmf
-
-
-def _concentrations(cf, sv2):
-    """Concentrations (2SLS, GMMf) of grouped designs, sum(cf) / sum(sv2) and
-    the mean of cf / sv2, over the last axis (see _nagar_biases)."""
-    return cf.sum(axis=-1) / sv2.sum(axis=-1), (cf / sv2).sum(axis=-1) / cf.shape[-1]
-
-
-def nagar_bias_grouped(design):
-    """Closed-form approximate biases and concentrations for a grouped design
-    with fixed group shares."""
-    if design.cov_uv2 is None:
-        raise InputError(
-            "design has no structural covariances (cov_uv2); closed-form bias "
-            "diagnostics need them"
-        )
-    c = math.sqrt(design.n) * np.asarray(design.pi, dtype=float)
-    f = np.asarray(design.group_probs, dtype=float)
-    sv2 = np.asarray(design.var_v2, dtype=float)
-    suv = np.asarray(design.cov_uv2, dtype=float)
-    cf = c * c * f
-    if cf.sum() <= 0.0:
-        raise NumericalError("zero concentration: all first-stage coefficients vanish")
-    nagar_2sls, nagar_gmmf = _nagar_biases(cf, sv2, suv)
-    conc_2sls, conc_gmmf = _concentrations(cf, sv2)
-    return GroupedBiasDiagnostics(
-        nagar_2sls=float(nagar_2sls),
-        nagar_gmmf=float(nagar_gmmf),
-        conc_2sls=float(conc_2sls),
-        conc_gmmf=float(conc_gmmf),
     )

@@ -3,8 +3,10 @@ import csv
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +18,9 @@ from weakiv.cli import main
 from weakiv.grouped_sim import (
     available_designs,
     load_design,
+    nagar_bias_grouped,
     random_design_comparison,
 )
-from weakiv.weak_test import nagar_bias_grouped
 
 
 def write_iv_csv(path, n=300, kz=3, seed=0, weak=False, het=False):
@@ -195,6 +197,16 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err == "weakiv: error: n must be at most 10000000, got 1000000000000000\n"
 
+    def test_group_count_past_its_cap_exits_2(self, tmp_path, capsys):
+        """A G whose group-sum tables and label passes would set the run's
+        memory is one error line that names G."""
+        path = tmp_path / "d.yaml"
+        path.write_text(f"pi0: {[0.1] * 1001}\nvar_v2: 1.0\nvar_u: 1.0\n"
+                        "cov_uv2: 0.3\nn: 5000\nsizes: fixed\n")
+        code, out, err = run_main(["simulate", str(path), "--reps", "2"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "weakiv: error: G (the length of pi0) must be at most 1000, got 1001\n"
+
     def test_non_string_design_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text("pi0: [0.5, -0.2]\nvar_v2: [1.0, 2.0]\n1: 2\nnull: 3\n")
@@ -256,6 +268,26 @@ class TestEstimate:
         # repr round-trip means no precision was lost in formatting
         assert repr(float(values["f_eff"])) == values["f_eff"]
         assert repr(float(values["beta_gmmf"])) == values["beta_gmmf"]
+
+
+    def test_robust_f_is_the_one_weakivtest_tests(self, tmp_path, capsys):
+        """`estimate`'s f_r and `weakivtest`'s robust statistic come from one
+        formula at one weight, so they print the same number."""
+        workloads = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        path = tmp_path / "d.csv"
+        runpy.run_path(str(workloads))["write_csv"](
+            0, path, rows=2000, instruments=5, clusters=50)
+        bind = [str(path), "--y", "y", "--x", "x"]
+        for name in ("z01", "z02", "z03", "z04", "z05"):
+            bind += ["--z", name]
+        for name in ("const", "w1", "w2"):
+            bind += ["--controls", name]
+        code, out, err = run_main(["estimate", *bind, "--format", "json"], capsys)
+        assert code == 0, err
+        f_r = json.loads(out)["results"]["fstats"]["f_r"]
+        code, out, err = run_main(["weakivtest", *bind, "--format", "json"], capsys)
+        assert code == 0, err
+        assert f_r == json.loads(out)["results"]["robust"]["statistic"]
 
 
 class TestWeakIvTest:

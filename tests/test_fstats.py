@@ -3,12 +3,15 @@ import pytest
 
 from helpers import make_pd, q_basis, z_basis
 from weakiv import (
+    Dataset,
     PartialledData,
     estimate_moment_cov,
     f_effective,
     f_generalized,
     f_nonrobust,
     f_robust,
+    partial_out,
+    weak_iv_test,
 )
 from weakiv.errors import InputError, NumericalError
 
@@ -87,6 +90,23 @@ class TestSpecializations:
         assert float(f_effective(pd_, w2)) == pytest.approx(
             float(f_nonrobust(pd_)), rel=1e-10
         )
+
+
+def test_weighted_f_equal_the_test_statistics_bit_for_bit():
+    """f_effective and f_robust are the generalized F at the 2SLS and GMMf
+    weights that weak_iv_test uses, so they give its statistics exactly."""
+    rng = np.random.default_rng(25)
+    n, kz = 200, 4
+    for _ in range(60):
+        z = 1.0 + rng.standard_normal((n, kz))
+        scale = np.sqrt(0.5 + z[:, 0] ** 2)
+        e = rng.standard_normal((n, 2)) * scale[:, None]
+        x = z @ rng.uniform(0.05, 0.3, kz) + e[:, 1]
+        y = 0.5 * x + 0.6 * e[:, 1] + 0.8 * e[:, 0]
+        pd_ = partial_out(Dataset(y=y, x=x, z=z, controls=np.ones((n, 1))))
+        cov = estimate_moment_cov(pd_)
+        assert f_robust(pd_, cov.v2v2).value == weak_iv_test(pd_, "gmmf").statistic.value
+        assert f_effective(pd_, cov.v2v2).value == weak_iv_test(pd_, "2sls").statistic.value
 
 
 class TestValidation:

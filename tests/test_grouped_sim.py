@@ -127,6 +127,12 @@ class TestDesigns:
         with pytest.raises(InputError):
             load_design(str(path))
 
+    def test_group_count_cap(self):
+        assert GroupedDesign(pi0=np.ones(1000), var_v2=1.0).G == 1000
+        with pytest.raises(InputError,
+                           match=r"^G \(the length of pi0\) must be at most 1000, got 1001$"):
+            GroupedDesign(pi0=np.ones(1001), var_v2=1.0, n=5000)
+
     def test_validation(self):
         with pytest.raises(InputError, match="var_v2"):
             GroupedDesign(pi0=np.ones(3), var_v2=np.array([1.0, -1.0, 1.0]))
@@ -199,6 +205,15 @@ class TestGenerate:
     def test_first_stage_only_design_refused(self):
         with pytest.raises(InputError, match="structural"):
             generate(load_design("me"), rng=0)
+
+    def test_dataset_past_the_cell_budget_refused(self):
+        """The dense n x G instrument matrix is refused before it is
+        allocated, naming n and G."""
+        design = GroupedDesign(pi0=np.full(1000, 0.1), var_v2=1.0, var_u=1.0,
+                               cov_uv2=0.3, n=100_001, sizes="fixed")
+        with pytest.raises(InputError, match=r"n = 100001 and G = 1000 give 100001000 "
+                                             r"cells, past its budget of 100000000"):
+            generate(design, rng=0)
 
     def test_moments_roughly_match(self):
         design = small_structural(n=40000)
@@ -668,3 +683,26 @@ class TestRandomDesignComparison:
         monkeypatch.setattr(grouped_sim, "_COMPARE_MAX_ATTEMPTS", 100)
         with pytest.raises(NumericalError):
             random_design_comparison(count=100, seed=0)
+
+    def test_closed_forms_are_each_estimators_own_formula(self):
+        """The divisor loop gives, bit for bit, the concentration and Nagar
+        bias written out for 2SLS and for GMMf alone."""
+        rng = np.random.default_rng(12)
+        for g in (2, 10, 37):
+            cf = rng.uniform(0.0, 50.0, (200, g))
+            sv2 = 10.0 * (1.0 - rng.random((200, g)))
+            suv = rng.uniform(-3.0, 3.0, (200, g))
+            forms = grouped_sim._closed_forms(cf, sv2, suv)
+            total = cf.sum(axis=1)
+            r = cf / sv2
+            rtot = r.sum(axis=1)
+            want = {
+                "conc_2sls": total / sv2.sum(axis=1),
+                "conc_gmmf": rtot / g,
+                "nagar_2sls": ((1.0 - 2.0 * cf / total[:, None]) * suv).sum(axis=1) / total,
+                "nagar_gmmf": ((1.0 - 2.0 * r / rtot[:, None]) * (suv / sv2)).sum(axis=1)
+                / rtot,
+            }
+            assert forms.keys() == want.keys()
+            for key, value in want.items():
+                np.testing.assert_array_equal(forms[key], value, err_msg=key)
