@@ -149,9 +149,8 @@ def build_parser():
     )
     sim_parent.add_argument("--seed", type=int, default=0)
     sim_parent.add_argument(
-        "--workers", type=_positive_int("workers"), default=None,
-        help="worker processes (default: WEAKIV_WORKERS or 1; at most the "
-        "CPU count)",
+        "--workers", type=_positive_int("workers"), default=1,
+        help="worker processes (default 1; at most the CPU count)",
     )
 
     sub.add_parser(

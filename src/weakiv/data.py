@@ -20,6 +20,11 @@ __all__ = ["Dataset", "PartialledData", "load_csv", "partial_out"]
 
 _RANK_RTOL = 1e-10
 _CONTROLS = "control matrix"
+_RMS_RANGE = (1e-60, 1e60)
+"""Range of the root mean square of y and of x. Inside it, y and x at any two
+scales give every statistic, bias bound, critical value, estimate and
+standard error of the data at scale 1 to about 1e-14 relative; far past it,
+squares and products in the estimators overflow or underflow."""
 _QR_BLOCK_ROWS = 1024
 """Rows of a block in `_thin_qr`'s tall-skinny QR; at least four times the
 columns."""
@@ -49,6 +54,25 @@ class _RankDeficient(InputError):
         where = f" (column index {column})" if column is not None else ""
         super().__init__(f"{what} is rank deficient: collinear column{where}")
         self.what, self.column = what, column
+
+
+class _BadScale(InputError):
+    """The root mean square `rms` of `what` is outside _RMS_RANGE."""
+
+    def __init__(self, what, rms):
+        lo, hi = _RMS_RANGE
+        super().__init__(
+            f"{what} has root mean square {rms:.3g}; it must be from {lo:g} to "
+            f"{hi:g}, so rescale it"
+        )
+        self.what, self.rms = what, rms
+
+
+def _rms(v):
+    """Root mean square of the finite vector `v`, with no square that can
+    overflow."""
+    peak = float(np.abs(v).max())
+    return 0.0 if peak == 0.0 else peak * float(np.sqrt(np.mean(np.square(v / peak))))
 
 
 def _thin_qr(m):
@@ -132,6 +156,10 @@ class Dataset:
             raise InputError(
                 f"need at least k_z + k_c + 2 = {k_z + k_c + 2} rows, got {n}"
             )
+        for name, arr in (("y", y), ("x", x)):
+            rms = _rms(arr)
+            if not _RMS_RANGE[0] <= rms <= _RMS_RANGE[1]:
+                raise _BadScale(name, rms)
         cluster = self.cluster
         if cluster is not None:
             cluster = np.asarray(cluster).ravel()
@@ -289,13 +317,17 @@ def load_csv(path, y, x, z, controls=(), cluster=None):
             parsed = _scan_cells(path, fh, index, names, cluster)
     values, labels = parsed
     k = len(z)
-    ds = Dataset(
-        y=values[:, 0].copy(),
-        x=values[:, 1].copy(),
-        z=np.ascontiguousarray(values[:, 2:2 + k]),
-        controls=np.ascontiguousarray(values[:, 2 + k:]) if controls else None,
-        cluster=labels,
-    )
+    try:
+        ds = Dataset(
+            y=values[:, 0].copy(),
+            x=values[:, 1].copy(),
+            z=np.ascontiguousarray(values[:, 2:2 + k]),
+            controls=np.ascontiguousarray(values[:, 2 + k:]) if controls else None,
+            cluster=labels,
+        )
+    except _BadScale as exc:
+        column = y if exc.what == "y" else x
+        raise _BadScale(f"{path}: column {column!r}", exc.rms) from None
     # free the parsed block before the QR factorizations run
     del parsed, values
     try:

@@ -73,8 +73,24 @@ _MAX_G = 1000
 """Largest design G. A chunk holds a (chunk, 6, G) table of group sums and each
 draw makes G - 1 passes over its rows; 1024 replications peak at about 300 MB
 at the cap."""
+_MAX_SCALE = 1e25
+"""Largest magnitude of a first-stage coefficient scale_e * pi0, of beta and of
+a standard deviation sqrt(var_v2) or sqrt(var_u), and the reciprocal of the
+smallest sqrt(var_v2). The robust Wald variance divides by the squared sum of
+the GMMf weights n_g xbar_g^2 / var_x,g, about n * pi^2 / var_v2, which
+overflows past 1e154; within the bounds and at the caps (n = 10^7, G = 1000)
+that sum stays below about 1e110 and the variance's numerator below about
+1e210."""
+_VAR_RANGE = (1e-50, 1e50)
+"""The squares of 1 / _MAX_SCALE and _MAX_SCALE: the range of var_v2, and the
+upper end that of var_u."""
 _GENERATE_CELLS = 10**8
 """Largest n * G for `generate`, whose dense instrument matrix is then 800 MB."""
+_MAX_REPS = 10**7
+"""Most replications of a run. `run_sim` keeps about 200 bytes of columns per
+replication until its summary, which concatenates them: tracemalloc peaks of
+5.2 MB at 4096 replications and 10.3 MB at 16384 on me_reconstructed, about
+415 bytes per replication, so about 4 GB at the cap."""
 _CHUNK_REPS = 1024
 """Most replications one chunk holds; bounds the memory of its columns."""
 _COMPARE_GROUPS = 10
@@ -95,6 +111,20 @@ def _as_float_array(value, name):
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise InputError(f"{name} must be a number or a list of numbers") from None
+
+
+def _as_int(value, name):
+    """`value` as an int: an integral float such as 1.0e+4 is one, a fraction
+    or a non-number is an InputError that names `name`."""
+    if isinstance(value, int):
+        return value
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not number.is_integer():
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(number)
 
 
 def _as_float_vector(value, g, name):
@@ -143,21 +173,26 @@ class GroupedDesign:
         var_v2 = _as_float_vector(self.var_v2, g, "var_v2")
         if np.any(var_v2 <= 0.0):
             raise InputError("var_v2 entries must be positive")
+        lo, hi = _VAR_RANGE
+        if np.any(var_v2 < lo) or np.any(var_v2 > hi):
+            raise InputError(f"var_v2 entries must be from {lo:g} to {hi:g}")
         object.__setattr__(self, "var_v2", var_v2)
         scale = _as_float(self.scale_e, "scale_e")
         if not math.isfinite(scale) or scale <= 0.0:
             raise InputError(f"scale_e must be a positive number, got {self.scale_e}")
+        peak = scale * float(np.abs(pi0).max())  # a float product: inf, no warning
+        if peak > _MAX_SCALE:
+            raise InputError(
+                f"scale_e * pi0 entries must be at most {_MAX_SCALE:g} in magnitude, "
+                f"got {peak:g}"
+            )
         object.__setattr__(self, "scale_e", scale)
         object.__setattr__(self, "beta", _as_float(self.beta, "beta"))
-        if not math.isfinite(self.beta):
-            raise InputError("beta must be finite")
-        try:
-            n = float(self.n)
-        except (TypeError, ValueError, OverflowError):
-            n = math.nan
-        if not n.is_integer():
-            raise InputError(f"n must be an integer, got {self.n!r}")
-        n = int(n)
+        if not abs(self.beta) <= _MAX_SCALE:
+            raise InputError(
+                f"beta must be at most {_MAX_SCALE:g} in magnitude, got {self.beta}"
+            )
+        n = _as_int(self.n, "n")
         if n < g + 2:
             raise InputError(f"n must be at least G + 2 = {g + 2}, got {n}")
         if n > _MAX_N:
@@ -170,6 +205,8 @@ class GroupedDesign:
             cov_uv2 = _as_float_vector(self.cov_uv2, g, "cov_uv2")
             if np.any(var_u <= 0.0):
                 raise InputError("var_u entries must be positive")
+            if np.any(var_u > hi):
+                raise InputError(f"var_u entries must be at most {hi:g}")
             det = var_u * var_v2 - cov_uv2 * cov_uv2
             if np.any(det <= 0.0):
                 bad = int(np.argmax(det <= 0.0))
@@ -380,9 +417,6 @@ def _stats_from_sums(counts, sx, cxx, sy=None, cxy=None, cyy=None):
             mean_y=mean_y,
             var_y=cyy / counts,
             cov_xy=cxy / counts,
-            sxx=sxx,
-            syy=cyy + sy * mean_y,
-            sxy=sxy,
             beta_ols=sxy.sum(axis=1) / sxx.sum(axis=1),
         )
     for est, stat, d in _estimators(var_x):
@@ -482,11 +516,7 @@ def _moment_columns(design, seed, rep_ids, tally):
     structural = design.has_structural
     fixed = design.sizes == "fixed"
     if fixed:
-        try:
-            labels, counts = _draw_labels(design, None)
-        except WeakIvError:
-            tally["draw"] += len(rep_ids)
-            return None
+        labels, counts = _draw_labels(design, None)
     sums = np.empty((len(rep_ids), 6 if structural else 3, g))
     done = 0
     for rep in rep_ids:
@@ -547,7 +577,7 @@ def _wald_critical_value(alpha):
     return z * z
 
 
-def _rep_stats(design, m, tau, alpha, benchmark, method, wald_cv, tally):
+def _rep_stats(design, m, tau, alpha, benchmark, method, tally):
     """Stage 2: the weak-instruments test and Wald test of each estimator of
     `_estimators`, for every replication of a chunk at once, from its moment
     columns `m`. Returns the columns of the replications that succeed;
@@ -571,12 +601,14 @@ def _rep_stats(design, m, tau, alpha, benchmark, method, wald_cv, tally):
         )
         fail("moment_cov", _resid_cov_singular(*resid))
     # the diagonal transformed covariances are positive definite group by
-    # group; the sample covariance of a two-observation group is singular, so
-    # it fails whatever the rounding of its determinant
-    singular = (m["counts"] <= 2) | (var_y * var_x - cov_xy * cov_xy <= 0.0)
+    # group, by the scale-free rule of the pooled one; the sample covariance
+    # of a two-observation group is singular, so it fails whatever the
+    # rounding of its determinant
+    singular = (m["counts"] <= 2) | _resid_cov_singular(var_y, cov_xy, var_x)
     fail("moment_cov", np.any(singular, axis=1))
     valid = ~failed  # one snapshot for both estimators' critical values
-    mean_x, sxx, syy, sxy = m["mean_x"], m["sxx"], m["syy"], m["sxy"]
+    mean_x, mean_y, counts = m["mean_x"], m["mean_y"], m["counts"]
+    wald_cv = _wald_critical_value(alpha)
     out = {k: m[k] for k in _SUMMARY_FIELDS + ("beta_ols",)}
     for est, stat, d in _estimators(var_x):
         v2v2 = var_x / d
@@ -590,23 +622,28 @@ def _rep_stats(design, m, tau, alpha, benchmark, method, wald_cv, tally):
         fail("bias_bound", ~ok)
         fail("critical_value", np.isnan(cv))
         b = m[f"beta_{est}"]
-        su = syy - 2.0 * b[:, None] * sxy + b[:, None] ** 2 * sxx
+        bg = b[:, None]
+        # each group's sum of (y - b x)^2 from its centered moments and means,
+        # so no square of a group mean cancels
+        r = mean_y - bg * mean_x
+        su = counts * (var_y - 2.0 * bg * cov_xy + bg * bg * var_x + r * r)
         var = ((mean_x / d) ** 2 * su).sum(axis=1) / m[f"den_{est}"] ** 2
         out[f"cv_{stat}"] = cv
         out[f"weak_{stat}"] = m[f"f_{stat}"] > cv
         out[f"beta_{est}"] = b
-        out[f"wald_{est}"] = (b - design.beta) ** 2 / var > wald_cv
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 in failed rows
+            out[f"wald_{est}"] = (b - design.beta) ** 2 / var > wald_cv
     return {k: v[~failed] for k, v in out.items()}
 
 
 def _sim_chunk(args):
     """Replications `rep_ids`: (columns of the successful ones or None, tally
     of failures by stage and of empty-group redraws)."""
-    design, rep_ids, seed, tau, alpha, benchmark, method, wald_cv = args
+    design, rep_ids, seed, tau, alpha, benchmark, method = args
     tally = Counter()
     cols = _moment_columns(design, seed, rep_ids, tally)
     if cols is not None and design.has_structural:
-        cols = _rep_stats(design, cols, tau, alpha, benchmark, method, wald_cv, tally)
+        cols = _rep_stats(design, cols, tau, alpha, benchmark, method, tally)
     return cols, tally
 
 
@@ -634,23 +671,6 @@ class SimSummary:
     group_means: dict
 
 
-def _resolve_workers(workers):
-    if workers is None:
-        env = os.environ.get("WEAKIV_WORKERS", "").strip()
-        if not env:
-            return 1
-        try:
-            workers = int(env)
-        except ValueError:
-            raise InputError(
-                f"WEAKIV_WORKERS must be an integer, got {env!r}"
-            ) from None
-    workers = int(workers)
-    if workers < 1:
-        raise InputError(f"workers must be at least 1, got {workers}")
-    return workers
-
-
 def _pool_size(workers, jobs, cpus):
     """Worker processes to start: never more than the jobs or the CPUs, since
     a fork pool starts all of its processes at once."""
@@ -665,7 +685,7 @@ def run_sim(
     seed=0,
     benchmark="ls",
     method="patnaik",
-    workers=None,
+    workers=1,
 ):
     """Simulate a grouped design and summarize the replications.
 
@@ -676,9 +696,9 @@ def run_sim(
     F-statistics and weights only. Failed replications are counted in
     `failed`, and by stage in `failures`, and excluded from the summaries.
     """
-    reps = int(reps)
-    if reps < 1:
-        raise InputError(f"reps must be at least 1, got {reps}")
+    reps = _as_int(reps, "reps")
+    if not 1 <= reps <= _MAX_REPS:
+        raise InputError(f"reps must be from 1 to {_MAX_REPS}, got {reps}")
     if benchmark not in ("mop", "ls"):
         raise InputError(f"unknown benchmark {benchmark!r}")
     if method not in ("patnaik", "mc"):
@@ -686,16 +706,16 @@ def run_sim(
     if not 0.0 < tau < 1.0:
         raise InputError(f"tau must be in (0, 1), got {tau}")
     _check_alpha(alpha)
-    workers = _resolve_workers(workers)
+    workers = _as_int(workers, "workers")
+    if workers < 1:
+        raise InputError(f"workers must be at least 1, got {workers}")
     seed = RngStream(int(seed)).seed  # a bad seed fails here, before any worker starts
-    wald_cv = None
-    if design.has_structural:
-        wald_cv = _wald_critical_value(alpha)
+    if design.sizes == "fixed":
+        _fixed_counts(design.n, design.group_probs)  # a design error, before any draw
     chunk = _CHUNK_REPS if workers == 1 else math.ceil(reps / (4 * workers))
     chunk = min(chunk, _CHUNK_REPS)
     jobs = [
-        (design, range(lo, min(lo + chunk, reps)), seed, tau, alpha,
-         benchmark, method, wald_cv)
+        (design, range(lo, min(lo + chunk, reps)), seed, tau, alpha, benchmark, method)
         for lo in range(0, reps, chunk)
     ]
     if workers == 1:

@@ -207,6 +207,84 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err == "weakiv: error: G (the length of pi0) must be at most 1000, got 1001\n"
 
+    @pytest.mark.parametrize("argv", [["simulate", "me"], ["curves", "me_reconstructed",
+                                                          "--scales", "1"]])
+    def test_reps_past_its_cap_exits_2(self, argv, capsys):
+        """A --reps whose summary columns would not fit in memory is one error
+        line, before any job is built."""
+        code, out, err = run_main([*argv, "--reps", "10000001"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "weakiv: error: reps must be from 1 to 10000000, got 10000001\n"
+
+    def test_workers_default_to_one(self):
+        parser = weakiv.cli.build_parser()
+        for argv in (["simulate", "me"], ["curves", "me", "--scales", "1"]):
+            assert parser.parse_args(argv).workers == 1
+
+    @pytest.mark.parametrize("argv", [["simulate"], ["curves", "--scales", "1,2"]])
+    def test_fixed_apportionment_leaving_a_group_empty_exits_2(self, argv, tmp_path, capsys):
+        path = tmp_path / "d.yaml"
+        path.write_text("pi0: [0.5, 0.4, 0.3]\nvar_v2: 1\nvar_u: 1\ncov_uv2: 0.3\n"
+                        "n: 100\nsizes: fixed\ngroup_probs: [0.996, 0.002, 0.002]\n")
+        code, out, err = run_main([argv[0], str(path), *argv[1:], "--reps", "5"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("weakiv: error: fixed apportionment leaves a group empty; "
+                       "increase n or its share\n")
+
+    @pytest.mark.parametrize("scales", ["1e70,1e80", "1e300", "7e24"])
+    def test_curves_past_the_coefficient_bound_exits_2(self, scales, capsys):
+        """me_reconstructed's largest |pi0| is 1.45, so a scale past
+        1e25 / 1.45 = 6.9e24 is refused; before the bound its Wald rates went
+        from 0.0,0.05 at 1e70 to 1.0,1.0 at 1e80 at exit 0."""
+        code, out, err = run_main(["curves", "me_reconstructed", "--scales", scales,
+                                   "--reps", "20", "--format", "csv"], capsys)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"weakiv: error: scale_e \* pi0 entries must be at most "
+                            r"1e\+25 in magnitude, got \S+\n", err)
+
+    def test_curves_at_the_coefficient_bound_runs(self, capsys):
+        code, out, err = run_main(["curves", "me_reconstructed", "--scales", "6.8e24",
+                                   "--reps", "20", "--format", "csv"], capsys)
+        assert code == 0, err
+        rows = list(csv.DictReader(line for line in out.splitlines()
+                                   if not line.startswith("#")))
+        assert len(rows) == 1
+        assert all(np.isfinite(float(v)) for v in rows[0].values())
+        assert float(rows[0]["rf_wald_2sls"]) < 0.5
+
+    def test_design_past_the_coefficient_bound_exits_2(self, tmp_path, capsys):
+        """Before the bound, pi0 [1e200, 1] gave mean_f_stat inf and sd_f_stat
+        nan at exit 0."""
+        path = tmp_path / "d.yaml"
+        path.write_text("pi0: [1e200, 1]\nvar_v2: 1\nvar_u: 1\ncov_uv2: 0.5\nn: 100\n")
+        code, out, err = run_main(["simulate", str(path), "--reps", "20"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("weakiv: error: scale_e * pi0 entries must be at most 1e+25 in "
+                       "magnitude, got 1e+200\n")
+
+    @pytest.mark.parametrize("command", ["estimate", "weakivtest"])
+    @pytest.mark.parametrize("s", [1e80, 1e200, 1e-100])
+    def test_y_and_x_of_extreme_scale_exit_2(self, command, s, tmp_path, capsys):
+        """y and x scaled by s, past the band of root mean squares: one error
+        line that names the column (before the band: an OverflowError or
+        ZeroDivisionError traceback, NaN cells at exit 0, or a false
+        'almost perfectly correlated' message)."""
+        src = write_iv_csv(tmp_path / "raw.csv", n=200, kz=3)
+        with open(src, newline="") as fh:
+            rows = list(csv.reader(fh))
+        path = tmp_path / "scaled.csv"
+        with open(path, "w", newline="") as fh:
+            wr = csv.writer(fh)
+            wr.writerow(rows[0])
+            for row in rows[1:]:
+                wr.writerow([repr(float(row[0]) * s), repr(float(row[1]) * s), *row[2:]])
+        code, out, err = run_main([command, str(path), "--y", "y", "--x", "x",
+                                   "--z", "z0", "--z", "z1", "--z", "z2"], capsys)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(rf"weakiv: error: {re.escape(str(path))}: column 'y' has root "
+                            r"mean square \S+; it must be from 1e-60 to 1e\+60, so "
+                            r"rescale it\n", err)
+
     def test_non_string_design_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text("pi0: [0.5, -0.2]\nvar_v2: [1.0, 2.0]\n1: 2\nnull: 3\n")

@@ -46,6 +46,29 @@ class TestDataset:
         with pytest.raises(InputError, match="rows"):
             Dataset(y=np.zeros(3), x=np.ones(3), z=np.ones((3, 2)))
 
+    @pytest.mark.parametrize("name", ["y", "x"])
+    @pytest.mark.parametrize("rms, ok", [
+        (0.999e60, True), (1.001e-60, True), (1.001e60, False), (0.999e-60, False),
+        (0.0, False),
+    ])
+    def test_root_mean_square_band(self, name, rms, ok):
+        """y and x must each have a root mean square in [1e-60, 1e60]; a
+        column past the band (an all-zero one too) is named. The root mean
+        square is formed without squares that could overflow, so a column
+        of 1e200 is refused, not read as inf."""
+        data = make_dataset(np.random.default_rng(3), n=50, kz=2)
+        col = getattr(data, name)
+        fields = {"y": data.y, "x": data.x, "z": data.z,
+                  name: col * (rms / np.sqrt(np.mean(col * col)))}
+        if ok:
+            assert Dataset(**fields).n == 50
+        else:
+            with pytest.raises(InputError, match=rf"^{name} has root mean square \S+; it "
+                               r"must be from 1e-60 to 1e\+60, so rescale it$"):
+                Dataset(**fields)
+        with pytest.raises(InputError, match=rf"^{name} has root mean square 1e\+200"):
+            Dataset(**{**fields, name: np.full(50, 1e200)})
+
 
 class TestPartialOut:
     def test_orthogonality(self):

@@ -133,6 +133,53 @@ class TestDesigns:
                            match=r"^G \(the length of pi0\) must be at most 1000, got 1001$"):
             GroupedDesign(pi0=np.ones(1001), var_v2=1.0, n=5000)
 
+    @pytest.mark.parametrize("field, inside, outside, message", [
+        ("scale_e", 1e25 / 1.5, 1.01e25 / 1.5,
+         r"scale_e \* pi0 entries must be at most 1e\+25 in magnitude, got 1\.01e\+25"),
+        ("beta", -1e25, -1.01e25, r"beta must be at most 1e\+25 in magnitude"),
+        ("var_v2", [1e-50, 1e50], [0.99e-50, 1.0], r"var_v2 entries must be from 1e-50 to 1e\+50"),
+        ("var_v2", [1e-50, 1e50], [1.0, 1.01e50], r"var_v2 entries must be from 1e-50 to 1e\+50"),
+        ("var_u", [1e50, 1.0], [1.01e50, 1.0], r"var_u entries must be at most 1e\+50"),
+    ])
+    def test_magnitude_bounds(self, field, inside, outside, message):
+        """Each bound on the magnitudes of a design, from both sides: at the
+        bound the design runs with no RuntimeWarning (tier-1 makes every
+        warning an error) and finite summaries; past it the design is
+        refused with a message that names the field."""
+        base = dict(pi0=[1.5, -0.5], var_v2=[1.0, 2.0], n=200, beta=0.5,
+                    var_u=[1e50, 1e50], cov_uv2=[0.3, 0.0])
+        summ = run_sim(GroupedDesign(**{**base, field: inside}), 20, seed=1, benchmark="mop")
+        assert summ.failed == 0
+        assert all(np.isfinite(v) for v in (*summ.means.values(), *summ.sds.values()))
+        with pytest.raises(InputError, match=f"^{message}"):
+            GroupedDesign(**{**base, field: outside})
+        with pytest.raises(InputError, match="scale_e"):
+            GroupedDesign(**{**base, "scale_e": 1e300, "pi0": [1e300, 1.0]})
+
+    @pytest.mark.parametrize("bench", ["ls", "mop"])
+    @pytest.mark.parametrize("beta, var_u", [(0.0, 1e50), (1e25, 1e50), (-1e25, 1e-250)])
+    def test_largest_accepted_designs_warn_nowhere(self, beta, var_u, bench):
+        """Designs at every bound at once (coefficients 1e25 with group
+        variances 1e-50 and 1e50, beta and var_u at theirs) run with no
+        RuntimeWarning. They give finite summaries, or fail as a numerical
+        error: at moment_cov where y and x are collinear within a group to
+        the last digits, and under ls at the critical value, whose
+        noncentrality is then past the supported 2e7."""
+        var_v2 = np.array([1e-50, 1e50, 1e-50, 1.0])
+        design = GroupedDesign(
+            pi0=[1e25, -1e25, 1e22, 1.0], var_v2=var_v2, n=4000, beta=beta,
+            var_u=var_u, cov_uv2=0.9 * np.sqrt(var_u * var_v2),
+        )
+        try:
+            summ = run_sim(design, 3, seed=2, benchmark=bench)
+        except NumericalError as exc:
+            stage = "moment_cov" if beta != 0.0 else "critical_value"
+            assert re.search(rf"\({stage} 3; 0 redraws\)$", str(exc))
+            assert stage == "moment_cov" or bench == "ls"
+        else:
+            assert beta == 0.0
+            assert all(np.isfinite(v) for v in (*summ.means.values(), *summ.sds.values()))
+
     def test_validation(self):
         with pytest.raises(InputError, match="var_v2"):
             GroupedDesign(pi0=np.ones(3), var_v2=np.array([1.0, -1.0, 1.0]))
@@ -345,16 +392,6 @@ class TestRunSim:
         for key in a.group_means:
             assert np.array_equal(a.group_means[key], b.group_means[key])
 
-    def test_worker_env_var(self, monkeypatch):
-        design = small_structural()
-        base = run_sim(design, 4, seed=5)
-        monkeypatch.setenv("WEAKIV_WORKERS", "2")
-        via_env = run_sim(design, 4, seed=5)
-        assert base.means == via_env.means
-        monkeypatch.setenv("WEAKIV_WORKERS", "zero")
-        with pytest.raises(InputError, match="WEAKIV_WORKERS"):
-            run_sim(design, 2, seed=5)
-
     def test_pool_size_bounded_by_jobs_and_cpus(self):
         # arithmetic only: no pool is started here
         assert _pool_size(5000, 40, 2) == 2
@@ -402,12 +439,61 @@ class TestRunSim:
             run_sim(design, 2, method="conservative")
         with pytest.raises(InputError, match="workers"):
             run_sim(design, 2, workers=0)
+        with pytest.raises(InputError, match=r"^workers must be an integer, got 2\.9$"):
+            run_sim(design, 2, workers=2.9)
+        with pytest.raises(InputError, match=r"^reps must be an integer, got 2\.7$"):
+            run_sim(design, 2.7)
+        with pytest.raises(InputError,
+                           match=r"^reps must be from 1 to 10000000, got 10000001$"):
+            run_sim(design, grouped_sim._MAX_REPS + 1)
+        assert run_sim(design, 2.0, workers=1.0).reps == 2
         with pytest.raises(InputError, match="alpha must be in"):
             run_sim(design, 2, alpha=0.0)
         with pytest.raises(InputError, match="1 - alpha rounds to 1"):
             run_sim(design, 2, alpha=1e-17)
         with pytest.raises(InputError, match="seed must be a nonnegative integer, got -1"):
             run_sim(design, 2, seed=-1)
+
+    def test_fixed_apportionment_error_before_any_draw(self, monkeypatch):
+        """A fixed design whose apportionment leaves a group empty is an input
+        error of run_sim, before any chunk runs; it is not booked as failed
+        draws."""
+        design = GroupedDesign(
+            pi0=[0.5, 0.4, 0.3], var_v2=1.0, var_u=1.0, cov_uv2=0.3, n=100,
+            sizes="fixed", group_probs=[0.996, 0.002, 0.002],
+        )
+
+        def no_chunk(job):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(grouped_sim, "_sim_chunk", no_chunk)
+        with pytest.raises(InputError, match="^fixed apportionment leaves a group empty"):
+            run_sim(design, 5)
+
+    def test_wald_rejections_do_not_depend_on_beta(self):
+        """y = beta x + u: the estimate minus beta and its variance do not
+        depend on beta, so neither does the Wald test. With a strong first
+        stage and beta = 1 the group means of y are large, and a residual sum
+        of squares formed from uncentered sums lost every digit (rates 0.11
+        and 0.35 for 0.05 and 0.065 at scale 1e8)."""
+        design = dataclasses.replace(load_design("me_reconstructed"), scale_e=1e8)
+        rates = [
+            run_sim(dataclasses.replace(design, beta=beta), 200, seed=3).rejection_rates
+            for beta in (0.0, 1.0, -40.0)
+        ]
+        for key in ("wald_2sls", "wald_gmmf"):
+            assert rates[0][key] == rates[1][key] == rates[2][key], key
+
+    def test_collinear_groups_fail_at_moment_cov(self):
+        """Where y and x are collinear within the groups to the last digits,
+        their 2x2 sample covariance is singular by the scale-free rule of the
+        pooled residual covariance, and every replication fails at
+        moment_cov instead of dividing by a rounding-noise variance."""
+        design = GroupedDesign(pi0=[0.5, 0.4, 0.3], var_v2=1.0, var_u=1e-40,
+                               cov_uv2=0.0, beta=1.0, n=300)
+        for benchmark in ("ls", "mop"):
+            with pytest.raises(NumericalError, match=r"\(moment_cov 20; 0 redraws\)"):
+                run_sim(design, 20, benchmark=benchmark)
 
     @pytest.mark.parametrize("seed", [0, 12345678901234567890123])
     def test_seed_zero_and_long_seed_run(self, seed):
@@ -450,7 +536,7 @@ class TestRunSim:
         """A tau near 0 puts the noncentrality past 2e7 (at 1e-320 the radius
         overflows): every replication fails at its critical value."""
         design = small_structural()
-        job = (design, range(4), 0, tau, 0.05, "ls", "patnaik", _wald_critical_value(0.05))
+        job = (design, range(4), 0, tau, 0.05, "ls", "patnaik")
         _, tally = grouped_sim._sim_chunk(job)
         assert {s: tally[s] for s in grouped_sim._FAILURE_STAGES} == {
             "draw": 0, "moments": 0, "moment_cov": 0, "bias_bound": 0, "critical_value": 4,
@@ -615,7 +701,7 @@ class TestMomentKernel:
             gen = RngStream(0, rep).generator()
             labels, _ = choice_labels(gen, 4, design.n, design.group_probs)
             smallest.append(0 if labels is None else np.bincount(labels, minlength=4).min())
-        job = (design, range(20), 0, 0.1, 0.05, "ls", "patnaik", _wald_critical_value(0.05))
+        job = (design, range(20), 0, 0.1, 0.05, "ls", "patnaik")
         with warnings_mod.catch_warnings():
             warnings_mod.simplefilter("ignore")
             cols, tally = grouped_sim._sim_chunk(job)
@@ -633,6 +719,59 @@ class TestMomentKernel:
         ]
         assert cols["f_stat"].size == 0
         assert tally["redraws"] == 101
+
+
+def random_structural_design(rng):
+    """A structural design with 2 to 12 groups, n from 20G to 40G, beta away
+    from 0, uneven shares and fixed or multinomial sizes."""
+    g = int(rng.integers(2, 13))
+    var_v2 = rng.uniform(0.2, 5.0, g)
+    var_u = rng.uniform(0.2, 5.0, g)
+    probs = rng.uniform(0.5, 1.5, g)
+    return GroupedDesign(
+        pi0=rng.uniform(-1.0, 1.0, g) * np.sqrt(var_v2),
+        var_v2=var_v2,
+        scale_e=float(rng.choice([0.05, 0.3, 1.0])),
+        beta=float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0)),
+        n=int(rng.integers(20 * g, 40 * g + 1)),
+        var_u=var_u,
+        cov_uv2=rng.uniform(-0.9, 0.9, g) * np.sqrt(var_u * var_v2),
+        group_probs=probs / probs.sum(),
+        sizes=str(rng.choice(["fixed", "multinomial"])),
+    )
+
+
+class TestKernelAgainstDensePipeline:
+    def test_random_designs(self):
+        """The independent oracle of the simulation kernel: per replication,
+        the kernel's statistics, critical values, estimates and decisions are
+        those of the dense pipeline (`weak_iv_test`, `estimate`, `wald_test`)
+        on the dataset that `generate` draws from the same substream, over
+        random structural designs under both benchmarks."""
+        rng = np.random.default_rng(2024)
+        alpha, tau, checked = 0.05, 0.1, 0
+        for i in range(60):
+            design = random_structural_design(rng)
+            benchmark = ("ls", "mop")[i % 2]
+            for rep in range(3):
+                job = (design, range(rep, rep + 1), i, tau, alpha, benchmark, "patnaik")
+                cols, tally = grouped_sim._sim_chunk(job)
+                if cols is None or cols["f_eff"].size == 0:
+                    continue  # a group of one or two observations
+                pd_ = partial_out(generate(design, RngStream(i, rep)))
+                for kind, stat in (("2sls", "eff"), ("gmmf", "r")):
+                    res = weak_iv_test(pd_, WeightSpec(kind), benchmark=benchmark,
+                                       tau=tau, alpha=alpha)
+                    est = estimate(pd_, WeightSpec(kind))
+                    wald = wald_test(est, design.beta)
+                    want = {f"f_{stat}": float(res.statistic), f"cv_{stat}": res.cv,
+                            f"beta_{kind}": est.beta_hat}
+                    for key, value in want.items():
+                        assert cols[key][0] == pytest.approx(value, rel=1e-10), (i, rep, key)
+                    assert bool(cols[f"weak_{stat}"][0]) == res.reject, (i, rep, stat)
+                    assert bool(cols[f"wald_{kind}"][0]) == (wald.pvalue < alpha), (i, rep, kind)
+                checked += 1
+        assert checked >= 170
 
 
 class TestSweepScale:

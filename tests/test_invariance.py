@@ -2,7 +2,8 @@
 of the data that leave the model unchanged in exact arithmetic: a nonsingular
 change of the instrument basis Z -> ZA, controls in another basis (W -> WB) or
 added to the instruments (Z -> Z + WC), row order and cluster labels, and the
-units of y and x (y -> a y + c x, x -> b x).
+units of y and x (y -> a y + c x, x -> b x), up to the edges of the band of
+root mean squares that `Dataset` accepts.
 
 Every case is seeded: clustered data with two controls (an intercept and one
 regressor), n = 1000 and k_z from 2 to 8, run through `weak_iv_test` (2SLS and
@@ -148,3 +149,18 @@ def test_units_of_y_and_x(method, seed, a, b, c):
     data = make_data(seed)
     moved = rebuilt(data, y=a * data.y + c * data.x, x=b * data.x)
     assert_invariant(seed, method, moved, 1e-9, 1e-8, a=a, b=b, c=c)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("rms_y, rms_x", [(1e60, 1e60), (1e-60, 1e-60), (1e60, 1e-60),
+                                          (1e-60, 1e60)])
+def test_units_at_the_edges_of_the_scale_band(seed, rms_y, rms_x):
+    """y and x rescaled to root mean squares just inside the ends of the band
+    that `Dataset` accepts, together and at opposite ends, give the tests and
+    estimates of the data at scale 1 to relative 1e-12."""
+    data = make_data(seed)
+    inside = {1e60: 0.999, 1e-60: 1.001}
+    a = inside[rms_y] * rms_y / math.sqrt(np.mean(data.y**2))
+    b = inside[rms_x] * rms_x / math.sqrt(np.mean(data.x**2))
+    moved = rebuilt(data, y=a * data.y, x=b * data.x)
+    assert_invariant(seed, "patnaik", moved, 1e-12, 1e-12, a=a, b=b)
