@@ -30,13 +30,50 @@ _QR_BLOCK_ROWS = 1024
 columns."""
 
 
+def _as_float(a, name):
+    try:
+        return np.asarray(a, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"{name} must hold numbers") from None
+
+
 def _as_matrix(a, name):
-    m = np.asarray(a, dtype=float)
+    m = _as_float(a, name)
     if m.ndim == 1:
         m = m[:, None]
     if m.ndim != 2:
         raise InputError(f"{name} must be a vector or matrix, got ndim={m.ndim}")
     return m
+
+
+def _as_vector(a, name):
+    """`a` as a contiguous float vector; one already so is returned as it is."""
+    v = _as_float(a, name)
+    return v if v.ndim == 1 and v.flags.c_contiguous else v.ravel()
+
+
+def _checked_arrays(y, x, z, controls=None, cluster=None):
+    """(y, x, z, controls, cluster): y and x as float vectors, z and
+    controls (when given) as float matrices and cluster labels (when given)
+    as a vector, after checking that they have y's rows and the float arrays
+    only finite values. Each refusal names its array. Float arrays of the
+    right layout are returned as they are, not copied."""
+    named = {"y": _as_vector(y, "y"), "x": _as_vector(x, "x"), "z": _as_matrix(z, "z")}
+    if controls is not None:
+        named["controls"] = _as_matrix(controls, "controls")
+    for name, a in named.items():
+        if a.shape[0] != named["y"].size:
+            raise InputError(f"{name} must have the same number of rows as y")
+    if cluster is not None:
+        cluster = np.asarray(cluster).ravel()
+        if cluster.size != named["y"].size:
+            raise InputError("cluster labels must have the same length as y")
+    for name, a in named.items():
+        # min and max are not finite exactly when an entry is not, and they
+        # make no temporary the size of the array
+        if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+            raise InputError(f"non-finite value in {name}")
+    return named["y"], named["x"], named["z"], named.get("controls"), cluster
 
 
 def _dense_cluster_codes(labels):
@@ -134,20 +171,10 @@ class Dataset:
     cluster: np.ndarray | None = None
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float).ravel()
-        x = np.asarray(self.x, dtype=float).ravel()
-        z = _as_matrix(self.z, "z")
-        controls = None if self.controls is None else _as_matrix(self.controls, "controls")
+        y, x, z, controls, cluster = _checked_arrays(
+            self.y, self.x, self.z, self.controls, self.cluster
+        )
         n = y.size
-        if x.size != n or z.shape[0] != n:
-            raise InputError("y, x, z must share the same number of rows")
-        if controls is not None and controls.shape[0] != n:
-            raise InputError("controls must have the same number of rows as y")
-        for name, arr in (("y", y), ("x", x), ("z", z)) + (
-            () if controls is None else (("controls", controls),)
-        ):
-            if not np.all(np.isfinite(arr)):
-                raise InputError(f"non-finite value in {name}")
         k_z = z.shape[1]
         k_c = 0 if controls is None else controls.shape[1]
         if k_z < 1:
@@ -160,11 +187,7 @@ class Dataset:
             rms = _rms(arr)
             if not _RMS_RANGE[0] <= rms <= _RMS_RANGE[1]:
                 raise _BadScale(name, rms)
-        cluster = self.cluster
         if cluster is not None:
-            cluster = np.asarray(cluster).ravel()
-            if cluster.size != n:
-                raise InputError("cluster labels must have the same length as y")
             cluster = _dense_cluster_codes(cluster)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
@@ -192,13 +215,23 @@ class PartialledData:
     The arrays are treated as read-only: the thin QR of z, the first-stage
     residuals and the moment covariance estimates are computed once, on first
     use (`partial_out` supplies the QR it made for its rank check), and shared
-    by every estimator, statistic and test run on this data.
+    by every estimator, statistic and test run on this data. Their types,
+    rows and values are checked as `Dataset`'s are, but for the band of root
+    mean squares: partialling out the controls can leave x at zero, which
+    the estimators refuse with their own message.
     """
 
     y: np.ndarray
     x: np.ndarray
     z: np.ndarray
     cluster: np.ndarray | None = None
+
+    def __post_init__(self):
+        y, x, z, _, cluster = _checked_arrays(self.y, self.x, self.z, cluster=self.cluster)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "cluster", cluster)
 
     @property
     def n(self):

@@ -155,9 +155,9 @@ def lower_gamma_regularized(a, x):
     """
     a_arr, x_arr = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(x, dtype=float))
     if not np.all(a_arr > 0):
-        raise ValueError(f"shape parameter must be positive, got {a}")
+        raise InputError(f"shape parameter must be positive, got {a}")
     if np.any(x_arr < 0):
-        raise ValueError(f"argument must be nonnegative, got {x}")
+        raise InputError(f"argument must be nonnegative, got {x}")
     a1, x1 = np.atleast_1d(a_arr).ravel(), np.atleast_1d(x_arr).ravel()
     p = _lower_gamma(a1, x1)
     if a_arr.ndim:
@@ -184,13 +184,13 @@ class NoncentralChiSq:
             np.asarray(self.df, dtype=float), np.asarray(self.ncp, dtype=float)
         )
         if df.ndim > 1:
-            raise ValueError("df and ncp must be scalars or 1-d arrays")
+            raise InputError("df and ncp must be scalars or 1-d arrays")
         bad = ~(np.isfinite(df) & (df > 0))
         if bad.any():
-            raise ValueError(f"df must be a positive finite real, got {df[bad].flat[0]}")
+            raise InputError(f"df must be a positive finite real, got {df[bad].flat[0]}")
         bad = ~(np.isfinite(ncp) & (ncp >= 0))
         if bad.any():
-            raise ValueError(f"ncp must be a nonnegative finite real, got {ncp[bad].flat[0]}")
+            raise InputError(f"ncp must be a nonnegative finite real, got {ncp[bad].flat[0]}")
         if df.ndim:
             object.__setattr__(self, "df", np.array(df))
             object.__setattr__(self, "ncp", np.array(ncp))
@@ -573,7 +573,7 @@ def chisq_quantile(d, p):
     """
     p = np.broadcast_to(np.asarray(p, dtype=float), np.shape(d.df))
     if not np.all((p > 0.0) & (p < 1.0)):
-        raise ValueError(f"probability must be in (0, 1), got {p}")
+        raise InputError(f"probability must be in (0, 1), got {p}")
     _check_ncp(d)
     batch = d if np.ndim(d.df) else NoncentralChiSq(np.atleast_1d(d.df), np.atleast_1d(d.ncp))
     p = np.atleast_1d(p)

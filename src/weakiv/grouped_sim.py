@@ -39,6 +39,7 @@ import os
 import warnings as _pywarnings
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -47,7 +48,12 @@ from .data import Dataset
 from .distributions import RngStream, _normal_tail_quantile
 from .errors import InputError, NumericalError, WeakIvError
 from .estimators import _resid_cov_singular
-from .weak_test import _check_alpha, _critical_values, _diagonal_worst_case_bias
+from .weak_test import (
+    _check_benchmark,
+    _check_settings,
+    _critical_values,
+    _diagonal_worst_case_bias,
+)
 
 __all__ = [
     "DesignComparison",
@@ -471,11 +477,12 @@ def group_stats(data, labels=None):
         labels = _labels_from_indicators(z)
     else:
         labels = np.asarray(labels)
-        if labels.shape != (y.size,):
+        if (labels.shape != (y.size,) or labels.dtype.kind not in "iuf"
+                or np.any(labels != np.floor(labels))):
             raise InputError("labels must be one integer per observation")
-        labels = labels.astype(int)
         if labels.min() < 0 or labels.max() >= z.shape[1]:
             raise InputError("labels must index the instrument columns")
+        labels = labels.astype(int)
     g = z.shape[1]
     counts = np.bincount(labels, minlength=g)
     if counts.min() == 0:
@@ -636,10 +643,9 @@ def _rep_stats(design, m, tau, alpha, benchmark, method, tally):
     return {k: v[~failed] for k, v in out.items()}
 
 
-def _sim_chunk(args):
+def _sim_chunk(design, seed, tau, alpha, benchmark, method, rep_ids):
     """Replications `rep_ids`: (columns of the successful ones or None, tally
     of failures by stage and of empty-group redraws)."""
-    design, rep_ids, seed, tau, alpha, benchmark, method = args
     tally = Counter()
     cols = _moment_columns(design, seed, rep_ids, tally)
     if cols is not None and design.has_structural:
@@ -699,13 +705,8 @@ def run_sim(
     reps = _as_int(reps, "reps")
     if not 1 <= reps <= _MAX_REPS:
         raise InputError(f"reps must be from 1 to {_MAX_REPS}, got {reps}")
-    if benchmark not in ("mop", "ls"):
-        raise InputError(f"unknown benchmark {benchmark!r}")
-    if method not in ("patnaik", "mc"):
-        raise InputError(f"unknown critical-value method {method!r}")
-    if not 0.0 < tau < 1.0:
-        raise InputError(f"tau must be in (0, 1), got {tau}")
-    _check_alpha(alpha)
+    _check_settings(alpha, method, tau=tau)
+    _check_benchmark(benchmark)
     workers = _as_int(workers, "workers")
     if workers < 1:
         raise InputError(f"workers must be at least 1, got {workers}")
@@ -714,19 +715,17 @@ def run_sim(
         _fixed_counts(design.n, design.group_probs)  # a design error, before any draw
     chunk = _CHUNK_REPS if workers == 1 else math.ceil(reps / (4 * workers))
     chunk = min(chunk, _CHUNK_REPS)
-    jobs = [
-        (design, range(lo, min(lo + chunk, reps)), seed, tau, alpha, benchmark, method)
-        for lo in range(0, reps, chunk)
-    ]
+    job = partial(_sim_chunk, design, seed, tau, alpha, benchmark, method)
+    jobs = [range(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
     if workers == 1:
-        parts = list(map(_sim_chunk, jobs))
+        parts = list(map(job, jobs))
     else:
         # imported here, so a single-worker run loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         size = _pool_size(workers, len(jobs), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=size) as pool:
-            parts = list(pool.map(_sim_chunk, jobs))
+            parts = list(pool.map(job, jobs))
     tally = sum((t for _, t in parts), Counter())
     failures = {stage: tally[stage] for stage in _FAILURE_STAGES}
     done = [c for c, _ in parts if c is not None]
@@ -778,12 +777,13 @@ def run_sim(
 def sweep_scale(design, scales, reps, **options):
     """Rerun a structural design over first-stage scales with common random
     numbers; biases of 2SLS and GMMf are reported relative to the OLS bias.
-    `options` are passed to `run_sim`."""
+    `options` are passed to `run_sim`. Every scale's design is built, and so
+    checked, before the first simulation."""
     if not design.has_structural:
         raise InputError("bias curves need a structural design (var_u, cov_uv2)")
     rows = []
-    for scale in scales:
-        summ = run_sim(dataclasses.replace(design, scale_e=float(scale)), reps, **options)
+    for scaled in [dataclasses.replace(design, scale_e=scale) for scale in scales]:
+        summ = run_sim(scaled, reps, **options)
         bias_ols = summ.means["beta_ols"] - design.beta
         def _rel(key):
             if bias_ols == 0.0:
@@ -791,7 +791,7 @@ def sweep_scale(design, scales, reps, **options):
             return abs(summ.means[key] - design.beta) / abs(bias_ols)
         rows.append(
             {
-                "scale": float(scale),
+                "scale": scaled.scale_e,
                 "mean_f_eff": summ.means["f_eff"],
                 "mean_f_r": summ.means["f_r"],
                 "rel_bias_2sls": _rel("beta_2sls"),
@@ -808,8 +808,10 @@ def sweep_scale(design, scales, reps, **options):
 def _closed_forms(cf, sv2, suv=None):
     """Closed-form concentration and, given the structural covariances `suv`,
     Nagar bias of each estimator of `_estimators` in grouped designs with
-    fixed group shares, from the per-group concentrations cf = c^2 f and the
-    first-stage variances sv2 (so d = sv2 for GMMf). With r = cf / d, the
+    fixed group shares, from the per-group signals cf = c^2 p, with c the
+    scaled coefficients sqrt(n) pi and p the shares (not the per-group
+    concentrations c^2 / sv2), and the first-stage variances sv2 (so
+    d = sv2 for GMMf). With r = cf / d, the
     concentration is sum(r) / sum(sv2 / d) and the Nagar bias
     sum((1 - 2 r / sum(r)) suv / d) / sum(r). The last axis indexes groups,
     leading axes are designs; returns conc_<estimator> and nagar_<estimator>."""

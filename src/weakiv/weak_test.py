@@ -65,6 +65,16 @@ def _check_alpha(alpha):
         raise InputError(f"alpha {alpha} is too small: 1 - alpha rounds to 1")
 
 
+def _check_settings(alpha, method, methods=("patnaik", "mc"), tau=None):
+    """Reject a tau (when given) outside (0, 1), a bad alpha
+    (`_check_alpha`) or a critical-value method outside `methods`."""
+    if tau is not None and not 0.0 < tau < 1.0:
+        raise InputError(f"tau must be in (0, 1), got {tau}")
+    _check_alpha(alpha)
+    if method not in methods:
+        raise InputError(f"unknown method {method!r}; use one of {', '.join(methods)}")
+
+
 def _sym_sqrt(omega):
     """Symmetric positive definite square root via eigendecomposition."""
     vals, vecs = np.linalg.eigh(_spd(omega))
@@ -82,6 +92,14 @@ def transform_moment_cov(cov, omega):
     )
 
 
+def _check_benchmark(kind):
+    """Reject a benchmark kind other than "mop" and "ls": the check of
+    `Benchmark`, and of the simulation, whose "ls" scale is each
+    replication's own pooled residual covariance."""
+    if kind not in ("mop", "ls"):
+        raise InputError(f"unknown benchmark {kind!r}; use mop or ls")
+
+
 @dataclass(frozen=True)
 class Benchmark:
     """Bias scale: "mop" uses the estimator's own worst-case scale
@@ -92,8 +110,7 @@ class Benchmark:
     resid_cov: ResidualCov | None = None
 
     def __post_init__(self):
-        if self.kind not in ("mop", "ls"):
-            raise InputError(f"unknown benchmark kind {self.kind!r}")
+        _check_benchmark(self.kind)
         if self.kind == "ls" and self.resid_cov is None:
             raise InputError("ls benchmark requires a residual covariance")
 
@@ -113,29 +130,16 @@ class SupResult:
     nodes: int
 
 
-def _benchmark_coeffs(s11, s12, s22):
+def _benchmark_coeffs(kind, traces, resid):
     """Coefficients (d0, d1) of the squared benchmark d0 + d1*beta + beta^2,
-    elementwise, from its scale moments: the traces of the transformed blocks
-    (v1v1, v1v2, v2v2) under "mop", the pooled residual covariance under "ls";
-    and where that square is not positive for every beta (degenerate)."""
+    elementwise, and where that square is not positive for every beta
+    (degenerate). Its scale moments are `traces`, those of the transformed
+    blocks (v1v1, v1v2, v2v2), under "mop" and `resid`, the pooled residual
+    covariance's (v1v1, v1v2, v2v2), under "ls"."""
+    s11, s12, s22 = traces if kind == "mop" else resid
     d0 = s11 / s22
     d1 = -2.0 * s12 / s22
     return d0, d1, d1 * d1 - 4.0 * d0 >= 0.0
-
-
-def _denominator_coeffs(tc, bench):
-    """Coefficients (d0, d1) of the squared benchmark d0 + d1*beta + beta^2."""
-    if bench.kind == "mop":
-        moments = tuple(float(np.trace(b)) for b in (tc.v1v1, tc.v1v2, tc.v2v2))
-    else:
-        rc = bench.resid_cov
-        moments = (rc.v1v1, rc.v1v2, rc.v2v2)
-    d0, d1, degenerate = _benchmark_coeffs(*moments)
-    if degenerate:
-        raise NumericalError(
-            "benchmark scale is not positive for all beta (degenerate covariance)"
-        )
-    return d0, d1
 
 
 def _beta_step(a, b, d0, d1):
@@ -174,13 +178,20 @@ def worst_case_bias(tc, bench):
     """
     w2 = tc.v2v2
     k = w2.shape[0]
-    t = float(np.trace(w2))
-    d0, d1 = _denominator_coeffs(tc, bench)
+    traces = tuple(float(np.trace(b)) for b in (tc.v1v1, tc.v1v2, w2))
+    rc = bench.resid_cov
+    resid = None if rc is None else (rc.v1v1, rc.v1v2, rc.v2v2)
+    d0, d1, degenerate = _benchmark_coeffs(bench.kind, traces, resid)
+    if degenerate:
+        raise NumericalError(
+            "benchmark scale is not positive for all beta (degenerate covariance)"
+        )
+    t = traces[2]
     # search over beta' = beta / sqrt(d0), so that the objective, and with it
     # the rounding allowance, carries no units of y or x
     unit = math.sqrt(d0)
     m12 = _sym(tc.v1v2) / unit
-    tr12 = float(np.trace(tc.v1v2)) / unit
+    tr12 = traces[1] / unit
     d0, d1 = 1.0, d1 / unit
 
     def quad(fold, x):
@@ -276,8 +287,7 @@ def _diagonal_worst_case_bias(v1v1, v1v2, v2v2, kind, resid=None):
     """
     t = v2v2.sum(axis=1)
     tr12 = v1v2.sum(axis=1)
-    moments = (v1v1.sum(axis=1), tr12, t) if kind == "mop" else resid
-    d0, d1, degenerate = _benchmark_coeffs(*moments)
+    d0, d1, degenerate = _benchmark_coeffs(kind, (v1v1.sum(axis=1), tr12, t), resid)
     a = (tr12[:, None] - 2.0 * v1v2) / t[:, None]
     b = (2.0 * v2v2 - t[:, None]) / t[:, None]
     f, _ = _beta_step(a, b, d0[:, None], d1[:, None])
@@ -302,6 +312,7 @@ def _critical_values(lam, radius, alpha, method="patnaik", draws=100000, seed=0)
     eigenvalues `lam` of the transformed lower block W on the last axis: one
     (k,) law and a scalar `radius`, or an (R, k) batch and R radii. A batch
     gives an array, NaN where a law fails; one law a float or NumericalError.
+    The callers have checked `method` (`_check_settings`).
 
     "patnaik": upper-alpha quantile of chi2(keff, radius*keff)/keff with keff
     the moment-matched effective dof. "mc": in W's eigenbasis, `lam`
@@ -313,8 +324,6 @@ def _critical_values(lam, radius, alpha, method="patnaik", draws=100000, seed=0)
     if method == "patnaik":
         keff = _effective_dof(lam, radius)
         return chisq_quantile(NoncentralChiSq(keff, radius * keff), 1.0 - alpha) / keff
-    if method != "mc":
-        raise InputError(f"unknown critical-value method {method!r}")
     lam = np.sort(lam, axis=-1)
     k = lam.shape[-1]
     gen = RngStream(seed, 0).generator()
@@ -359,7 +368,7 @@ def critical_value(w2t, radius, alpha, method="patnaik", draws=100000, seed=0):
     """Critical value for the generalized effective F-statistic on the
     transformed lower block `w2t`, "patnaik" or "mc" (`_critical_values`).
     Both depend on `w2t` only through its eigenvalues."""
-    _check_alpha(alpha)
+    _check_settings(alpha, method)
     _check_radius(radius)
     lam = np.linalg.eigvalsh(np.asarray(w2t, dtype=float))
     return float(_critical_values(lam, radius, alpha, method, draws, seed))
@@ -379,16 +388,6 @@ class WeakIvResult:
     reject: bool
     sup: SupResult | None = None
     warnings: tuple = ()
-
-
-def _resolve_benchmark(benchmark, pd):
-    if isinstance(benchmark, Benchmark):
-        return benchmark
-    if benchmark == "mop":
-        return Benchmark("mop")
-    if benchmark == "ls":
-        return Benchmark("ls", residual_cov(pd))
-    raise InputError(f"unknown benchmark {benchmark!r}")
 
 
 def weak_iv_test(
@@ -414,14 +413,12 @@ def weak_iv_test(
     `worst_case_bias`; `mc_draws` and `mc_seed` are the draws and seed of the
     "mc" critical value (`critical_value`).
     """
-    if not 0.0 < tau < 1.0:
-        raise InputError(f"tau must be in (0, 1), got {tau}")
-    _check_alpha(alpha)
-    if method not in ("patnaik", "mc", "conservative"):
-        raise InputError(f"unknown method {method!r}")
+    _check_settings(alpha, method, ("patnaik", "mc", "conservative"), tau)
     if not isinstance(spec, WeightSpec):
         spec = WeightSpec(spec)
-    bench = _resolve_benchmark(benchmark, pd)
+    bench = benchmark
+    if not isinstance(bench, Benchmark):
+        bench = Benchmark(bench, residual_cov(pd) if bench == "ls" else None)
     cov = estimate_moment_cov(pd, flavor=flavor, dof_correction=dof_correction)
     omega = weight_matrix(pd, spec, cov)
     tc = transform_moment_cov(cov, omega)

@@ -7,7 +7,7 @@ import pytest
 
 from weakiv import Dataset, MomentCov, distributions, partial_out
 from weakiv.errors import InputError, NumericalError
-from weakiv.weak_test import _sym_sqrt
+from weakiv.weak_test import _benchmark_coeffs, _sym_sqrt
 
 
 def random_spd(rng, dim, jitter=0.1):
@@ -64,6 +64,18 @@ def benchmark_scale(beta, tc, bench):
             "(residual correlation at the boundary)"
         )
     return math.sqrt(rad)
+
+
+def benchmark_coeffs(tc, bench):
+    """(d0, d1) of the squared benchmark d0 + d1*beta + beta^2 that
+    `worst_case_bias` runs on; NumericalError where it is degenerate."""
+    traces = [float(np.trace(b)) for b in (tc.v1v1, tc.v1v2, tc.v2v2)]
+    rc = bench.resid_cov
+    resid = None if rc is None else (rc.v1v1, rc.v1v2, rc.v2v2)
+    d0, d1, degenerate = _benchmark_coeffs(bench.kind, traces, resid)
+    if degenerate:
+        raise NumericalError("benchmark scale is not positive for all beta")
+    return d0, d1
 
 
 def concentration(c, qzz, w2t, omega):

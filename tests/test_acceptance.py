@@ -12,7 +12,15 @@ import time
 import numpy as np
 import pytest
 
-from helpers import benchmark_scale, make_pd, nagar_numerator, q_basis, random_spd, z_basis
+from helpers import (
+    benchmark_coeffs,
+    benchmark_scale,
+    make_pd,
+    nagar_numerator,
+    q_basis,
+    random_spd,
+    z_basis,
+)
 from weakiv import (
     Benchmark,
     MomentCov,
@@ -37,7 +45,6 @@ from weakiv import (
     worst_case_bias,
 )
 from weakiv.grouped_sim import random_design_comparison
-from weakiv.weak_test import _denominator_coeffs
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +139,7 @@ def dense_grid_sup(tc, bench, m=2001):
     sym12 = 0.5 * (tc.v1v2 + tc.v1v2.T)
     t12 = np.trace(tc.v1v2)
     t2 = np.trace(tc.v2v2)
-    d0, d1 = _denominator_coeffs(tc, bench)
+    d0, d1 = benchmark_coeffs(tc, bench)
     phi = np.linspace(0.0, np.pi, m, endpoint=False)
     c = np.stack([np.cos(phi), np.sin(phi)])
     cs = np.einsum("im,ij,jm->m", c, sym12, c)

@@ -242,6 +242,18 @@ class TestUsageErrors:
         assert re.fullmatch(r"weakiv: error: scale_e \* pi0 entries must be at most "
                             r"1e\+25 in magnitude, got \S+\n", err)
 
+    def test_curves_refuses_a_bad_scale_before_any_draw(self, monkeypatch, capsys):
+        """Every scale is checked before the first is simulated: the good
+        scale ahead of the bad one runs no chunk."""
+        from weakiv import grouped_sim
+
+        calls = []
+        monkeypatch.setattr(grouped_sim, "_sim_chunk", lambda *args: calls.append(args))
+        code, out, err = run_main(["curves", "me_reconstructed", "--scales", "0.04,1e30",
+                                   "--reps", "2000"], capsys)
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith("weakiv: error: scale_e * pi0 entries must be at most")
+
     def test_curves_at_the_coefficient_bound_runs(self, capsys):
         code, out, err = run_main(["curves", "me_reconstructed", "--scales", "6.8e24",
                                    "--reps", "20", "--format", "csv"], capsys)

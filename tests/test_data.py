@@ -157,6 +157,42 @@ class TestPartialOut:
         with pytest.raises(NumericalError, match="numerically rank deficient"):
             weak_iv_test(pd_, WeightSpec("2sls"))
 
+    @pytest.mark.parametrize("name, bad", [
+        ("x", np.inf), ("y", np.nan), ("z", np.nan), ("x", -np.inf),
+    ])
+    def test_directly_built_data_with_a_non_finite_value_is_refused(self, name, bad):
+        """Built directly, as through `Dataset`, a non-finite entry is an
+        InputError that names its array, not a NaN estimate or a LinAlgError
+        of the factorizations."""
+        rng = np.random.default_rng(31)
+        arrays = {"y": rng.standard_normal(200), "x": rng.standard_normal(200),
+                  "z": rng.standard_normal((200, 3))}
+        arrays[name].flat[17] = bad
+        with pytest.raises(InputError, match=f"^non-finite value in {name}$"):
+            PartialledData(**arrays)
+
+    def test_directly_built_data_rows_must_match(self):
+        rng = np.random.default_rng(32)
+        y, x = rng.standard_normal((2, 200))
+        with pytest.raises(InputError, match="^z must have the same number of rows as y$"):
+            PartialledData(y=y, x=x, z=rng.standard_normal((199, 3)))
+        with pytest.raises(InputError, match="^x must have the same number of rows as y$"):
+            PartialledData(y=y, x=x[:-1], z=rng.standard_normal((200, 3)))
+        with pytest.raises(InputError, match="^cluster labels must have the same length as y$"):
+            PartialledData(y=y, x=x, z=rng.standard_normal((200, 3)), cluster=np.arange(5))
+
+    def test_directly_built_data_from_lists(self):
+        """Lists are read as float arrays, as `Dataset` reads them; text that
+        is not a number is refused by name."""
+        rng = np.random.default_rng(33)
+        y, x = rng.standard_normal((2, 200))
+        z = rng.standard_normal((200, 3))
+        got = estimate(PartialledData(y=y.tolist(), x=x.tolist(), z=z), WeightSpec("2sls"))
+        want = estimate(PartialledData(y=y, x=x, z=z), WeightSpec("2sls"))
+        assert (got.beta_hat, got.se_robust) == (want.beta_hat, want.se_robust)
+        with pytest.raises(InputError, match="^y must hold numbers$"):
+            PartialledData(y=["a"] * 200, x=x, z=z)
+
     def test_directly_built_data_with_more_instruments_than_rows_is_refused(self):
         """With 9 instruments and 6 rows, R is 6 x 9 and its 6 singular values
         can all be positive; the column count alone fails the rank rule."""

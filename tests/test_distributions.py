@@ -13,7 +13,7 @@ from helpers import cdf_calls  # noqa: F401  (fixture)
 from weakiv import NoncentralChiSq, RngStream, chisq_cdf, chisq_quantile
 from weakiv import distributions
 from weakiv.distributions import lower_gamma_regularized
-from weakiv.errors import NumericalError
+from weakiv.errors import InputError, NumericalError
 
 
 class TestLowerGamma:
@@ -35,9 +35,9 @@ class TestLowerGamma:
             )
 
     def test_bad_args(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             lower_gamma_regularized(0.0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             lower_gamma_regularized(1.0, -0.5)
 
     def test_infinite_shape_is_nan_in_a_batch(self):
@@ -408,13 +408,13 @@ class TestNoncentralChiSq:
             assert chisq_cdf(d, x) == pytest.approx(p, abs=1e-8)
 
     def test_bad_args(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             NoncentralChiSq(0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             NoncentralChiSq(2.0, -1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             chisq_quantile(NoncentralChiSq(2.0), 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             chisq_quantile(NoncentralChiSq(2.0), 1.0)
 
     @given(

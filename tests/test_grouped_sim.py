@@ -345,6 +345,19 @@ class TestGroupStats:
         with pytest.raises(InputError, match="one-hot"):
             group_stats(data)
 
+    @pytest.mark.parametrize("bad", ["fraction", "text"])
+    def test_non_integer_labels_rejected(self, bad):
+        """A label of 0.9 is not read as group 0, and a text label is not a
+        bare ValueError: both are refused as labels."""
+        data = generate(small_structural(), rng=7)
+        labels = data.cluster.astype(float)
+        if bad == "fraction":
+            labels[labels == 0] = 0.9
+        else:
+            labels = labels.astype(str)
+        with pytest.raises(InputError, match="^labels must be one integer per observation$"):
+            group_stats(data, labels=labels)
+
 
 class TestRepEngine:
     def test_single_rep_matches_generic_weak_iv_test(self):
@@ -463,7 +476,7 @@ class TestRunSim:
             sizes="fixed", group_probs=[0.996, 0.002, 0.002],
         )
 
-        def no_chunk(job):
+        def no_chunk(*args):
             raise AssertionError("a chunk ran")
 
         monkeypatch.setattr(grouped_sim, "_sim_chunk", no_chunk)
@@ -536,8 +549,7 @@ class TestRunSim:
         """A tau near 0 puts the noncentrality past 2e7 (at 1e-320 the radius
         overflows): every replication fails at its critical value."""
         design = small_structural()
-        job = (design, range(4), 0, tau, 0.05, "ls", "patnaik")
-        _, tally = grouped_sim._sim_chunk(job)
+        _, tally = grouped_sim._sim_chunk(design, 0, tau, 0.05, "ls", "patnaik", range(4))
         assert {s: tally[s] for s in grouped_sim._FAILURE_STAGES} == {
             "draw": 0, "moments": 0, "moment_cov": 0, "bias_bound": 0, "critical_value": 4,
         }
@@ -701,10 +713,11 @@ class TestMomentKernel:
             gen = RngStream(0, rep).generator()
             labels, _ = choice_labels(gen, 4, design.n, design.group_probs)
             smallest.append(0 if labels is None else np.bincount(labels, minlength=4).min())
-        job = (design, range(20), 0, 0.1, 0.05, "ls", "patnaik")
         with warnings_mod.catch_warnings():
             warnings_mod.simplefilter("ignore")
-            cols, tally = grouped_sim._sim_chunk(job)
+            cols, tally = grouped_sim._sim_chunk(
+                design, 0, 0.1, 0.05, "ls", "patnaik", range(20)
+            )
             with pytest.raises(NumericalError, match=re.escape(
                 "every replication failed (draw 4, moments 14, moment_cov 2; "
                 "101 redraws)"
@@ -754,8 +767,9 @@ class TestKernelAgainstDensePipeline:
             design = random_structural_design(rng)
             benchmark = ("ls", "mop")[i % 2]
             for rep in range(3):
-                job = (design, range(rep, rep + 1), i, tau, alpha, benchmark, "patnaik")
-                cols, tally = grouped_sim._sim_chunk(job)
+                cols, tally = grouped_sim._sim_chunk(
+                    design, i, tau, alpha, benchmark, "patnaik", range(rep, rep + 1)
+                )
                 if cols is None or cols["f_eff"].size == 0:
                     continue  # a group of one or two observations
                 pd_ = partial_out(generate(design, RngStream(i, rep)))
@@ -793,11 +807,58 @@ class TestSweepScale:
         with pytest.raises(InputError, match="structural"):
             sweep_scale(load_design("he"), [1.0], 2)
 
+    def test_bad_scale_refused_before_any_draw(self, monkeypatch):
+        """A scale past the coefficient bound is refused before the good
+        scale ahead of it is simulated."""
+        calls = []
+        monkeypatch.setattr(grouped_sim, "_sim_chunk", lambda *args: calls.append(args))
+        with pytest.raises(InputError, match=r"^scale_e \* pi0 entries must be at most"):
+            sweep_scale(load_design("me_reconstructed"), [0.04, 1e30], 2000)
+        assert calls == []
+
     def test_stronger_scale_weakens_bias(self):
         design = small_structural()
         rows = sweep_scale(design, [0.2, 5.0], 40, seed=3)
         assert rows[1]["mean_f_eff"] > rows[0]["mean_f_eff"]
         assert rows[1]["rel_bias_2sls"] < rows[0]["rel_bias_2sls"]
+
+
+BAD_SETTINGS = {
+    "tau": (1.5, r"tau must be in \(0, 1\), got 1\.5"),
+    "alpha": (0.0, r"alpha must be in \(0, 1\), got 0\.0"),
+    "method": ("exact", r"unknown method 'exact'; use one of patnaik, mc(, conservative)?"),
+    "benchmark": ("stock-yogo", r"unknown benchmark 'stock-yogo'; use mop or ls"),
+}
+
+SETTING_CALLS = {
+    "weak_iv_test": lambda **setting: weak_iv_test(
+        partial_out(generate(small_structural(), rng=3)), WeightSpec("2sls"), **setting
+    ),
+    "critical_value": lambda **setting: critical_value(
+        np.eye(2), 1.0, **{"alpha": 0.05, **setting}
+    ),
+    "run_sim": lambda **setting: run_sim(small_structural(), 2, **setting),
+    "sweep_scale": lambda **setting: sweep_scale(small_structural(), [0.5, 2.0], 2, **setting),
+}
+
+
+@pytest.mark.parametrize("call, setting", [
+    (call, setting) for call in SETTING_CALLS for setting in BAD_SETTINGS
+    if call != "critical_value" or setting in ("alpha", "method")
+])
+def test_each_bad_setting_has_one_message(call, setting, monkeypatch):
+    """The test's settings are checked in one place each: a bad tau, alpha,
+    method or benchmark gets the same refusal from the dense test, the
+    critical value (which takes only alpha and the method) and the
+    simulation, before any replication runs."""
+
+    def no_chunk(*args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(grouped_sim, "_sim_chunk", no_chunk)
+    value, message = BAD_SETTINGS[setting]
+    with pytest.raises(InputError, match=f"^{message}$"):
+        SETTING_CALLS[call](**{setting: value})
 
 
 class TestRandomDesignComparison:

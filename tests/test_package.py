@@ -1,4 +1,6 @@
 import ast
+import builtins
+import collections
 import subprocess
 import sys
 import types
@@ -78,3 +80,46 @@ def test_submodule_loads_only_what_it_imports(module):
 def test_load_table_lists_every_submodule():
     package = Path(weakiv.__file__).parent
     assert set(LOADS) == {path.stem for path in package.glob("*.py")} - {"__init__"}
+
+
+# Each raise of a builtin exception class in the package, with its reason; every
+# other error the package raises is a WeakIvError (errors.py).
+BUILTIN_RAISES = {
+    ("data.py", "_checked_lines", "ValueError"): (
+        2, "mimics np.loadtxt's refusal of a cell; _parse_columns catches it",
+    ),
+    ("__init__.py", "__getattr__", "AttributeError"): (
+        1, "PEP 562: a module __getattr__ signals a missing name with AttributeError",
+    ),
+}
+
+
+def _builtin_raises(tree, path):
+    """(file, enclosing function, class) of each raise of a builtin exception."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.id if isinstance(exc, ast.Name) else None
+            builtin = getattr(builtins, name or "", None)
+            if isinstance(builtin, type) and issubclass(builtin, BaseException):
+                found.append((path.name, function, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_package_raises_no_bare_builtin_error():
+    """Every refusal is a WeakIvError, which the command line maps to its
+    exit codes, but for the allowlisted raises of builtin classes."""
+    package = Path(weakiv.__file__).parent
+    found = collections.Counter(
+        site for path in sorted(package.glob("*.py"))
+        for site in _builtin_raises(ast.parse(path.read_text(encoding="utf-8")), path)
+    )
+    assert dict(found) == {site: count for site, (count, _) in BUILTIN_RAISES.items()}

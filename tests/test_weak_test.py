@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    benchmark_coeffs,
     benchmark_scale,
     concentration,
     make_dataset,
@@ -34,7 +35,7 @@ from weakiv import (
     worst_case_bias,
 )
 from weakiv import weak_test
-from weakiv.weak_test import _beta_step, _denominator_coeffs, _diagonal_worst_case_bias
+from weakiv.weak_test import _beta_step, _diagonal_worst_case_bias
 from weakiv.errors import InputError, NumericalError
 
 
@@ -143,7 +144,7 @@ class TestBenchmarkScale:
         rng = np.random.default_rng(7)
         tc = random_transformed_cov(rng, 4)
         for bench in (Benchmark("mop"), Benchmark("ls", ResidualCov(2.0, 0.8, 1.5))):
-            d0, d1 = _denominator_coeffs(tc, bench)
+            d0, d1 = benchmark_coeffs(tc, bench)
             for beta in (-2.0, 0.3, 6.0):
                 want = np.sqrt(d0 + d1 * beta + beta**2)
                 assert benchmark_scale(beta, tc, bench) == pytest.approx(
@@ -155,7 +156,7 @@ class TestBenchmarkScale:
             Benchmark("ls")
 
     def test_unknown_kind(self):
-        with pytest.raises(InputError, match="unknown benchmark kind"):
+        with pytest.raises(InputError, match="unknown benchmark"):
             Benchmark("liml")
 
 
@@ -164,7 +165,7 @@ def grid_sup(tc, bench, m=801):
     sym12 = 0.5 * (tc.v1v2 + tc.v1v2.T)
     t12 = np.trace(tc.v1v2)
     t2 = np.trace(tc.v2v2)
-    d0, d1 = _denominator_coeffs(tc, bench)
+    d0, d1 = benchmark_coeffs(tc, bench)
     phi = np.linspace(0.0, np.pi, m, endpoint=False)
     c = np.stack([np.cos(phi), np.sin(phi)])
     cs = np.einsum("im,ij,jm->m", c, sym12, c)
@@ -359,7 +360,7 @@ def assert_certified(tc, abs_tol=0.0, directions=2000):
         else:
             attained = abs(2.0 * direction @ tc.v2v2 @ direction - t) / t
         assert attained == pytest.approx(res.value, rel=1e-12, abs=abs_tol)
-        f, _ = _beta_step(a, b, *_denominator_coeffs(tc, bench))
+        f, _ = _beta_step(a, b, *benchmark_coeffs(tc, bench))
         assert np.sqrt(f.max()) <= res.upper
     return res
 
@@ -428,7 +429,7 @@ class TestDirectionStep:
         lam = np.linalg.eigvalsh(w2)
         s = max(abs(2.0 * lam[[0, -1]] - lam.sum()) / lam.sum())
         ls = Benchmark("ls", ResidualCov(2.0, 0.5, 1.0))
-        f, _ = _beta_step(0.7 * s, -s, *_denominator_coeffs(tc, ls))
+        f, _ = _beta_step(0.7 * s, -s, *benchmark_coeffs(tc, ls))
         assert res.value == pytest.approx(np.sqrt(f), rel=1e-12, abs=0.0)
 
     def test_limit_wins(self):
@@ -542,7 +543,7 @@ class TestCriticalValue:
             assert got == pytest.approx(critical_value(np.diag(row), r, 0.05), rel=1e-12)
 
     def test_unknown_method(self):
-        with pytest.raises(InputError, match="unknown critical-value method"):
+        with pytest.raises(InputError, match="unknown method"):
             critical_value(np.eye(2), 1.0, 0.05, method="bootstrap")
 
 
