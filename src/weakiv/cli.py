@@ -1,68 +1,27 @@
-"""Command-line interface: the argument types, the parser and `main`.
+"""Command-line interface: the parser and `main`.
 
 Subcommands: estimate and weakivtest consume a CSV file with named column
 bindings; simulate and curves run the Monte Carlo on a design file (or
 shipped design name); nagar gives a design's closed-form concentrations and
 Nagar biases; compare contrasts the 2SLS and GMMf Nagar biases over random
-designs. `main` parses the arguments, then imports `weakiv.commands` and runs
-the subcommand's handler `cmd_<subcommand>`, which writes its output as a
-table, csv or json. Exit codes: 0 ok, 2 usage, input or file error, 3
+designs. `main` parses the arguments, reads the settings through the
+library's readers (`weakiv._settings`), then imports `weakiv.commands` and
+runs the subcommand's handler `cmd_<subcommand>`, which writes its output as
+a table, csv or json. Exit codes: 0 ok, 2 usage, input or file error, 3
 numerical failure. Runs are deterministic given the seed.
 
-This module loads only argparse and the package's errors, so --version,
---help and usage errors compile no handler and load neither json nor numpy;
-each handler imports the numeric modules it runs.
+This module loads only argparse, the package's errors and its settings, so
+--version, --help, usage errors and bad settings compile no handler and load
+neither json nor numpy; each handler imports the numeric modules it runs.
 """
 
 import argparse
 import sys
 
-from . import __version__, available_designs
+from . import __version__, _settings, available_designs
 from .errors import InputError, NumericalError
 
 __all__ = ["main"]
-
-
-def _bounded_float(name):
-    def parse(text):
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{name} must be a number") from None
-        if not 0.0 < value < 1.0:
-            raise argparse.ArgumentTypeError(
-                f"{name} must be strictly between 0 and 1, got {text}"
-            )
-        return value
-
-    return parse
-
-
-def _positive_int(name):
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{name} must be an integer") from None
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{name} must be at least 1")
-        return value
-
-    return parse
-
-
-def _scale_list(text):
-    try:
-        scales = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "scales must be a comma-separated list of numbers"
-        ) from None
-    if not scales:
-        raise argparse.ArgumentTypeError("scales must not be empty")
-    if any(s <= 0 for s in scales):
-        raise argparse.ArgumentTypeError("scales must be positive")
-    return scales
 
 
 def build_parser():
@@ -101,20 +60,19 @@ def build_parser():
 
     test_parent = argparse.ArgumentParser(add_help=False)
     test_parent.add_argument(
-        "--tau", type=_bounded_float("tau"), default=0.10,
-        help="worst-case relative bias tolerance (default 0.10)",
+        "--tau", default=_settings.TAU,
+        help="worst-case relative bias tolerance, in (0, 1) (default %(default)s)",
     )
     test_parent.add_argument(
-        "--alpha", type=_bounded_float("alpha"), default=0.05,
-        help="test level (default 0.05)",
+        "--alpha", default=_settings.ALPHA, help="test level, in (0, 1) (default %(default)s)"
     )
     test_parent.add_argument(
-        "--benchmark", choices=("mop", "ls"), default="ls",
-        help="bias benchmark (default ls)",
+        "--benchmark", default=_settings.BENCHMARK,
+        help=f"bias benchmark, {' or '.join(_settings.BENCHMARKS)} (default %(default)s)",
     )
     test_parent.add_argument(
-        "--method", choices=("patnaik", "mc"), default="patnaik",
-        help="critical-value method (default patnaik)",
+        "--method", default=_settings.METHOD,
+        help=f"critical-value method, {' or '.join(_settings.METHODS)} (default %(default)s)",
     )
 
     sub.add_parser(
@@ -130,9 +88,7 @@ def build_parser():
         "--stat", choices=("eff", "robust", "both"), default="both",
         help="which statistic to test (default both)",
     )
-    p_test.add_argument(
-        "--seed", type=int, default=0, help="seed for the mc critical value"
-    )
+    p_test.add_argument("--seed", default=_settings.SEED, help="mc seed (default %(default)s)")
 
     design_parent = argparse.ArgumentParser(add_help=False)
     design_parent.add_argument(
@@ -144,13 +100,13 @@ def build_parser():
     )
     sim_parent = argparse.ArgumentParser(add_help=False, parents=[design_parent])
     sim_parent.add_argument(
-        "--reps", type=_positive_int("reps"), default=2000,
-        help="number of replications (default 2000)",
+        "--reps", default=_settings.REPS,
+        help=f"number of replications, 1 to {_settings.MAX_REPS} (default %(default)s)",
     )
-    sim_parent.add_argument("--seed", type=int, default=0)
+    sim_parent.add_argument("--seed", default=_settings.SEED, help="seed (default %(default)s)")
     sim_parent.add_argument(
-        "--workers", type=_positive_int("workers"), default=1,
-        help="worker processes (default 1; at most the CPU count)",
+        "--workers", default=_settings.WORKERS,
+        help="worker processes (default %(default)s; at most the CPU count)",
     )
 
     sub.add_parser(
@@ -163,7 +119,7 @@ def build_parser():
         help="bias and rejection curves over first-stage scales",
     )
     p_cur.add_argument(
-        "--scales", type=_scale_list, required=True,
+        "--scales", type=lambda text: [s for s in text.split(",") if s.strip()], required=True,
         help="comma-separated first-stage scales; each one replaces the "
         "design's scale_e (it is not a multiplier of it)",
     )
@@ -178,17 +134,16 @@ def build_parser():
         help="2SLS against GMMf Nagar bias over random grouped designs",
     )
     p_cmp.add_argument(
-        "--count", type=_positive_int("count"), default=1000,
-        help="accepted designs to compare (default 1000)",
+        "--count", default=_settings.COUNT, help="designs to compare (default %(default)s)"
     )
-    p_cmp.add_argument("--seed", type=int, default=0)
+    p_cmp.add_argument("--seed", default=_settings.SEED, help="seed (default %(default)s)")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _settings.read_args(args)
         from . import commands
 
         return getattr(commands, f"cmd_{args.subcommand}")(args)

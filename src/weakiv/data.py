@@ -105,10 +105,19 @@ class _BadScale(InputError):
         self.what, self.rms = what, rms
 
 
+def _check_rms(lo, **named):
+    """Refuse a named vector whose root mean square is below `lo` or above
+    the upper end of _RMS_RANGE."""
+    for name, v in named.items():
+        rms = _rms(v)
+        if not lo <= rms <= _RMS_RANGE[1]:
+            raise _BadScale(name, rms)
+
+
 def _rms(v):
     """Root mean square of the finite vector `v`, with no square that can
-    overflow."""
-    peak = float(np.abs(v).max())
+    overflow; 0 for an empty one."""
+    peak = float(np.abs(v).max(initial=0.0))
     return 0.0 if peak == 0.0 else peak * float(np.sqrt(np.mean(np.square(v / peak))))
 
 
@@ -183,10 +192,7 @@ class Dataset:
             raise InputError(
                 f"need at least k_z + k_c + 2 = {k_z + k_c + 2} rows, got {n}"
             )
-        for name, arr in (("y", y), ("x", x)):
-            rms = _rms(arr)
-            if not _RMS_RANGE[0] <= rms <= _RMS_RANGE[1]:
-                raise _BadScale(name, rms)
+        _check_rms(_RMS_RANGE[0], y=y, x=x)
         if cluster is not None:
             cluster = _dense_cluster_codes(cluster)
         object.__setattr__(self, "y", y)
@@ -216,9 +222,9 @@ class PartialledData:
     residuals and the moment covariance estimates are computed once, on first
     use (`partial_out` supplies the QR it made for its rank check), and shared
     by every estimator, statistic and test run on this data. Their types,
-    rows and values are checked as `Dataset`'s are, but for the band of root
-    mean squares: partialling out the controls can leave x at zero, which
-    the estimators refuse with their own message.
+    rows and values are checked as `Dataset`'s are, but for the lower end of
+    the band of root mean squares: partialling out the controls can leave x
+    at zero, which the estimators refuse with their own message.
     """
 
     y: np.ndarray
@@ -228,6 +234,7 @@ class PartialledData:
 
     def __post_init__(self):
         y, x, z, _, cluster = _checked_arrays(self.y, self.x, self.z, cluster=self.cluster)
+        _check_rms(0.0, y=y, x=x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "z", z)

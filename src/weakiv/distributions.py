@@ -17,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _settings
 from .errors import InputError, NumericalError
 
 __all__ = [
@@ -599,9 +600,8 @@ class RngStream:
     stream: int = 0
 
     def __post_init__(self):
-        for name, value in (("seed", self.seed), ("stream", self.stream)):
-            if value < 0:
-                raise InputError(f"{name} must be a nonnegative integer, got {value}")
+        object.__setattr__(self, "seed", _settings.read("seed", self.seed))
+        object.__setattr__(self, "stream", _settings.read("stream", self.stream))
 
     def generator(self):
         key = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))

@@ -48,17 +48,18 @@ def _square(m, k=None, name="omega"):
     return m
 
 
-def _spd(omega, k=None):
-    """Symmetrized copy of a weight matrix after checking that it is square
-    (k x k when `k` is given), symmetric and positive definite."""
-    omega = _square(omega, k)
+def _spd(omega, k=None, name="omega"):
+    """Symmetrized copy of a matrix, such as a weight matrix, after checking
+    that it is square (k x k when `k` is given), symmetric and positive
+    definite; an exactly symmetric one keeps its values."""
+    omega = _square(omega, k, name)
     if not np.allclose(omega, omega.T, rtol=1e-10, atol=1e-12):
-        raise InputError("omega must be symmetric")
+        raise InputError(f"{name} must be symmetric")
     omega = _sym(omega)
     try:
         np.linalg.cholesky(omega)
     except np.linalg.LinAlgError:
-        raise InputError("omega must be positive definite") from None
+        raise InputError(f"{name} must be positive definite") from None
     return omega
 
 

@@ -43,17 +43,12 @@ from functools import partial
 
 import numpy as np
 
-from . import _design_dir, available_designs
+from . import _design_dir, _settings, available_designs
 from .data import Dataset
 from .distributions import RngStream, _normal_tail_quantile
 from .errors import InputError, NumericalError, WeakIvError
 from .estimators import _resid_cov_singular
-from .weak_test import (
-    _check_benchmark,
-    _check_settings,
-    _critical_values,
-    _diagonal_worst_case_bias,
-)
+from .weak_test import _critical_values, _diagonal_worst_case_bias
 
 __all__ = [
     "DesignComparison",
@@ -92,11 +87,6 @@ _VAR_RANGE = (1e-50, 1e50)
 upper end that of var_u."""
 _GENERATE_CELLS = 10**8
 """Largest n * G for `generate`, whose dense instrument matrix is then 800 MB."""
-_MAX_REPS = 10**7
-"""Most replications of a run. `run_sim` keeps about 200 bytes of columns per
-replication until its summary, which concatenates them: tracemalloc peaks of
-5.2 MB at 4096 replications and 10.3 MB at 16384 on me_reconstructed, about
-415 bytes per replication, so about 4 GB at the cap."""
 _CHUNK_REPS = 1024
 """Most replications one chunk holds; bounds the memory of its columns."""
 _COMPARE_GROUPS = 10
@@ -105,32 +95,11 @@ _COMPARE_MAX_ATTEMPTS = 5_000_000
 _FAILURE_STAGES = ("draw", "moments", "moment_cov", "bias_bound", "critical_value")
 
 
-def _as_float(value, name):
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"{name} must be a number, got {value!r}") from None
-
-
 def _as_float_array(value, name):
     try:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise InputError(f"{name} must be a number or a list of numbers") from None
-
-
-def _as_int(value, name):
-    """`value` as an int: an integral float such as 1.0e+4 is one, a fraction
-    or a non-number is an InputError that names `name`."""
-    if isinstance(value, int):
-        return value
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if not number.is_integer():
-        raise InputError(f"{name} must be an integer, got {value!r}")
-    return int(number)
 
 
 def _as_float_vector(value, g, name):
@@ -183,9 +152,7 @@ class GroupedDesign:
         if np.any(var_v2 < lo) or np.any(var_v2 > hi):
             raise InputError(f"var_v2 entries must be from {lo:g} to {hi:g}")
         object.__setattr__(self, "var_v2", var_v2)
-        scale = _as_float(self.scale_e, "scale_e")
-        if not math.isfinite(scale) or scale <= 0.0:
-            raise InputError(f"scale_e must be a positive number, got {self.scale_e}")
+        scale = _settings.read("scale_e", self.scale_e)
         peak = scale * float(np.abs(pi0).max())  # a float product: inf, no warning
         if peak > _MAX_SCALE:
             raise InputError(
@@ -193,12 +160,12 @@ class GroupedDesign:
                 f"got {peak:g}"
             )
         object.__setattr__(self, "scale_e", scale)
-        object.__setattr__(self, "beta", _as_float(self.beta, "beta"))
+        object.__setattr__(self, "beta", _settings.number(self.beta, "beta"))
         if not abs(self.beta) <= _MAX_SCALE:
             raise InputError(
                 f"beta must be at most {_MAX_SCALE:g} in magnitude, got {self.beta}"
             )
-        n = _as_int(self.n, "n")
+        n = _settings.integer(self.n, "n")
         if n < g + 2:
             raise InputError(f"n must be at least G + 2 = {g + 2}, got {n}")
         if n > _MAX_N:
@@ -294,7 +261,7 @@ def _as_generator(rng):
         return rng
     if isinstance(rng, RngStream):
         return rng.generator()
-    return RngStream(int(rng), 0).generator()
+    return RngStream(rng).generator()
 
 
 def _fixed_counts(n, probs):
@@ -365,7 +332,7 @@ def _cholesky(design):
     return l11, l21, np.sqrt(design.var_v2 - l21 * l21)
 
 
-def generate(design, rng=0):
+def generate(design, rng=_settings.SEED):
     """Draw one dataset from a structural design, with indicator instruments
     and the group labels attached as the cluster variable."""
     if not design.has_structural:
@@ -686,12 +653,12 @@ def _pool_size(workers, jobs, cpus):
 def run_sim(
     design,
     reps,
-    tau=0.1,
-    alpha=0.05,
-    seed=0,
-    benchmark="ls",
-    method="patnaik",
-    workers=1,
+    tau=_settings.TAU,
+    alpha=_settings.ALPHA,
+    seed=_settings.SEED,
+    benchmark=_settings.BENCHMARK,
+    method=_settings.METHOD,
+    workers=_settings.WORKERS,
 ):
     """Simulate a grouped design and summarize the replications.
 
@@ -702,15 +669,13 @@ def run_sim(
     F-statistics and weights only. Failed replications are counted in
     `failed`, and by stage in `failures`, and excluded from the summaries.
     """
-    reps = _as_int(reps, "reps")
-    if not 1 <= reps <= _MAX_REPS:
-        raise InputError(f"reps must be from 1 to {_MAX_REPS}, got {reps}")
-    _check_settings(alpha, method, tau=tau)
-    _check_benchmark(benchmark)
-    workers = _as_int(workers, "workers")
-    if workers < 1:
-        raise InputError(f"workers must be at least 1, got {workers}")
-    seed = RngStream(int(seed)).seed  # a bad seed fails here, before any worker starts
+    reps = _settings.read("reps", reps)
+    tau = _settings.read("tau", tau)
+    alpha = _settings.read("alpha", alpha)
+    method = _settings.read("method", method)
+    benchmark = _settings.read("benchmark", benchmark)
+    workers = _settings.read("workers", workers)
+    seed = _settings.read("seed", seed)
     if design.sizes == "fixed":
         _fixed_counts(design.n, design.group_probs)  # a design error, before any draw
     chunk = _CHUNK_REPS if workers == 1 else math.ceil(reps / (4 * workers))
@@ -782,7 +747,7 @@ def sweep_scale(design, scales, reps, **options):
     if not design.has_structural:
         raise InputError("bias curves need a structural design (var_u, cov_uv2)")
     rows = []
-    for scaled in [dataclasses.replace(design, scale_e=scale) for scale in scales]:
+    for scaled in [dataclasses.replace(design, scale_e=s) for s in _settings.scales(scales)]:
         summ = run_sim(scaled, reps, **options)
         bias_ols = summ.means["beta_ols"] - design.beta
         def _rel(key):
@@ -867,7 +832,7 @@ class DesignComparison:
     cov_uv2: np.ndarray
 
 
-def random_design_comparison(count=1000, seed=0):
+def random_design_comparison(count=_settings.COUNT, seed=_settings.SEED):
     """Sample random grouped designs under concentration and endogeneity
     constraints and compare the closed-form approximate biases of 2SLS and
     GMMf.
@@ -881,10 +846,9 @@ def random_design_comparison(count=1000, seed=0):
     the GMMf concentration is in (40, 45). Reports the fraction of kept
     designs where 2SLS has the larger absolute approximate bias.
     """
-    count = int(count)
-    if count < 1:
-        raise InputError(f"count must be at least 1, got {count}")
-    gen = RngStream(int(seed), 0).generator()
+    count = _settings.read("count", count)
+    seed = _settings.read("seed", seed)
+    gen = RngStream(seed).generator()
     share = 1.0 / _COMPARE_GROUPS
     size = (_COMPARE_BATCH, _COMPARE_GROUPS)
     kept = []
@@ -922,7 +886,7 @@ def random_design_comparison(count=1000, seed=0):
     return DesignComparison(
         count=count,
         attempts=attempts,
-        seed=int(seed),
+        seed=seed,
         fraction_2sls_worse=float(
             np.mean(np.abs(nagar_2sls) > np.abs(nagar_gmmf))
         ),

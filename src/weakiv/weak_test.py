@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _settings
 from .distributions import NoncentralChiSq, RngStream, chisq_quantile
 from .errors import InputError, NumericalError
 from .estimators import (
@@ -52,27 +53,10 @@ _BOUND_RTOL = 1e-13
 _MAX_NODES = 4096
 """Cap on the bias search's nodes (eigenvalue evaluations)."""
 _MC_DIRECTIONS = 200
+_MC_DRAWS = 100_000
+"""Draws of the "mc" critical value."""
 _STATISTIC = {"2sls": "effective", "gmmf": "robust", "custom": "generalized"}
 """The name of the generalized F-statistic at each weight kind's Omega."""
-
-
-def _check_alpha(alpha):
-    """Reject a test level outside (0, 1), or one so small that the
-    critical value's probability 1 - alpha rounds to 1."""
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must be in (0, 1), got {alpha}")
-    if 1.0 - alpha == 1.0:
-        raise InputError(f"alpha {alpha} is too small: 1 - alpha rounds to 1")
-
-
-def _check_settings(alpha, method, methods=("patnaik", "mc"), tau=None):
-    """Reject a tau (when given) outside (0, 1), a bad alpha
-    (`_check_alpha`) or a critical-value method outside `methods`."""
-    if tau is not None and not 0.0 < tau < 1.0:
-        raise InputError(f"tau must be in (0, 1), got {tau}")
-    _check_alpha(alpha)
-    if method not in methods:
-        raise InputError(f"unknown method {method!r}; use one of {', '.join(methods)}")
 
 
 def _sym_sqrt(omega):
@@ -92,14 +76,6 @@ def transform_moment_cov(cov, omega):
     )
 
 
-def _check_benchmark(kind):
-    """Reject a benchmark kind other than "mop" and "ls": the check of
-    `Benchmark`, and of the simulation, whose "ls" scale is each
-    replication's own pooled residual covariance."""
-    if kind not in ("mop", "ls"):
-        raise InputError(f"unknown benchmark {kind!r}; use mop or ls")
-
-
 @dataclass(frozen=True)
 class Benchmark:
     """Bias scale: "mop" uses the estimator's own worst-case scale
@@ -110,7 +86,7 @@ class Benchmark:
     resid_cov: ResidualCov | None = None
 
     def __post_init__(self):
-        _check_benchmark(self.kind)
+        _settings.read("benchmark", self.kind)
         if self.kind == "ls" and self.resid_cov is None:
             raise InputError("ls benchmark requires a residual covariance")
 
@@ -307,18 +283,18 @@ def _effective_dof(lam, radius):
     )
 
 
-def _critical_values(lam, radius, alpha, method="patnaik", draws=100000, seed=0):
+def _critical_values(lam, radius, alpha, method=_settings.METHOD, seed=_settings.SEED):
     """Critical values for the generalized effective F-statistic from the
     eigenvalues `lam` of the transformed lower block W on the last axis: one
     (k,) law and a scalar `radius`, or an (R, k) batch and R radii. A batch
     gives an array, NaN where a law fails; one law a float or NumericalError.
-    The callers have checked `method` (`_check_settings`).
+    The callers have read `method`.
 
     "patnaik": upper-alpha quantile of chi2(keff, radius*keff)/keff with keff
     the moment-matched effective dof. "mc": in W's eigenbasis, `lam`
     ascending, the max over max(200, k) unit directions c (the k axes, then
     random ones from `seed`) of the empirical upper-alpha quantile of
-    |c sqrt(radius tr W) + xi|^2 / tr W over `draws` draws xi = sqrt(lam) zeta,
+    |c sqrt(radius tr W) + xi|^2 / tr W over _MC_DRAWS draws xi = sqrt(lam) zeta,
     zeta ~ N(0, I), shared by the batch; it needs every eigenvalue positive.
     """
     if method == "patnaik":
@@ -331,7 +307,7 @@ def _critical_values(lam, radius, alpha, method="patnaik", draws=100000, seed=0)
     rnorm = np.linalg.norm(rnd, axis=1)
     rnorm[rnorm == 0.0] = 1.0
     grid = np.vstack([np.eye(k), rnd / rnorm[:, None]])
-    zeta = gen.standard_normal((draws, k))
+    zeta = gen.standard_normal((_MC_DRAWS, k))
     t = lam.sum(axis=-1)
     scale = np.sqrt(radius * t)
     cv = np.full(t.shape, np.nan)
@@ -351,27 +327,32 @@ def _critical_values(lam, radius, alpha, method="patnaik", draws=100000, seed=0)
 
 
 def _check_radius(radius):
-    if radius < 0.0:
-        raise InputError(f"radius must be nonnegative, got {radius}")
+    radius = _settings.read("radius", radius)
     if not math.isfinite(radius):
         # bias_bound / tau overflows at a tau near 0
         raise NumericalError(f"noncentrality radius {radius} is not finite")
+    return radius
 
 
 def effective_dof(w2t, radius):
-    """Moment-matched effective degrees of freedom for the critical value."""
-    _check_radius(radius)
-    return float(_effective_dof(np.linalg.eigvalsh(np.asarray(w2t, dtype=float)), radius))
+    """Moment-matched effective degrees of freedom for the critical value on
+    the transformed lower block `w2t`, square, symmetric and positive
+    definite."""
+    radius = _check_radius(radius)
+    return float(_effective_dof(np.linalg.eigvalsh(_spd(w2t, name="w2t")), radius))
 
 
-def critical_value(w2t, radius, alpha, method="patnaik", draws=100000, seed=0):
+def critical_value(w2t, radius, alpha, method=_settings.METHOD, seed=_settings.SEED):
     """Critical value for the generalized effective F-statistic on the
-    transformed lower block `w2t`, "patnaik" or "mc" (`_critical_values`).
-    Both depend on `w2t` only through its eigenvalues."""
-    _check_settings(alpha, method)
-    _check_radius(radius)
-    lam = np.linalg.eigvalsh(np.asarray(w2t, dtype=float))
-    return float(_critical_values(lam, radius, alpha, method, draws, seed))
+    transformed lower block `w2t`, square, symmetric and positive definite,
+    "patnaik" or "mc" (`_critical_values`). Both depend on `w2t` only through
+    its eigenvalues."""
+    alpha = _settings.read("alpha", alpha)
+    method = _settings.read("method", method)
+    seed = _settings.read("seed", seed)
+    radius = _check_radius(radius)
+    lam = np.linalg.eigvalsh(_spd(w2t, name="w2t"))
+    return float(_critical_values(lam, radius, alpha, method, seed))
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,14 +374,13 @@ class WeakIvResult:
 def weak_iv_test(
     pd,
     spec,
-    benchmark="ls",
-    tau=0.1,
-    alpha=0.05,
-    method="patnaik",
+    benchmark=_settings.BENCHMARK,
+    tau=_settings.TAU,
+    alpha=_settings.ALPHA,
+    method=_settings.METHOD,
     flavor="hc0",
     dof_correction=False,
-    mc_draws=100000,
-    mc_seed=0,
+    mc_seed=_settings.SEED,
 ):
     """Run the full weak-instruments decision procedure for one estimator.
 
@@ -410,10 +390,13 @@ def weak_iv_test(
     Omega: the effective F for "2sls" and the robust F for "gmmf". `method`
     is "patnaik", "mc", or "conservative" (radius fixed at 1/tau, valid and
     conservative for the mop benchmark only). The bias bound comes from
-    `worst_case_bias`; `mc_draws` and `mc_seed` are the draws and seed of the
-    "mc" critical value (`critical_value`).
+    `worst_case_bias`; `mc_seed` is the seed of the "mc" critical value
+    (`critical_value`).
     """
-    _check_settings(alpha, method, ("patnaik", "mc", "conservative"), tau)
+    tau = _settings.read("tau", tau)
+    alpha = _settings.read("alpha", alpha)
+    method = _settings.read("method", method, (*_settings.METHODS, "conservative"))
+    mc_seed = _settings.read("seed", mc_seed)
     if not isinstance(spec, WeightSpec):
         spec = WeightSpec(spec)
     bench = benchmark
@@ -443,12 +426,12 @@ def weak_iv_test(
             )
         bias_bound = sup.value
         radius = bias_bound / tau
-    _check_radius(radius)
+    radius = _check_radius(radius)
     lam = np.linalg.eigvalsh(tc.v2v2)
     keff = _effective_dof(lam, radius)
     cv = _critical_values(
         lam, radius, alpha, "patnaik" if method == "conservative" else method,
-        draws=mc_draws, seed=mc_seed,
+        seed=mc_seed,
     )
     return WeakIvResult(
         statistic=stat,

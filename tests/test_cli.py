@@ -59,12 +59,11 @@ class TestUsageErrors:
 
     def test_invalid_tau_exits_2(self, tmp_path, capsys):
         path = write_iv_csv(tmp_path / "d.csv")
-        with pytest.raises(SystemExit) as exc:
-            main(
-                ["weakivtest", path, "--y", "y", "--x", "x", "--z", "z0",
-                 "--tau", "0"]
-            )
-        assert exc.value.code == 2
+        code, out, err = run_main(
+            ["weakivtest", path, "--y", "y", "--x", "x", "--z", "z0", "--tau", "0"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == "weakiv: error: tau must be in (0, 1), got 0.0\n"
 
     @pytest.mark.parametrize("command", ["simulate", "weakivtest"])
     def test_alpha_whose_complement_rounds_to_1_exits_2(self, command, tmp_path, capsys):
@@ -523,9 +522,9 @@ class TestSimulateAndCurves:
         assert lines[2].startswith("0.04,")
 
     def test_curves_rejects_bad_scales(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["curves", "homoskedastic", "--scales", "0,-1"])
-        assert exc.value.code == 2
+        code, out, err = run_main(["curves", "homoskedastic", "--scales", "0,-1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "weakiv: error: scale_e must be a positive number, got 0.0\n"
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         design = tmp_path / "impossible.yaml"
@@ -706,11 +705,22 @@ class TestConsoleScript:
         (["--help"], 0),
         (["simulate", "--help"], 0),
         (["simulate", "me", "--reps", "0"], 2),
-    ], ids=["version", "help", "simulate-help", "usage-error"])
+        (["simulate", "me", "--tau", "2"], 2),
+        (["simulate", "me", "--alpha", "x"], 2),
+        (["simulate", "me", "--benchmark", "x"], 2),
+        (["simulate", "me", "--method", "x"], 2),
+        (["simulate", "me", "--workers", "0"], 2),
+        (["simulate", "me", "--seed", "1.5"], 2),
+        (["compare", "--count", "0"], 2),
+        (["curves", "me", "--scales", "0"], 2),
+        (["weakivtest", "d.csv", "--y", "y", "--x", "x", "--z", "z0", "--seed", "-1"], 2),
+    ], ids=["version", "help", "simulate-help", "usage-error", "tau", "alpha", "benchmark",
+            "method", "workers", "seed", "count", "scales", "weakivtest-seed"])
     def test_parse_only_invocation_loads_no_numpy(self, argv, status):
-        """Arguments are parsed before any numeric module loads, so version,
-        help and usage errors load neither numpy nor a weakiv submodule
-        beyond the CLI and its errors."""
+        """Arguments are parsed, and the settings read, before any numeric
+        module loads, so version, help, usage errors and bad settings load
+        neither numpy nor a weakiv submodule beyond the CLI, its errors and
+        its settings."""
         proc = subprocess.run(
             [sys.executable, "-X", "importtime", "-m", "weakiv.cli", *argv],
             capture_output=True, text=True,
@@ -722,7 +732,9 @@ class TestConsoleScript:
         }
         assert "weakiv" in loaded
         assert "numpy" not in loaded
-        assert {m for m in loaded if m.startswith("weakiv.")} <= {"weakiv.cli", "weakiv.errors"}
+        assert {m for m in loaded if m.startswith("weakiv.")} <= {
+            "weakiv.cli", "weakiv._settings", "weakiv.errors"
+        }
 
     def test_package_import_loads_no_numpy(self):
         code = "import sys, weakiv; print(sorted(sys.modules))"
@@ -838,7 +850,7 @@ class TestConsoleScript:
         assert status == "0", proc.stderr
         loaded = set(ast.literal_eval(loaded))
         assert {m for m in loaded if m.startswith("weakiv")} == {
-            "weakiv", "weakiv.cli", "weakiv.errors"
+            "weakiv", "weakiv.cli", "weakiv._settings", "weakiv.errors"
         }
         assert "json" not in loaded
 

@@ -193,6 +193,24 @@ class TestPartialOut:
         with pytest.raises(InputError, match="^y must hold numbers$"):
             PartialledData(y=["a"] * 200, x=x, z=z)
 
+    @pytest.mark.parametrize("name", ["y", "x"])
+    def test_directly_built_data_past_the_upper_end_of_the_band_is_refused(self, name):
+        """Built directly, y or x with a root mean square past 1e60 is
+        refused by name, as through `Dataset`, before an estimator's matmul
+        overflows (y * 1e200 did, under -W error); x at zero is left to the
+        estimators, which refuse degenerate identification."""
+        rng = np.random.default_rng(34)
+        arrays = {"y": rng.standard_normal(200), "x": rng.standard_normal(200),
+                  "z": rng.standard_normal((200, 3))}
+        arrays[name] = arrays[name] * 1e200
+        with pytest.raises(InputError, match=rf"^{name} has root mean square \S+e\+(199|200); "
+                           r"it must be from 1e-60 to 1e\+60, so rescale it$"):
+            PartialledData(**arrays)
+        edge = {**arrays, name: np.full(200, 0.999e60)}
+        assert PartialledData(**edge).n == 200
+        zero = {**arrays, "y": np.zeros(200), "x": np.zeros(200)}
+        assert PartialledData(**zero).n == 200
+
     def test_directly_built_data_with_more_instruments_than_rows_is_refused(self):
         """With 9 instruments and 6 rows, R is 6 x 9 and its 6 singular values
         can all be positive; the column count alone fails the rank rule."""

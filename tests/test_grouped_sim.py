@@ -29,7 +29,7 @@ from weakiv import (
     weak_iv_test,
 )
 from weakiv.errors import InputError, NumericalError
-from weakiv import grouped_sim, weak_test
+from weakiv import _settings, grouped_sim, weak_test
 from weakiv.grouped_sim import _pool_size, _wald_critical_value, random_design_comparison
 
 
@@ -458,7 +458,7 @@ class TestRunSim:
             run_sim(design, 2.7)
         with pytest.raises(InputError,
                            match=r"^reps must be from 1 to 10000000, got 10000001$"):
-            run_sim(design, grouped_sim._MAX_REPS + 1)
+            run_sim(design, _settings.MAX_REPS + 1)
         assert run_sim(design, 2.0, workers=1.0).reps == 2
         with pytest.raises(InputError, match="alpha must be in"):
             run_sim(design, 2, alpha=0.0)
@@ -827,7 +827,7 @@ BAD_SETTINGS = {
     "tau": (1.5, r"tau must be in \(0, 1\), got 1\.5"),
     "alpha": (0.0, r"alpha must be in \(0, 1\), got 0\.0"),
     "method": ("exact", r"unknown method 'exact'; use one of patnaik, mc(, conservative)?"),
-    "benchmark": ("stock-yogo", r"unknown benchmark 'stock-yogo'; use mop or ls"),
+    "benchmark": ("stock-yogo", r"unknown benchmark 'stock-yogo'; use one of mop, ls"),
 }
 
 SETTING_CALLS = {

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from weakiv import Dataset, WeightSpec, estimate, partial_out, weak_iv_test
+from weakiv import Dataset, WeightSpec, estimate, partial_out, weak_iv_test, weak_test
 
 N = 1000
 KZ = (2, 3, 4, 5, 6, 8)
@@ -31,7 +31,13 @@ BENCHMARKS = ("ls", "mop")
 TEST_FIELDS = ("statistic", "bias_bound", "effective_dof", "cv")
 ESTIMATE_FIELDS = ("beta_hat", "se_robust", "se_nonrobust")
 OPTIONS = {"flavor": "cluster", "dof_correction": True}
-MC = {"method": "mc", "mc_draws": 5000, "mc_seed": 7}
+MC = {"method": "mc", "mc_seed": 7}
+
+
+@pytest.fixture(autouse=True)
+def mc_draws(monkeypatch):
+    """The "mc" critical value on 5000 draws."""
+    monkeypatch.setattr(weak_test, "_MC_DRAWS", 5000)
 
 
 @lru_cache(maxsize=None)

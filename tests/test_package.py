@@ -56,14 +56,16 @@ def test_version_matches_pyproject():
 # the handlers load what they call.
 LOADS = {
     "errors": {"errors"},
-    "distributions": {"distributions", "errors"},
+    "_settings": {"_settings", "errors"},
+    "distributions": {"distributions", "_settings", "errors"},
     "estimators": {"estimators", "errors"},
     "fstats": {"fstats", "estimators", "errors"},
     "data": {"data", "errors"},
-    "weak_test": {"weak_test", "distributions", "estimators", "fstats", "errors"},
-    "grouped_sim": {"grouped_sim", "data", "weak_test", "distributions", "estimators",
-                    "fstats", "errors"},
-    "cli": {"cli", "errors"},
+    "weak_test": {"weak_test", "_settings", "distributions", "estimators", "fstats",
+                  "errors"},
+    "grouped_sim": {"grouped_sim", "_settings", "data", "weak_test", "distributions",
+                    "estimators", "fstats", "errors"},
+    "cli": {"cli", "_settings", "errors"},
     "commands": {"commands"},
 }
 

@@ -1,6 +1,7 @@
 """The README's examples run: every `weakiv ...` command in its sh blocks
-parses with the CLI's own parser and names a shipped design where it takes
-one, and the library quick start runs on a generated data.csv."""
+parses with the CLI's own parser, its settings are valid, and it names a
+shipped design where it takes one; and the library quick start runs on a
+generated data.csv."""
 
 import re
 import shlex
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from weakiv import available_designs
+from weakiv import _settings, available_designs
 from weakiv.cli import build_parser
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -35,6 +36,7 @@ def test_command_examples_parse():
     parser = build_parser()
     for argv in commands:
         args = parser.parse_args(argv)
+        _settings.read_args(args)
         if hasattr(args, "design"):
             assert args.design in available_designs(), argv
 

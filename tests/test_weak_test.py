@@ -502,49 +502,84 @@ class TestCriticalValue:
         w = random_spd(rng, 3)
         assert critical_value(w, 3.0, 0.01) > critical_value(w, 3.0, 0.05)
 
-    def test_mc_close_to_patnaik_at_identity(self):
+    def test_mc_close_to_patnaik_at_identity(self, monkeypatch):
         k, d = 4, 7.0
         pat = critical_value(np.eye(k), d, 0.05, method="patnaik")
-        mc = critical_value(np.eye(k), d, 0.05, method="mc", draws=200000, seed=3)
+        monkeypatch.setattr(weak_test, "_MC_DRAWS", 200000)
+        mc = critical_value(np.eye(k), d, 0.05, method="mc", seed=3)
         assert mc == pytest.approx(pat, abs=0.12)
 
-    def test_mc_deterministic(self):
+    def test_mc_deterministic(self, monkeypatch):
         rng = np.random.default_rng(19)
         w = random_spd(rng, 3)
-        a = critical_value(w, 4.0, 0.05, method="mc", draws=20000, seed=11)
-        b = critical_value(w, 4.0, 0.05, method="mc", draws=20000, seed=11)
+        monkeypatch.setattr(weak_test, "_MC_DRAWS", 20000)
+        a = critical_value(w, 4.0, 0.05, method="mc", seed=11)
+        b = critical_value(w, 4.0, 0.05, method="mc", seed=11)
         assert a == b
 
-    def test_mc_depends_on_eigenvalues_only(self):
+    def test_mc_depends_on_eigenvalues_only(self, monkeypatch):
         rng = np.random.default_rng(21)
         w = random_spd(rng, 4)
         rot, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         lam = np.linalg.eigvalsh(w)
-        a = critical_value(w, 3.0, 0.05, method="mc", draws=5000, seed=2)
-        b = critical_value(rot @ w @ rot.T, 3.0, 0.05, method="mc", draws=5000, seed=2)
-        c = critical_value(np.diag(lam[::-1]), 3.0, 0.05, method="mc", draws=5000, seed=2)
+        monkeypatch.setattr(weak_test, "_MC_DRAWS", 5000)
+        a = critical_value(w, 3.0, 0.05, method="mc", seed=2)
+        b = critical_value(rot @ w @ rot.T, 3.0, 0.05, method="mc", seed=2)
+        c = critical_value(np.diag(lam[::-1]), 3.0, 0.05, method="mc", seed=2)
         assert b == pytest.approx(a, rel=1e-12)
         assert c == pytest.approx(a, rel=1e-12)
 
-    def test_batch_matches_one_law_at_a_time(self):
+    def test_batch_matches_one_law_at_a_time(self, monkeypatch):
         """A batch of diagonal laws, as the grouped simulation passes them:
         each row's value is the dense critical value on its diagonal, bit for
-        bit under mc; a row with a zero eigenvalue has no mc value."""
+        bit under mc; a row with a zero eigenvalue has no mc value, and the
+        dense critical value refuses its singular W."""
         lam = np.array([[2.0, 0.5, 1.0], [0.3, 0.3, 4.0], [1.0, 0.0, 2.0]])
         radius = np.array([0.0, 5.0, 2.0])
-        mc = weak_test._critical_values(lam, radius, 0.05, "mc", draws=3000, seed=4)
+        monkeypatch.setattr(weak_test, "_MC_DRAWS", 3000)
+        mc = weak_test._critical_values(lam, radius, 0.05, "mc", seed=4)
         for row, r, got in zip(lam[:2], radius, mc):
-            assert got == critical_value(np.diag(row), r, 0.05, "mc", draws=3000, seed=4)
+            assert got == critical_value(np.diag(row), r, 0.05, "mc", seed=4)
         assert np.isnan(mc[2])
         with pytest.raises(NumericalError, match="not positive definite"):
-            critical_value(np.diag(lam[2]), 2.0, 0.05, "mc", draws=3000, seed=4)
+            weak_test._critical_values(lam[2], 2.0, 0.05, "mc", seed=4)
+        for method in ("mc", "patnaik"):
+            with pytest.raises(InputError, match="^w2t must be positive definite$"):
+                critical_value(np.diag(lam[2]), 2.0, 0.05, method, seed=4)
         pat = weak_test._critical_values(lam, radius, 0.05)
-        for row, r, got in zip(lam, radius, pat):
+        for row, r, got in zip(lam[:2], radius, pat):
             assert got == pytest.approx(critical_value(np.diag(row), r, 0.05), rel=1e-12)
+        assert pat[2] == pytest.approx(weak_test._critical_values(lam[2], 2.0, 0.05),
+                                       rel=1e-12)
 
     def test_unknown_method(self):
         with pytest.raises(InputError, match="unknown method"):
             critical_value(np.eye(2), 1.0, 0.05, method="bootstrap")
+
+    @pytest.mark.parametrize("w2t, message", [
+        ([[1.0, 5.0], [0.0, 1.0]], "w2t must be symmetric"),
+        ([1.0, 2.0], r"w2t has the wrong shape \(2,\): expected a square matrix"),
+        ([[0.25, 0.75], [0.75, 0.25]], "w2t must be positive definite"),
+    ], ids=["asymmetric", "vector", "indefinite"])
+    @pytest.mark.parametrize("method", ["patnaik", "mc"])
+    def test_w2t_must_be_symmetric_positive_definite(self, w2t, message, method):
+        """Before the check, eigvalsh read the lower triangle of an
+        asymmetric W (7.3201, the identity's value), a vector raised a bare
+        LinAlgError, and W with eigenvalues (1, -0.5) gave 13.62."""
+        if method == "patnaik":
+            with pytest.raises(InputError, match=f"^{message}$"):
+                effective_dof(w2t, 1.0)
+        with pytest.raises(InputError, match=f"^{message}$"):
+            critical_value(w2t, 1.0, 0.05, method)
+
+    def test_symmetric_w2t_keeps_its_bits(self):
+        """An exactly symmetric W is read as it is: its critical value and
+        effective dof are those of its eigenvalues, bit for bit."""
+        w = random_spd(np.random.default_rng(22), 4)
+        w = 0.5 * (w + w.T)
+        lam = np.linalg.eigvalsh(w)
+        assert critical_value(w, 2.0, 0.05) == float(weak_test._critical_values(lam, 2.0, 0.05))
+        assert effective_dof(w, 2.0) == float(weak_test._effective_dof(lam, 2.0))
 
 
 class TestWeakIvTest:
@@ -748,12 +783,11 @@ class TestWeakIvTest:
         with pytest.raises(NumericalError):
             weak_iv_test(pd_, WeightSpec("2sls"))
 
-    def test_mc_method_runs(self):
+    def test_mc_method_runs(self, monkeypatch):
         rng = np.random.default_rng(27)
         pd_ = make_pd(rng, n=300, kz=2, het=True)
-        res = weak_iv_test(
-            pd_, WeightSpec("2sls"), method="mc", mc_draws=20000, mc_seed=1
-        )
+        monkeypatch.setattr(weak_test, "_MC_DRAWS", 20000)
+        res = weak_iv_test(pd_, WeightSpec("2sls"), method="mc", mc_seed=1)
         assert res.method == "mc"
         assert res.cv > 0
 
