@@ -12,10 +12,10 @@ BENCHMARKS, BENCHMARK = ("mop", "ls"), "ls"
 METHODS, METHOD = ("patnaik", "mc"), "patnaik"  # weak_iv_test also takes "conservative"
 REPS = 2000
 MAX_REPS = 10**7
-"""Most replications of a run. `run_sim` keeps about 200 bytes of columns per
-replication until its summary, which concatenates them: tracemalloc peaks of
-5.2 MB at 4096 replications and 10.3 MB at 16384 on me_reconstructed, about
-415 bytes per replication, so about 4 GB at the cap."""
+"""Most replications of a run. It bounds run time, not memory: `run_sim` folds
+each chunk of replications into exact partial sums as it ends, so its memory
+does not grow with the replications. At about 0.1-1 ms per replication of the
+shipped designs, the cap is hours of one worker's time."""
 WORKERS, SEED, COUNT = 1, 0, 1000
 
 
@@ -29,7 +29,9 @@ def number(value, name):
 
 def integer(value, name):
     """`value` as an int: integer text is read exactly, and an integral float
-    such as 1.0e+4 is one; a fraction or a non-number is refused."""
+    such as 1.0e+4 is one; a fraction, a bool or a non-number is refused."""
+    if type(value).__name__ in ("bool", "bool_"):  # Python's and numpy's
+        raise InputError(f"{name} must be an integer, got {value!r}")
     if isinstance(value, int):
         return value
     try:

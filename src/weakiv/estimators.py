@@ -50,10 +50,14 @@ def _square(m, k=None, name="omega"):
 
 def _spd(omega, k=None, name="omega"):
     """Symmetrized copy of a matrix, such as a weight matrix, after checking
-    that it is square (k x k when `k` is given), symmetric and positive
-    definite; an exactly symmetric one keeps its values."""
+    that it is square (k x k when `k` is given), finite, symmetric and
+    positive definite; an exactly symmetric one keeps its values. Symmetry is
+    judged in units of the largest entry, so the same at any scale of omega."""
     omega = _square(omega, k, name)
-    if not np.allclose(omega, omega.T, rtol=1e-10, atol=1e-12):
+    if not np.isfinite(omega).all():
+        raise InputError(f"{name} must be finite")
+    unit = np.abs(omega).max(initial=0.0) or 1.0
+    if not np.allclose(omega / unit, omega.T / unit, rtol=1e-10, atol=1e-12):
         raise InputError(f"{name} must be symmetric")
     omega = _sym(omega)
     try:

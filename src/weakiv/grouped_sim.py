@@ -28,7 +28,10 @@ per chunk these sum columns give the group sums of x and y and their centered
 sums of squares in closed form, and one function of those sums,
 `_stats_from_sums`, gives every statistic; `group_stats` applies the same
 function to the sums of a dataset. The tests then run on all replications of
-the chunk at once.
+the chunk at once. Last, the chunk's columns are reduced to exact partial
+sums (`_partials`), which `run_sim` folds into the run's total as each chunk
+ends: no column outlives its chunk, and every figure of the summary is the
+same for any chunking.
 """
 
 from __future__ import annotations
@@ -88,7 +91,8 @@ upper end that of var_u."""
 _GENERATE_CELLS = 10**8
 """Largest n * G for `generate`, whose dense instrument matrix is then 800 MB."""
 _CHUNK_REPS = 1024
-"""Most replications one chunk holds; bounds the memory of its columns."""
+"""Most replications one chunk holds; bounds the memory of its columns, which
+end with the chunk (`_partials`)."""
 _COMPARE_GROUPS = 10
 _COMPARE_BATCH = 20000
 _COMPARE_MAX_ATTEMPTS = 5_000_000
@@ -473,7 +477,11 @@ def group_stats(data, labels=None):
     )
 
 
-_SUMMARY_FIELDS = ("f_stat", "f_eff", "f_r", "f_per_group", "weights_2sls", "weights_gmmf")
+# The summarized columns: means and sds of the scalars (a first-stage design
+# has the first three), means of the per-group vectors, rates of the rejections
+_SCALAR_KEYS = ("f_stat", "f_eff", "f_r", "cv_eff", "cv_r", "beta_ols", "beta_2sls", "beta_gmmf")
+_GROUP_KEYS = ("f_per_group", "weights_2sls", "weights_gmmf")
+_REJECTION_KEYS = ("weak_eff", "weak_r", "wald_2sls", "wald_gmmf")
 
 
 def _moment_columns(design, seed, rep_ids, tally):
@@ -583,7 +591,7 @@ def _rep_stats(design, m, tau, alpha, benchmark, method, tally):
     valid = ~failed  # one snapshot for both estimators' critical values
     mean_x, mean_y, counts = m["mean_x"], m["mean_y"], m["counts"]
     wald_cv = _wald_critical_value(alpha)
-    out = {k: m[k] for k in _SUMMARY_FIELDS + ("beta_ols",)}
+    out = {k: m[k] for k in _SCALAR_KEYS[:3] + ("beta_ols",) + _GROUP_KEYS}
     for est, stat, d in _estimators(var_x):
         v2v2 = var_x / d
         bias, ok = _diagonal_worst_case_bias(var_y / d, cov_xy / d, v2v2, benchmark, resid)
@@ -610,7 +618,7 @@ def _rep_stats(design, m, tau, alpha, benchmark, method, tally):
     return {k: v[~failed] for k, v in out.items()}
 
 
-def _sim_chunk(design, seed, tau, alpha, benchmark, method, rep_ids):
+def _chunk_columns(design, seed, tau, alpha, benchmark, method, rep_ids):
     """Replications `rep_ids`: (columns of the successful ones or None, tally
     of failures by stage and of empty-group redraws)."""
     tally = Counter()
@@ -618,6 +626,139 @@ def _sim_chunk(design, seed, tau, alpha, benchmark, method, rep_ids):
     if cols is not None and design.has_structural:
         cols = _rep_stats(design, cols, tau, alpha, benchmark, method, tally)
     return cols, tally
+
+
+_SPLIT = 134217729.0
+"""2**27 + 1, Veltkamp's constant: splits a double into two 26-bit halves."""
+
+
+def _extract(p):
+    """Floats, one row per step, whose exact sum is the sum of the finite
+    `p` along its first axis, by error-free extraction (Rump, Ogita & Oishi
+    2008). Each step takes sigma, a power of two at least 2**m times
+    max|p| with 2**m >= len(p) + 2: q = (sigma + p) - sigma keeps the bits of
+    p at or above half sigma's last place, so the sum of q is exact in any
+    order, and p - q, exact too, is left for the next step, about 53 - m bits
+    lower. Steps stop when nothing is left. |p| must stay below 2**(1023 - m)."""
+    p = np.array(p, dtype=float)
+    m = (len(p) + 1).bit_length()
+    parts = []
+    while True:
+        top = np.abs(p).max(axis=0, initial=0.0)
+        if not top.any():
+            return np.array(parts).reshape(-1, *p.shape[1:])
+        sigma = np.ldexp(1.0, np.frexp(top)[1] + m)
+        q = (sigma + p) - sigma
+        parts.append(q.sum(axis=0))
+        p -= q
+
+
+def _square_bands(x):
+    """The exact squares of the finite `x` as bands (e, t), with sum(x**2)
+    equal to the sum over bands of 2**e * sum(t). A band holds the values
+    within 2**960 of the largest left, scaled by a power of two to below
+    2**480, so neither the scaling nor a square's error term under- or
+    overflows; t is their squares' rounded values and Dekker's (1971) exact
+    errors, from Veltkamp's split."""
+    x = np.abs(np.ravel(np.asarray(x, dtype=float)))
+    bands = []
+    while x.size and x.max() > 0.0:
+        top = int(np.frexp(x.max())[1])
+        band = x >= math.ldexp(1.0, top - 960)
+        s = np.ldexp(x[band], 480 - top)
+        hi = s * s
+        c = _SPLIT * s
+        a = c - (c - s)
+        b = s - a
+        bands.append((2 * (top - 480), np.concatenate([hi, ((a * a - hi) + 2.0 * a * b) + b * b])))
+        x = x[~band]
+    return bands
+
+
+def _dyadic(bands):
+    """(N, e) with N * 2**e the exact sum of 2**e_b * t over the bands
+    (e_b, t) of floats t; (0, 0) for none."""
+    terms = []
+    for e, t in bands:
+        for f in t.tolist():
+            num, den = f.as_integer_ratio()
+            terms.append((num, e - den.bit_length() + 1))
+    low = min((e for _, e in terms), default=0)
+    return sum(num << (e - low) for num, e in terms), low
+
+
+def _dyadic_add(a, b):
+    low = min(a[1], b[1])
+    return (a[0] << (a[1] - low)) + (b[0] << (b[1] - low)), low
+
+
+def _sd(n, s, sq):
+    """sqrt((n * sq - s**2) / (n * (n - 1))), correctly rounded (unless
+    subnormal), from the exact dyadic sums s of x and sq of x**2. The
+    integer square root gets at least 56 bits; a sticky last bit marks an
+    inexact one, so one rounding to float is the correct one."""
+    (a, ea), (b, eb) = s, sq
+    low = min(eb, 2 * ea) & ~1  # even, so the square root halves it
+    num = n * (b << (eb - low)) - ((a * a) << (2 * ea - low))
+    den = n * (n - 1)
+    t = (114 - num.bit_length() + den.bit_length()) // 2
+    q, rem = divmod(num << 2 * t, den) if t >= 0 else divmod(num, den << -2 * t)
+    r = math.isqrt(q)
+    r = 2 * r + (rem != 0 or r * r != q)
+    return math.ldexp(float(r), low // 2 - t - 1)
+
+
+def _partials(cols):
+    """The exact partial sums of a chunk's summarized columns `cols`: the
+    replication count; for each scalar statistic the floats of Σx
+    (`_extract`) and the dyadic Σx²; for each per-group vector the floats of
+    each group's Σx; for each rejection its count."""
+    out = dict(n=cols["f_stat"].size, sums={}, squares={}, counts={})
+    for k in _SCALAR_KEYS + _GROUP_KEYS:
+        if k not in cols:
+            continue
+        x = cols[k]
+        if not np.isfinite(x).all():
+            raise NumericalError(f"a replication's {k} is not finite")
+        out["sums"][k] = _extract(x)
+        if x.ndim == 1:
+            out["squares"][k] = _dyadic((e, _extract(t)) for e, t in _square_bands(x))
+    for k in _REJECTION_KEYS:
+        if k in cols:
+            out["counts"][k] = int(np.count_nonzero(cols[k]))
+    return out
+
+
+def _merge(a, b):
+    """The partials of two sets of replications together, still exact and
+    still short: the float parts of each Σx are extracted again."""
+    return dict(
+        n=a["n"] + b["n"],
+        sums={k: _extract(np.concatenate([v, b["sums"][k]])) for k, v in a["sums"].items()},
+        squares={k: _dyadic_add(v, b["squares"][k]) for k, v in a["squares"].items()},
+        counts={k: v + b["counts"][k] for k, v in a["counts"].items()},
+    )
+
+
+def _fold(results):
+    """The tally and the partials (None if none) of the chunk `results`, each
+    chunk folded in as it comes, so no chunk's partials wait for the last."""
+    tally, total = Counter(), None
+    for part, t in results:
+        tally += t
+        if part is not None:
+            total = part if total is None else _merge(total, part)
+    return tally, total
+
+
+def _sim_chunk(design, seed, tau, alpha, benchmark, method, rep_ids):
+    """Replications `rep_ids`: (the exact partial sums of the successful ones,
+    `_partials`, or None if none succeeded, tally of failures by stage and of
+    empty-group redraws). The chunk's columns end with it."""
+    cols, tally = _chunk_columns(design, seed, tau, alpha, benchmark, method, rep_ids)
+    if cols is None or not cols["f_stat"].size:
+        return None, tally
+    return _partials(cols), tally
 
 
 @dataclass(frozen=True, eq=False)
@@ -668,6 +809,8 @@ def run_sim(
     rejections of the true coefficient; first-stage-only designs yield the
     F-statistics and weights only. Failed replications are counted in
     `failed`, and by stage in `failures`, and excluded from the summaries.
+    Sums are exact: a mean is the correctly rounded sum over n, and an sd
+    is correctly rounded, whatever the worker count.
     """
     reps = _settings.read("reps", reps)
     tau = _settings.read("tau", tau)
@@ -683,43 +826,33 @@ def run_sim(
     job = partial(_sim_chunk, design, seed, tau, alpha, benchmark, method)
     jobs = [range(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
     if workers == 1:
-        parts = list(map(job, jobs))
+        tally, total = _fold(map(job, jobs))
     else:
         # imported here, so a single-worker run loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         size = _pool_size(workers, len(jobs), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=size) as pool:
-            parts = list(pool.map(job, jobs))
-    tally = sum((t for _, t in parts), Counter())
+            tally, total = _fold(pool.map(job, jobs))
     failures = {stage: tally[stage] for stage in _FAILURE_STAGES}
-    done = [c for c, _ in parts if c is not None]
-    succeeded = sum(c["f_stat"].size for c in done)
-    if not succeeded:
+    if total is None:
         stages = ", ".join(f"{stage} {count}" for stage, count in failures.items() if count)
         raise NumericalError(
             f"every replication failed ({stages}; {tally['redraws']} redraws)"
         )
-    columns = {k: np.concatenate([c[k] for c in done]) for k in done[0]}
-    structural = design.has_structural
-    scalar_keys = ["f_stat", "f_eff", "f_r"]
-    if structural:
-        scalar_keys += ["cv_eff", "cv_r", "beta_ols", "beta_2sls", "beta_gmmf"]
-    means = {k: float(columns[k].mean()) for k in scalar_keys}
+    # Σx correctly rounded (math.fsum) over n; the sds from exact integers
+    succeeded = total["n"]
+    sums = total["sums"]
+    means = {k: math.fsum(sums[k].tolist()) / succeeded for k in total["squares"]}
     sds = (
-        {k: float(columns[k].std(ddof=1)) for k in scalar_keys}
+        {k: _sd(succeeded, _dyadic([(0, sums[k])]), sq) for k, sq in total["squares"].items()}
         if succeeded >= 2
         else None
     )
-    if structural:
-        rejection_rates = {
-            k: float(np.mean(columns[k]))
-            for k in ("weak_eff", "weak_r", "wald_2sls", "wald_gmmf")
-        }
-    else:
-        rejection_rates = {}
+    rejection_rates = {k: c / succeeded for k, c in total["counts"].items()}
     group_means = {
-        k: columns[k].mean(axis=0) for k in ("f_per_group", "weights_2sls", "weights_gmmf")
+        k: np.array([math.fsum(g) for g in sums[k].T.tolist()]) / succeeded
+        for k in _GROUP_KEYS
     }
     return SimSummary(
         design_name=design.name,

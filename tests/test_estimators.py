@@ -8,6 +8,7 @@ from helpers import ill_conditioned_dataset, make_dataset, make_pd, z_basis
 from weakiv import (
     PartialledData,
     WeightSpec,
+    critical_value,
     estimate,
     estimate_moment_cov,
     ols,
@@ -38,6 +39,26 @@ class TestWeightSpec:
             WeightSpec("custom", omega=np.array([[1.0, 0.5], [0.0, 1.0]]))
         with pytest.raises(InputError, match="positive definite"):
             WeightSpec("custom", omega=np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+    def test_symmetry_is_judged_at_any_scale(self, scale):
+        """A matrix far from symmetric is refused, and one asymmetric in its
+        last digits accepted, in whatever units it comes: the rule is the
+        one at unit scale."""
+        far = np.array([[1.0, 1.0], [0.0, 1.0]]) * scale
+        near = np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]]) * scale
+        with pytest.raises(InputError, match="^omega must be symmetric$"):
+            WeightSpec("custom", omega=far)
+        with pytest.raises(InputError, match="^w2t must be symmetric$"):
+            critical_value(far, 1.0, 0.05)
+        omega = WeightSpec("custom", omega=near).omega
+        assert np.array_equal(omega, omega.T)
+        assert math.isfinite(critical_value(near, 1.0, 0.05))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_omega_is_refused(self, bad):
+        with pytest.raises(InputError, match="^omega must be finite$"):
+            WeightSpec("custom", omega=np.array([[bad, 0.0], [0.0, 1.0]]))
 
     def test_named_kinds_take_no_omega(self):
         with pytest.raises(InputError, match="does not take an omega"):

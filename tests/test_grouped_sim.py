@@ -1,8 +1,10 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 import warnings as warnings_mod
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -715,7 +717,7 @@ class TestMomentKernel:
             smallest.append(0 if labels is None else np.bincount(labels, minlength=4).min())
         with warnings_mod.catch_warnings():
             warnings_mod.simplefilter("ignore")
-            cols, tally = grouped_sim._sim_chunk(
+            cols, tally = grouped_sim._chunk_columns(
                 design, 0, 0.1, 0.05, "ls", "patnaik", range(20)
             )
             with pytest.raises(NumericalError, match=re.escape(
@@ -767,7 +769,7 @@ class TestKernelAgainstDensePipeline:
             design = random_structural_design(rng)
             benchmark = ("ls", "mop")[i % 2]
             for rep in range(3):
-                cols, tally = grouped_sim._sim_chunk(
+                cols, tally = grouped_sim._chunk_columns(
                     design, i, tau, alpha, benchmark, "patnaik", range(rep, rep + 1)
                 )
                 if cols is None or cols["f_eff"].size == 0:
@@ -786,6 +788,169 @@ class TestKernelAgainstDensePipeline:
                     assert bool(cols[f"wald_{kind}"][0]) == (wald.pvalue < alpha), (i, rep, kind)
                 checked += 1
         assert checked >= 170
+
+
+def fraction_sum(values):
+    return sum(map(Fraction, values), Fraction(0))
+
+
+def dyadic_value(nd):
+    return Fraction(nd[0]) * Fraction(2) ** nd[1]
+
+
+_MAGNITUDES = np.random.default_rng(7)
+EXACT_SUM_CASES = {
+    "empty": [],
+    "one": [3.5],
+    "mixed_signs": [1.0, -1.0, 0.1, -0.3, 2.0**60, -(2.0**60), 1e-5, -7.25],
+    "zeros": [0.0, -0.0, 0.0, 0.0],
+    "subnormals": [5e-324, -1e-320, 2.2e-308, 1e-310, 3e-320, -2.225e-308],
+    # the coefficients, variances and F-statistics of the largest designs
+    "largest_designs": [1e50, -1e25, 1e-50, 1.0, 1e103, -1e22, 4e-250, 1e-300],
+    "1e-300_to_1e50": (
+        _MAGNITUDES.standard_normal(2000) * 10.0 ** _MAGNITUDES.integers(-300, 51, 2000)
+    ).tolist(),
+    "one_chunk_of_normals": _MAGNITUDES.standard_normal(1024).tolist(),
+}
+
+
+def first_stage_design(n=60, g=4):
+    return GroupedDesign(pi0=np.linspace(0.1, 0.5, g), var_v2=1.0, n=n, name="fs")
+
+
+def sometimes_failing_design():
+    """About 4 of 10 replications keep 3 or more rows in the small group
+    and succeed; the others fail at the draw, moments or moment_cov stage."""
+    probs = np.full(4, (1 - 0.06) / 3)
+    probs[0] = 0.06
+    return GroupedDesign(
+        pi0=np.ones(4), var_v2=np.ones(4), n=40, group_probs=probs, var_u=1.0, cov_uv2=0.3,
+    )
+
+
+class TestExactSummary:
+    """`run_sim` sums every column exactly, chunk by chunk: each chunk leaves
+    floats whose exact sum is Σx and an exact dyadic Σx², checked here
+    against `fractions.Fraction` sums (with warnings as errors, so no step
+    under- or overflows)."""
+
+    @pytest.mark.parametrize("case", EXACT_SUM_CASES)
+    def test_extraction_is_exact(self, case):
+        x = np.array(EXACT_SUM_CASES[case], dtype=float)
+        parts = grouped_sim._extract(x)
+        assert parts.ndim == 1
+        assert fraction_sum(parts.tolist()) == fraction_sum(x.tolist())
+        # by column, also of columns that run out before the others
+        table = np.stack([x, -x[::-1], np.zeros_like(x)], axis=1)
+        parts = grouped_sim._extract(table)
+        assert parts.shape[1:] == (3,)
+        for j in range(3):
+            assert fraction_sum(parts[:, j].tolist()) == fraction_sum(table[:, j].tolist())
+
+    @pytest.mark.parametrize("case", EXACT_SUM_CASES)
+    def test_squares_are_exact(self, case):
+        x = EXACT_SUM_CASES[case]
+        want = sum((Fraction(v) ** 2 for v in x), Fraction(0))
+        bands = grouped_sim._square_bands(np.array(x, dtype=float))
+        assert sum(Fraction(2) ** e * fraction_sum(t.tolist()) for e, t in bands) == want
+        extracted = [(e, grouped_sim._extract(t)) for e, t in bands]
+        assert dyadic_value(grouped_sim._dyadic(extracted)) == want
+
+    @pytest.mark.parametrize("case", [c for c, x in EXACT_SUM_CASES.items() if len(x) >= 2])
+    def test_sd_is_correctly_rounded(self, case):
+        x = np.array(EXACT_SUM_CASES[case], dtype=float)
+        n = x.size
+        s = grouped_sim._dyadic([(0, grouped_sim._extract(x))])
+        sq = grouped_sim._dyadic(
+            [(e, grouped_sim._extract(t)) for e, t in grouped_sim._square_bands(x)]
+        )
+        sd = grouped_sim._sd(n, s, sq)
+        var = (n * dyadic_value(sq) - dyadic_value(s) ** 2) / (n * (n - 1))
+        below, above = math.nextafter(sd, 0.0), math.nextafter(sd, math.inf)
+        assert ((Fraction(below) + Fraction(sd)) / 2) ** 2 <= var
+        assert var <= ((Fraction(sd) + Fraction(above)) / 2) ** 2
+
+    @pytest.mark.parametrize("design, reps", [
+        (sometimes_failing_design(), 2100), (first_stage_design(), 2100),
+    ], ids=["structural", "first_stage"])
+    def test_summary_is_the_exact_sums_of_the_columns(self, design, reps):
+        """Means are fsum(column) / n bit for bit, group means per group,
+        rejection rates the exact shares, and sds np.std(ddof=1) within
+        relative 1e-12; chunks that keep no replication add nothing."""
+        chunk = grouped_sim._CHUNK_REPS
+        with warnings_mod.catch_warnings():
+            warnings_mod.simplefilter("ignore")  # empty-group redraws
+            summ = run_sim(design, reps, seed=1)
+            parts = [
+                grouped_sim._chunk_columns(
+                    design, 1, 0.1, 0.05, "ls", "patnaik", range(lo, min(lo + chunk, reps))
+                )[0]
+                for lo in range(0, reps, chunk)
+            ]
+        cols = {k: np.concatenate([p[k] for p in parts if p is not None]) for k in parts[0]}
+        n = reps - summ.failed
+        assert cols["f_stat"].shape == (n,)
+        for k, mean in summ.means.items():
+            assert mean == math.fsum(cols[k].tolist()) / n, k
+            assert summ.sds[k] == pytest.approx(float(np.std(cols[k], ddof=1)), rel=1e-12), k
+        for k, means in summ.group_means.items():
+            want = [math.fsum(g) / n for g in cols[k].T.tolist()]
+            assert means.tolist() == want, k
+        for k, rate in summ.rejection_rates.items():
+            assert rate == np.count_nonzero(cols[k]) / n, k
+
+    def test_summary_is_bit_equal_for_any_worker_count(self):
+        """Workers 1, 2 and 3 split 24 replications into 1, 8 and 12 chunks,
+        some of which keep no replication; every figure is the same."""
+        design, reps = sometimes_failing_design(), 24
+        with warnings_mod.catch_warnings():
+            warnings_mod.simplefilter("ignore")
+            runs = [run_sim(design, reps, seed=2, workers=w) for w in (1, 2, 3)]
+            empty = [
+                grouped_sim._sim_chunk(design, 2, 0.1, 0.05, "ls", "patnaik",
+                                       range(lo, lo + 2))[0] is None
+                for lo in range(0, reps, 2)
+            ]
+        assert any(empty) and not all(empty)
+        one = runs[0]
+        assert 0 < one.failed < reps
+        for other in runs[1:]:
+            assert (other.failures, other.redraws) == (one.failures, one.redraws)
+            assert (other.means, other.sds) == (one.means, one.sds)
+            assert other.rejection_rates == one.rejection_rates
+            for k, v in one.group_means.items():
+                assert other.group_means[k].tolist() == v.tolist()
+
+    def test_chunk_that_keeps_no_replication_leaves_no_partials(self):
+        with warnings_mod.catch_warnings():
+            warnings_mod.simplefilter("ignore")
+            part, tally = grouped_sim._sim_chunk(
+                rare_group_design(), 0, 0.1, 0.05, "ls", "patnaik", range(20)
+            )
+        assert part is None
+        assert sum(tally[s] for s in grouped_sim._FAILURE_STAGES) == 20
+
+    def test_non_finite_statistic_is_a_numerical_error(self):
+        """No design within the bounds makes one, but a sum of an inf is not
+        exact: it is refused, not summed."""
+        cols = {"f_stat": np.array([1.0, np.inf]), "f_eff": np.ones(2), "f_r": np.ones(2)}
+        with pytest.raises(NumericalError, match="^a replication's f_stat is not finite$"):
+            grouped_sim._partials(cols)
+
+    def test_memory_does_not_grow_with_reps(self):
+        """Each chunk's columns end with it: the traced peak of a run of
+        16384 replications is within 1.25x of that of 2048. Keeping the
+        columns until the summary, about 1 KB per replication, failed this."""
+        design = first_stage_design()
+        peaks = []
+        for reps in (2048, 16384):
+            tracemalloc.start()
+            try:
+                run_sim(design, reps, seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 class TestSweepScale:

@@ -120,6 +120,31 @@ def test_each_bad_setting_has_one_message_everywhere(setting, text, value, messa
         assert str(exc.value) == message, name
 
 
+@pytest.mark.parametrize("setting, name", [
+    ("reps", "run_sim"), ("workers", "run_sim"), ("seed", "run_sim"),
+    ("count", "random_design_comparison"), ("seed", "RngStream"),
+])
+@pytest.mark.parametrize("value", [True, False, np.True_])
+def test_a_bool_is_not_an_integer(setting, name, value, monkeypatch):
+    """A bool is refused where an integer is read, with the setting's one
+    message, though Python counts it as the int 1 or 0."""
+
+    def no_chunk(*args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(grouped_sim, "_sim_chunk", no_chunk)
+    with pytest.raises(InputError) as exc:
+        CALLS[name](setting, value)
+    assert str(exc.value) == f"{setting} must be an integer, got {value!r}"
+
+
+def test_bool_reps_and_stream_are_refused():
+    with pytest.raises(InputError, match="^reps must be an integer, got True$"):
+        run_sim(design(), True, seed=False)
+    with pytest.raises(InputError, match="^stream must be an integer, got True$"):
+        RngStream(0, True)
+
+
 def test_weak_iv_test_lists_its_own_methods():
     with pytest.raises(InputError) as exc:
         CALLS["weak_iv_test"]("method", "exact")
