@@ -600,9 +600,11 @@ def _rep_stats(design, m, tau, alpha, benchmark, method, tally):
         cv = np.full(radius.shape, np.nan)
         idx = np.flatnonzero(ok & valid & np.isfinite(radius))
         if idx.size:
-            cv[idx] = _critical_values(v2v2[idx], radius[idx], alpha, method)
+            # "mc" squares about radius * tr W, which may overflow; such a cv fails
+            with np.errstate(over="ignore", invalid="ignore"):
+                cv[idx] = _critical_values(v2v2[idx], radius[idx], alpha, method)
         fail("bias_bound", ~ok)
-        fail("critical_value", np.isnan(cv))
+        fail("critical_value", ~np.isfinite(cv))
         b = m[f"beta_{est}"]
         bg = b[:, None]
         # each group's sum of (y - b x)^2 from its centered moments and means,
@@ -633,24 +635,34 @@ _SPLIT = 134217729.0
 
 
 def _extract(p):
-    """Floats, one row per step, whose exact sum is the sum of the finite
-    `p` along its first axis, by error-free extraction (Rump, Ogita & Oishi
-    2008). Each step takes sigma, a power of two at least 2**m times
-    max|p| with 2**m >= len(p) + 2: q = (sigma + p) - sigma keeps the bits of
-    p at or above half sigma's last place, so the sum of q is exact in any
-    order, and p - q, exact too, is left for the next step, about 53 - m bits
-    lower. Steps stop when nothing is left. |p| must stay below 2**(1023 - m)."""
+    """The exact sums of the finite `p` along its first axis, as a list of
+    dyadics (N, e), worth N * 2**e: one per column of a table, one for a
+    vector. By error-free extraction (Rump, Ogita & Oishi 2008): each step
+    takes sigma, a power of two at least 2**m times max|p| with 2**m >=
+    len(p) + 2; q = (sigma + p) - sigma keeps the bits of p at or above half
+    sigma's last place, so the sum of q is exact in any order, and p - q,
+    exact too, is left for the next step, about 53 - m bits lower. Steps stop
+    when nothing is left. Where sigma would overflow, a column's values at or
+    above 2**(k - 1022) are extracted scaled down by 2**k, which is exact,
+    and the rest, which are tiny, as they are."""
     p = np.array(p, dtype=float)
+    p = p.reshape(len(p), math.prod(p.shape[1:]))
     m = (len(p) + 1).bit_length()
+    k = np.maximum(np.frexp(np.abs(p).max(axis=0, initial=0.0))[1] + m - 1022, 0)
+    if k.any():
+        small = np.abs(p) < np.ldexp(1.0, k - 1022)
+        big = _extract(np.where(small, 0.0, np.ldexp(p, -k)))
+        rest = _extract(np.where(small, p, 0.0))
+        return [_dyadic_add((a, e + s), r) for (a, e), s, r in zip(big, k.tolist(), rest)]
     parts = []
     while True:
         top = np.abs(p).max(axis=0, initial=0.0)
         if not top.any():
-            return np.array(parts).reshape(-1, *p.shape[1:])
+            return [_dyadic(col) for col in zip(*parts)] if parts else [(0, 0)] * p.shape[1]
         sigma = np.ldexp(1.0, np.frexp(top)[1] + m)
         q = (sigma + p) - sigma
-        parts.append(q.sum(axis=0))
-        p -= q
+        parts.append(q.sum(axis=0).tolist())
+        p = p - q
 
 
 def _square_bands(x):
@@ -675,16 +687,11 @@ def _square_bands(x):
     return bands
 
 
-def _dyadic(bands):
-    """(N, e) with N * 2**e the exact sum of 2**e_b * t over the bands
-    (e_b, t) of floats t; (0, 0) for none."""
-    terms = []
-    for e, t in bands:
-        for f in t.tolist():
-            num, den = f.as_integer_ratio()
-            terms.append((num, e - den.bit_length() + 1))
-    low = min((e for _, e in terms), default=0)
-    return sum(num << (e - low) for num, e in terms), low
+def _dyadic(floats):
+    """(N, e) with N * 2**e the exact sum of the floats; (0, 0) for none."""
+    terms = [f.as_integer_ratio() for f in floats]
+    low = max((den.bit_length() for _, den in terms), default=1)
+    return sum(num << (low - den.bit_length()) for num, den in terms), 1 - low
 
 
 def _dyadic_add(a, b):
@@ -692,11 +699,31 @@ def _dyadic_add(a, b):
     return (a[0] << (a[1] - low)) + (b[0] << (b[1] - low)), low
 
 
+def _square_sum(x):
+    """The exact dyadic sum of the squares of the finite vector `x`."""
+    total = (0, 0)
+    for e, t in _square_bands(x):
+        a, f = _extract(t)[0]
+        total = _dyadic_add(total, (a, f + e))
+    return total
+
+
+def _mean(total, n):
+    """The dyadic sum `total` correctly rounded (as math.fsum), over n; where
+    that sum is beyond a float, though the mean is not, the mean correctly
+    rounded."""
+    a, e = total
+    try:
+        return (float(a << e) if e >= 0 else a / (1 << -e)) / n
+    except OverflowError:
+        return (a << e) / n if e >= 0 else a / (n << -e)
+
+
 def _sd(n, s, sq):
     """sqrt((n * sq - s**2) / (n * (n - 1))), correctly rounded (unless
-    subnormal), from the exact dyadic sums s of x and sq of x**2. The
-    integer square root gets at least 56 bits; a sticky last bit marks an
-    inexact one, so one rounding to float is the correct one."""
+    subnormal; inf beyond a float), from the exact dyadic sums s of x and sq
+    of x**2. The integer square root gets at least 56 bits; a sticky last bit
+    marks an inexact one, so one rounding to float is the correct one."""
     (a, ea), (b, eb) = s, sq
     low = min(eb, 2 * ea) & ~1  # even, so the square root halves it
     num = n * (b << (eb - low)) - ((a * a) << (2 * ea - low))
@@ -705,14 +732,17 @@ def _sd(n, s, sq):
     q, rem = divmod(num << 2 * t, den) if t >= 0 else divmod(num, den << -2 * t)
     r = math.isqrt(q)
     r = 2 * r + (rem != 0 or r * r != q)
-    return math.ldexp(float(r), low // 2 - t - 1)
+    try:
+        return math.ldexp(float(r), low // 2 - t - 1)
+    except OverflowError:
+        return math.inf
 
 
 def _partials(cols):
     """The exact partial sums of a chunk's summarized columns `cols`: the
-    replication count; for each scalar statistic the floats of Σx
-    (`_extract`) and the dyadic Σx²; for each per-group vector the floats of
-    each group's Σx; for each rejection its count."""
+    replication count; for each statistic the dyadic Σx (`_extract`), one
+    per group of a per-group vector, and for each scalar one the dyadic Σx²;
+    for each rejection its count."""
     out = dict(n=cols["f_stat"].size, sums={}, squares={}, counts={})
     for k in _SCALAR_KEYS + _GROUP_KEYS:
         if k not in cols:
@@ -722,7 +752,7 @@ def _partials(cols):
             raise NumericalError(f"a replication's {k} is not finite")
         out["sums"][k] = _extract(x)
         if x.ndim == 1:
-            out["squares"][k] = _dyadic((e, _extract(t)) for e, t in _square_bands(x))
+            out["squares"][k] = _square_sum(x)
     for k in _REJECTION_KEYS:
         if k in cols:
             out["counts"][k] = int(np.count_nonzero(cols[k]))
@@ -730,11 +760,10 @@ def _partials(cols):
 
 
 def _merge(a, b):
-    """The partials of two sets of replications together, still exact and
-    still short: the float parts of each Σx are extracted again."""
+    """The partials of two sets of replications together."""
     return dict(
         n=a["n"] + b["n"],
-        sums={k: _extract(np.concatenate([v, b["sums"][k]])) for k, v in a["sums"].items()},
+        sums={k: list(map(_dyadic_add, v, b["sums"][k])) for k, v in a["sums"].items()},
         squares={k: _dyadic_add(v, b["squares"][k]) for k, v in a["squares"].items()},
         counts={k: v + b["counts"][k] for k, v in a["counts"].items()},
     )
@@ -749,6 +778,20 @@ def _fold(results):
         if part is not None:
             total = part if total is None else _merge(total, part)
     return tally, total
+
+
+def _summarize(total):
+    """(means, sds or None under two replications, rejection rates, group
+    means) from the partials `total`: each mean the sum correctly rounded
+    over n (`_mean`), each sd from exact integers (`_sd`)."""
+    n, sums = total["n"], total["sums"]
+    means = {k: _mean(sums[k][0], n) for k in total["squares"]}
+    sds = (
+        {k: _sd(n, sums[k][0], sq) for k, sq in total["squares"].items()} if n >= 2 else None
+    )
+    rejection_rates = {k: c / n for k, c in total["counts"].items()}
+    group_means = {k: np.array([_mean(g, n) for g in sums[k]]) for k in _GROUP_KEYS}
+    return means, sds, rejection_rates, group_means
 
 
 def _sim_chunk(design, seed, tau, alpha, benchmark, method, rep_ids):
@@ -840,20 +883,8 @@ def run_sim(
         raise NumericalError(
             f"every replication failed ({stages}; {tally['redraws']} redraws)"
         )
-    # Σx correctly rounded (math.fsum) over n; the sds from exact integers
     succeeded = total["n"]
-    sums = total["sums"]
-    means = {k: math.fsum(sums[k].tolist()) / succeeded for k in total["squares"]}
-    sds = (
-        {k: _sd(succeeded, _dyadic([(0, sums[k])]), sq) for k, sq in total["squares"].items()}
-        if succeeded >= 2
-        else None
-    )
-    rejection_rates = {k: c / succeeded for k, c in total["counts"].items()}
-    group_means = {
-        k: np.array([math.fsum(g) for g in sums[k].T.tolist()]) / succeeded
-        for k in _GROUP_KEYS
-    }
+    means, sds, rejection_rates, group_means = _summarize(total)
     return SimSummary(
         design_name=design.name,
         reps=reps,

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 import tracemalloc
 import warnings as warnings_mod
 from collections import Counter
@@ -577,6 +578,13 @@ class TestRunSim:
             want = critical_value(np.diag(w[0]), bias[0] / 0.1, 0.05, "mc")
             assert summ.means[f"cv_{stat}"] == want
 
+    def test_mc_critical_value_that_overflows_fails(self):
+        """At tau 4e-310 the radius is finite but "mc" squares past the
+        largest float: the critical value is inf and fails its replication,
+        without a floating-point warning."""
+        with pytest.raises(NumericalError, match=re.escape("(critical_value 1; 0 redraws)")):
+            run_sim(small_structural(g=2), 1, seed=5, benchmark="mop", method="mc", tau=4e-310)
+
     def test_failed_quantile_fails_its_replication_only(self, monkeypatch):
         design = small_structural()
         base = run_sim(design, 5, seed=4)
@@ -811,6 +819,11 @@ EXACT_SUM_CASES = {
         _MAGNITUDES.standard_normal(2000) * 10.0 ** _MAGNITUDES.integers(-300, 51, 2000)
     ).tolist(),
     "one_chunk_of_normals": _MAGNITUDES.standard_normal(1024).tolist(),
+    # a sigma of 2**m max|x| would overflow: the large values are scaled down
+    "one_chunk_of_1e306": [1e306] * 1024,
+    "largest_floats": [sys.float_info.max, 5e-324, -sys.float_info.max, 2.0**-1030, 1e-300,
+                       sys.float_info.max],
+    "one_chunk_past_a_float": (_MAGNITUDES.standard_normal(1024) * 1e307).tolist(),
 }
 
 
@@ -837,15 +850,14 @@ class TestExactSummary:
     @pytest.mark.parametrize("case", EXACT_SUM_CASES)
     def test_extraction_is_exact(self, case):
         x = np.array(EXACT_SUM_CASES[case], dtype=float)
-        parts = grouped_sim._extract(x)
-        assert parts.ndim == 1
-        assert fraction_sum(parts.tolist()) == fraction_sum(x.tolist())
+        (total,) = grouped_sim._extract(x)
+        assert dyadic_value(total) == fraction_sum(x.tolist())
         # by column, also of columns that run out before the others
-        table = np.stack([x, -x[::-1], np.zeros_like(x)], axis=1)
-        parts = grouped_sim._extract(table)
-        assert parts.shape[1:] == (3,)
-        for j in range(3):
-            assert fraction_sum(parts[:, j].tolist()) == fraction_sum(table[:, j].tolist())
+        table = np.stack([x, -x[::-1], np.zeros_like(x), x * 1e-300], axis=1)
+        totals = grouped_sim._extract(table)
+        assert len(totals) == 4
+        for j, total in enumerate(totals):
+            assert dyadic_value(total) == fraction_sum(table[:, j].tolist())
 
     @pytest.mark.parametrize("case", EXACT_SUM_CASES)
     def test_squares_are_exact(self, case):
@@ -853,22 +865,34 @@ class TestExactSummary:
         want = sum((Fraction(v) ** 2 for v in x), Fraction(0))
         bands = grouped_sim._square_bands(np.array(x, dtype=float))
         assert sum(Fraction(2) ** e * fraction_sum(t.tolist()) for e, t in bands) == want
-        extracted = [(e, grouped_sim._extract(t)) for e, t in bands]
-        assert dyadic_value(grouped_sim._dyadic(extracted)) == want
+        assert dyadic_value(grouped_sim._square_sum(np.array(x, dtype=float))) == want
 
     @pytest.mark.parametrize("case", [c for c, x in EXACT_SUM_CASES.items() if len(x) >= 2])
     def test_sd_is_correctly_rounded(self, case):
         x = np.array(EXACT_SUM_CASES[case], dtype=float)
         n = x.size
-        s = grouped_sim._dyadic([(0, grouped_sim._extract(x))])
-        sq = grouped_sim._dyadic(
-            [(e, grouped_sim._extract(t)) for e, t in grouped_sim._square_bands(x)]
-        )
+        (s,) = grouped_sim._extract(x)
+        sq = grouped_sim._square_sum(x)
         sd = grouped_sim._sd(n, s, sq)
         var = (n * dyadic_value(sq) - dyadic_value(s) ** 2) / (n * (n - 1))
+        if var > Fraction(sys.float_info.max) ** 2:
+            assert sd == math.inf
+            return
         below, above = math.nextafter(sd, 0.0), math.nextafter(sd, math.inf)
         assert ((Fraction(below) + Fraction(sd)) / 2) ** 2 <= var
         assert var <= ((Fraction(sd) + Fraction(above)) / 2) ** 2
+
+    @pytest.mark.parametrize("case", [c for c, x in EXACT_SUM_CASES.items() if x])
+    def test_mean_is_the_rounded_sum_over_n(self, case):
+        """fsum(x) / n, and where the sum is beyond a float, the mean
+        correctly rounded."""
+        x = EXACT_SUM_CASES[case]
+        n = len(x)
+        mean = grouped_sim._mean(grouped_sim._extract(np.array(x))[0], n)
+        if abs(fraction_sum(x)) <= sys.float_info.max:
+            assert mean == math.fsum(x) / n
+        else:
+            assert mean == float(fraction_sum(x) / n)
 
     @pytest.mark.parametrize("design, reps", [
         (sometimes_failing_design(), 2100), (first_stage_design(), 2100),
@@ -930,9 +954,47 @@ class TestExactSummary:
         assert part is None
         assert sum(tally[s] for s in grouped_sim._FAILURE_STAGES) == 20
 
+    def test_sums_past_a_float_give_finite_means(self):
+        """Three chunks of 1024 values near the largest float: every partial
+        and merged sum is past a float, the means and sds are not (but an sd
+        that is, is inf)."""
+        big = sys.float_info.max
+        cols = {
+            "f_stat": np.full(1024, big),
+            "f_eff": np.where(np.arange(1024) % 2, -big, big),
+            "f_r": np.full(1024, 1e306),
+            "f_per_group": np.full((1024, 2), [big, 1.0]),
+            "weights_2sls": np.full((1024, 2), 0.5),
+            "weights_gmmf": np.full((1024, 2), 0.5),
+        }
+        chunk = grouped_sim._partials(cols)
+        _, total = grouped_sim._fold([(chunk, Counter())] * 3)
+        means, sds, _, group_means = grouped_sim._summarize(total)
+        assert means == {"f_stat": big, "f_eff": 0.0, "f_r": 1e306}
+        assert sds["f_stat"] == sds["f_r"] == 0.0
+        assert sds["f_eff"] == math.inf
+        assert group_means["f_per_group"].tolist() == [big, 1.0]
+
+    def test_infinite_critical_value_fails_its_replication(self, monkeypatch):
+        """A critical value that overflows (as "mc" may at a tau near 0)
+        fails its replication at the critical_value stage; the others are
+        summarized."""
+        design = small_structural()
+        real = grouped_sim._critical_values
+
+        def first_overflows(lam, radius, alpha, method):
+            cv = real(lam, radius, alpha, method)
+            cv[0] = np.inf
+            return cv
+
+        monkeypatch.setattr(grouped_sim, "_critical_values", first_overflows)
+        summ = run_sim(design, 5, seed=4)
+        assert summ.failed == 1
+        assert summ.failures["critical_value"] == 1
+        assert all(math.isfinite(v) for v in summ.means.values())
+
     def test_non_finite_statistic_is_a_numerical_error(self):
-        """No design within the bounds makes one, but a sum of an inf is not
-        exact: it is refused, not summed."""
+        """A sum of an inf is not exact: it is refused, not summed."""
         cols = {"f_stat": np.array([1.0, np.inf]), "f_eff": np.ones(2), "f_r": np.ones(2)}
         with pytest.raises(NumericalError, match="^a replication's f_stat is not finite$"):
             grouped_sim._partials(cols)
