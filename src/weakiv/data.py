@@ -325,6 +325,11 @@ def load_csv(path, y, x, z, controls=(), cluster=None):
     partialled (`partial_out`) before it is returned, so a collinear
     instrument is named here.
     """
+    for role, names in (("z", z), ("controls", controls)):
+        if isinstance(names, str):
+            raise InputError(
+                f"{role} must be a sequence of column names, not the string {names!r}"
+            )
     z = list(z)
     controls = list(controls)
     if not z:

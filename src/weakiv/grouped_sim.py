@@ -28,10 +28,11 @@ per chunk these sum columns give the group sums of x and y and their centered
 sums of squares in closed form, and one function of those sums,
 `_stats_from_sums`, gives every statistic; `group_stats` applies the same
 function to the sums of a dataset. The tests then run on all replications of
-the chunk at once. Last, the chunk's columns are reduced to exact partial
-sums (`_partials`), which `run_sim` folds into the run's total as each chunk
-ends: no column outlives its chunk, and every figure of the summary is the
-same for any chunking.
+the chunk at once. Last, the chunk's columns are reduced to exact sums, each
+an integer in a fixed unit (`_partials`): with the chunk's tally of failures,
+one Counter of integers, which `run_sim` adds into the run's with
+`Counter.update` as each chunk ends. No column outlives its chunk, and every
+figure of the summary is the same for any chunking.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ _GENERATE_CELLS = 10**8
 """Largest n * G for `generate`, whose dense instrument matrix is then 800 MB."""
 _CHUNK_REPS = 1024
 """Most replications one chunk holds; bounds the memory of its columns, which
-end with the chunk (`_partials`)."""
+end with the chunk: it leaves one Counter of integer sums (`_sim_chunk`)."""
 _COMPARE_GROUPS = 10
 _COMPARE_BATCH = 20000
 _COMPARE_MAX_ATTEMPTS = 5_000_000
@@ -231,17 +232,18 @@ def load_design(source):
     import yaml
 
     source = os.fspath(source)
-    if os.path.exists(source):
+    path = os.path.join(_design_dir(), source + ".yaml")
+    default_name = source
+    # a file, else a shipped design; any other path, such as a directory, is
+    # opened for its error
+    if os.path.isfile(source) or (os.path.exists(source) and not os.path.isfile(path)):
         path = source
         default_name = os.path.splitext(os.path.basename(source))[0]
-    else:
-        path = os.path.join(_design_dir(), source + ".yaml")
-        if not os.path.isfile(path):
-            raise InputError(
-                f"unknown design {source!r}: not a file and not one of the shipped "
-                f"designs ({', '.join(available_designs())})"
-            )
-        default_name = source
+    elif not os.path.isfile(path):
+        raise InputError(
+            f"unknown design {source!r}: not a file and not one of the shipped "
+            f"designs ({', '.join(available_designs())})"
+        )
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -635,16 +637,17 @@ _SPLIT = 134217729.0
 
 
 def _extract(p):
-    """The exact sums of the finite `p` along its first axis, as a list of
-    dyadics (N, e), worth N * 2**e: one per column of a table, one for a
-    vector. By error-free extraction (Rump, Ogita & Oishi 2008): each step
-    takes sigma, a power of two at least 2**m times max|p| with 2**m >=
-    len(p) + 2; q = (sigma + p) - sigma keeps the bits of p at or above half
-    sigma's last place, so the sum of q is exact in any order, and p - q,
-    exact too, is left for the next step, about 53 - m bits lower. Steps stop
-    when nothing is left. Where sigma would overflow, a column's values at or
-    above 2**(k - 1022) are extracted scaled down by 2**k, which is exact,
-    and the rest, which are tiny, as they are."""
+    """The exact sums of the finite `p` along its first axis, as integers in
+    units of 2**-1074, of which every finite float is a multiple: one per
+    column of a table, one for a vector. By error-free extraction (Rump,
+    Ogita & Oishi 2008): each step takes sigma, a power of two at least 2**m
+    times max|p| with 2**m >= len(p) + 2; q = (sigma + p) - sigma keeps the
+    bits of p at or above half sigma's last place, so the sum of q is exact
+    in any order, and p - q, exact too, is left for the next step, about
+    53 - m bits lower. Steps stop when nothing is left. Where sigma would
+    overflow, a column's values at or above 2**(k - 1022) are extracted
+    scaled down by 2**k, which is exact, and the rest, which are tiny, as
+    they are."""
     p = np.array(p, dtype=float)
     p = p.reshape(len(p), math.prod(p.shape[1:]))
     m = (len(p) + 1).bit_length()
@@ -653,27 +656,26 @@ def _extract(p):
         small = np.abs(p) < np.ldexp(1.0, k - 1022)
         big = _extract(np.where(small, 0.0, np.ldexp(p, -k)))
         rest = _extract(np.where(small, p, 0.0))
-        return [_dyadic_add((a, e + s), r) for (a, e), s, r in zip(big, k.tolist(), rest)]
-    parts = []
-    while True:
-        top = np.abs(p).max(axis=0, initial=0.0)
-        if not top.any():
-            return [_dyadic(col) for col in zip(*parts)] if parts else [(0, 0)] * p.shape[1]
+        return [(a << s) + r for a, s, r in zip(big, k.tolist(), rest)]
+    total = [0] * p.shape[1]
+    while (top := np.abs(p).max(axis=0, initial=0.0)).any():
         sigma = np.ldexp(1.0, np.frexp(top)[1] + m)
         q = (sigma + p) - sigma
-        parts.append(q.sum(axis=0).tolist())
+        for j, (a, b) in enumerate(map(float.as_integer_ratio, q.sum(axis=0).tolist())):
+            total[j] += a << (1075 - b.bit_length())
         p = p - q
+    return total
 
 
-def _square_bands(x):
-    """The exact squares of the finite `x` as bands (e, t), with sum(x**2)
-    equal to the sum over bands of 2**e * sum(t). A band holds the values
-    within 2**960 of the largest left, scaled by a power of two to below
-    2**480, so neither the scaling nor a square's error term under- or
-    overflows; t is their squares' rounded values and Dekker's (1971) exact
-    errors, from Veltkamp's split."""
+def _square_sum(x):
+    """The exact sum of the squares of the finite vector `x`, as an integer in
+    units of 2**-2148, the square of 2**-1074. Band by band: a band holds the
+    values within 2**960 of the largest left, scaled by a power of two to
+    below 2**480, so neither the scaling nor a square's error term under- or
+    overflows; the squares' rounded values and Dekker's (1971) exact errors,
+    from Veltkamp's split, are summed by `_extract`."""
     x = np.abs(np.ravel(np.asarray(x, dtype=float)))
-    bands = []
+    total = 0
     while x.size and x.max() > 0.0:
         top = int(np.frexp(x.max())[1])
         band = x >= math.ldexp(1.0, top - 960)
@@ -682,126 +684,95 @@ def _square_bands(x):
         c = _SPLIT * s
         a = c - (c - s)
         b = s - a
-        bands.append((2 * (top - 480), np.concatenate([hi, ((a * a - hi) + 2.0 * a * b) + b * b])))
+        (t,) = _extract(np.concatenate([hi, ((a * a - hi) + 2.0 * a * b) + b * b]))
+        # t counts 2**-1074 of the squares scaled by 2**(2 * (480 - top)); the
+        # squares are multiples of 2**-2148, so a right shift drops only zeros
+        shift = 2 * top + 114
+        total += t << shift if shift >= 0 else t >> -shift
         x = x[~band]
-    return bands
-
-
-def _dyadic(floats):
-    """(N, e) with N * 2**e the exact sum of the floats; (0, 0) for none."""
-    terms = [f.as_integer_ratio() for f in floats]
-    low = max((den.bit_length() for _, den in terms), default=1)
-    return sum(num << (low - den.bit_length()) for num, den in terms), 1 - low
-
-
-def _dyadic_add(a, b):
-    low = min(a[1], b[1])
-    return (a[0] << (a[1] - low)) + (b[0] << (b[1] - low)), low
-
-
-def _square_sum(x):
-    """The exact dyadic sum of the squares of the finite vector `x`."""
-    total = (0, 0)
-    for e, t in _square_bands(x):
-        a, f = _extract(t)[0]
-        total = _dyadic_add(total, (a, f + e))
     return total
 
 
 def _mean(total, n):
-    """The dyadic sum `total` correctly rounded (as math.fsum), over n; where
-    that sum is beyond a float, though the mean is not, the mean correctly
-    rounded."""
-    a, e = total
+    """The sum `total` (in units of 2**-1074) correctly rounded (as
+    math.fsum), over n; where that sum is beyond a float, though the mean is
+    not, the mean correctly rounded."""
     try:
-        return (float(a << e) if e >= 0 else a / (1 << -e)) / n
+        return total / (1 << 1074) / n
     except OverflowError:
-        return (a << e) / n if e >= 0 else a / (n << -e)
+        return total / (n << 1074)
 
 
 def _sd(n, s, sq):
     """sqrt((n * sq - s**2) / (n * (n - 1))), correctly rounded (unless
-    subnormal; inf beyond a float), from the exact dyadic sums s of x and sq
-    of x**2. The integer square root gets at least 56 bits; a sticky last bit
-    marks an inexact one, so one rounding to float is the correct one."""
-    (a, ea), (b, eb) = s, sq
-    low = min(eb, 2 * ea) & ~1  # even, so the square root halves it
-    num = n * (b << (eb - low)) - ((a * a) << (2 * ea - low))
+    subnormal; inf beyond a float), from the exact sums s of x (in units of
+    2**-1074) and sq of x**2 (in units of 2**-2148). The integer square root
+    gets at least 56 bits; a sticky last bit marks an inexact one, so one
+    rounding to float is the correct one."""
+    num = n * sq - s * s
     den = n * (n - 1)
     t = (114 - num.bit_length() + den.bit_length()) // 2
     q, rem = divmod(num << 2 * t, den) if t >= 0 else divmod(num, den << -2 * t)
     r = math.isqrt(q)
     r = 2 * r + (rem != 0 or r * r != q)
     try:
-        return math.ldexp(float(r), low // 2 - t - 1)
+        return math.ldexp(float(r), -1075 - t)
     except OverflowError:
         return math.inf
 
 
 def _partials(cols):
-    """The exact partial sums of a chunk's summarized columns `cols`: the
-    replication count; for each statistic the dyadic Σx (`_extract`), one
-    per group of a per-group vector, and for each scalar one the dyadic Σx²;
-    for each rejection its count."""
-    out = dict(n=cols["f_stat"].size, sums={}, squares={}, counts={})
+    """The exact sums of a chunk's summarized columns `cols`, as integers:
+    "n", the replication count; ("sum", k, g), Σx of statistic k
+    (`_extract`), per group g of a per-group vector, g None for a scalar;
+    ("square", k), Σx² of a scalar (`_square_sum`); ("count", k), the count
+    of rejection k."""
+    out = Counter(n=cols["f_stat"].size)
     for k in _SCALAR_KEYS + _GROUP_KEYS:
         if k not in cols:
             continue
         x = cols[k]
         if not np.isfinite(x).all():
             raise NumericalError(f"a replication's {k} is not finite")
-        out["sums"][k] = _extract(x)
+        sums = _extract(x)
         if x.ndim == 1:
-            out["squares"][k] = _square_sum(x)
+            out["sum", k, None] = sums[0]
+            out["square", k] = _square_sum(x)
+        else:
+            out.update({("sum", k, g): s for g, s in enumerate(sums)})
     for k in _REJECTION_KEYS:
         if k in cols:
-            out["counts"][k] = int(np.count_nonzero(cols[k]))
+            out["count", k] = int(np.count_nonzero(cols[k]))
     return out
 
 
-def _merge(a, b):
-    """The partials of two sets of replications together."""
-    return dict(
-        n=a["n"] + b["n"],
-        sums={k: list(map(_dyadic_add, v, b["sums"][k])) for k, v in a["sums"].items()},
-        squares={k: _dyadic_add(v, b["squares"][k]) for k, v in a["squares"].items()},
-        counts={k: v + b["counts"][k] for k, v in a["counts"].items()},
-    )
-
-
-def _fold(results):
-    """The tally and the partials (None if none) of the chunk `results`, each
-    chunk folded in as it comes, so no chunk's partials wait for the last."""
-    tally, total = Counter(), None
-    for part, t in results:
-        tally += t
-        if part is not None:
-            total = part if total is None else _merge(total, part)
-    return tally, total
-
-
-def _summarize(total):
-    """(means, sds or None under two replications, rejection rates, group
-    means) from the partials `total`: each mean the sum correctly rounded
-    over n (`_mean`), each sd from exact integers (`_sd`)."""
-    n, sums = total["n"], total["sums"]
-    means = {k: _mean(sums[k][0], n) for k in total["squares"]}
+def _summarize(total, g):
+    """(means, sds or None under two replications, rejection rates, means of
+    the g-group vectors) from the run's Counter `total` (`_partials`): each
+    mean the sum correctly rounded over n (`_mean`), each sd from exact
+    integers (`_sd`)."""
+    n = total["n"]
+    scalars = [k for k in _SCALAR_KEYS if ("square", k) in total]
+    means = {k: _mean(total["sum", k, None], n) for k in scalars}
     sds = (
-        {k: _sd(n, sums[k][0], sq) for k, sq in total["squares"].items()} if n >= 2 else None
+        {k: _sd(n, total["sum", k, None], total["square", k]) for k in scalars}
+        if n >= 2 else None
     )
-    rejection_rates = {k: c / n for k, c in total["counts"].items()}
-    group_means = {k: np.array([_mean(g, n) for g in sums[k]]) for k in _GROUP_KEYS}
-    return means, sds, rejection_rates, group_means
+    rates = {k: total["count", k] / n for k in _REJECTION_KEYS if ("count", k) in total}
+    group_means = {
+        k: np.array([_mean(total["sum", k, j], n) for j in range(g)]) for k in _GROUP_KEYS
+    }
+    return means, sds, rates, group_means
 
 
 def _sim_chunk(design, seed, tau, alpha, benchmark, method, rep_ids):
-    """Replications `rep_ids`: (the exact partial sums of the successful ones,
-    `_partials`, or None if none succeeded, tally of failures by stage and of
-    empty-group redraws). The chunk's columns end with it."""
+    """Replications `rep_ids` as one Counter of integers: the tally of
+    failures by stage and of empty-group redraws, and the exact sums of the
+    successful ones (`_partials`), if any. The chunk's columns end with it."""
     cols, tally = _chunk_columns(design, seed, tau, alpha, benchmark, method, rep_ids)
-    if cols is None or not cols["f_stat"].size:
-        return None, tally
-    return _partials(cols), tally
+    if cols is not None and cols["f_stat"].size:
+        tally.update(_partials(cols))
+    return tally
 
 
 @dataclass(frozen=True, eq=False)
@@ -868,29 +839,32 @@ def run_sim(
     chunk = min(chunk, _CHUNK_REPS)
     job = partial(_sim_chunk, design, seed, tau, alpha, benchmark, method)
     jobs = [range(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
+    # `update`, unlike `+`, keeps a chunk's zero sums
+    total = Counter()
     if workers == 1:
-        tally, total = _fold(map(job, jobs))
+        for part in map(job, jobs):
+            total.update(part)
     else:
         # imported here, so a single-worker run loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         size = _pool_size(workers, len(jobs), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=size) as pool:
-            tally, total = _fold(pool.map(job, jobs))
-    failures = {stage: tally[stage] for stage in _FAILURE_STAGES}
-    if total is None:
+            for part in pool.map(job, jobs):
+                total.update(part)
+    failures = {stage: total[stage] for stage in _FAILURE_STAGES}
+    if total["n"] == 0:
         stages = ", ".join(f"{stage} {count}" for stage, count in failures.items() if count)
         raise NumericalError(
-            f"every replication failed ({stages}; {tally['redraws']} redraws)"
+            f"every replication failed ({stages}; {total['redraws']} redraws)"
         )
-    succeeded = total["n"]
-    means, sds, rejection_rates, group_means = _summarize(total)
+    means, sds, rejection_rates, group_means = _summarize(total, design.G)
     return SimSummary(
         design_name=design.name,
         reps=reps,
-        failed=reps - succeeded,
+        failed=reps - total["n"],
         failures=failures,
-        redraws=tally["redraws"],
+        redraws=total["redraws"],
         seed=seed,
         tau=tau,
         alpha=alpha,

@@ -167,3 +167,10 @@ def cdf_calls(monkeypatch):
 
     monkeypatch.setattr(distributions, "chisq_cdf", counting)
     return calls
+
+
+def chunk_call(fn, design, rep_ids, seed=0, tau=0.1, alpha=0.05, benchmark="ls",
+               method="patnaik"):
+    """`fn`, `grouped_sim._sim_chunk` or `_chunk_columns`, on the replications
+    `rep_ids` of `design`, with the settings as keywords."""
+    return fn(design, seed, tau, alpha, benchmark, method, rep_ids)

@@ -291,6 +291,18 @@ class TestLoadCsv:
         with pytest.raises(InputError, match="missing column 'zz'"):
             load_csv(path, y="a", x="b", z=["zz"])
 
+    @pytest.mark.parametrize("role", ["z", "controls"])
+    def test_bare_string_of_names_refused(self, tmp_path, role):
+        """A bare string is not read as its letters: with columns z and 1,
+        z="z1" would bind both."""
+        path = self.write(tmp_path, "y,x,z,1,z1\n" + "1,2,3,4,5\n" * 12)
+        names = {"z": ["z1"], "controls": [], role: "z1"}
+        with pytest.raises(
+            InputError,
+            match=f"^{role} must be a sequence of column names, not the string 'z1'$",
+        ):
+            load_csv(path, y="y", x="x", **names)
+
     def test_non_numeric_cell_reported_one_based(self, tmp_path):
         rows = ["1,2,3"] * 12
         rows[4] = "1,oops,3"

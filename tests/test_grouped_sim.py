@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import re
 import sys
 import tracemalloc
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from helpers import chunk_call
 from weakiv import (
     GroupedDesign,
     RngStream,
@@ -90,6 +92,13 @@ class TestDesigns:
     def test_unknown_design_lists_options(self):
         with pytest.raises(InputError, match="not one of the shipped designs"):
             load_design("nope")
+
+    def test_directory_does_not_hide_a_shipped_design(self, tmp_path, monkeypatch):
+        """A directory named like a shipped design is not a design file."""
+        (tmp_path / "me").mkdir()
+        monkeypatch.chdir(tmp_path)
+        design = load_design("me")
+        assert design.name == "me" and design.G == 10
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "tiny.yaml"
@@ -552,7 +561,7 @@ class TestRunSim:
         """A tau near 0 puts the noncentrality past 2e7 (at 1e-320 the radius
         overflows): every replication fails at its critical value."""
         design = small_structural()
-        _, tally = grouped_sim._sim_chunk(design, 0, tau, 0.05, "ls", "patnaik", range(4))
+        tally = chunk_call(grouped_sim._sim_chunk, design, range(4), tau=tau)
         assert {s: tally[s] for s in grouped_sim._FAILURE_STAGES} == {
             "draw": 0, "moments": 0, "moment_cov": 0, "bias_bound": 0, "critical_value": 4,
         }
@@ -725,9 +734,7 @@ class TestMomentKernel:
             smallest.append(0 if labels is None else np.bincount(labels, minlength=4).min())
         with warnings_mod.catch_warnings():
             warnings_mod.simplefilter("ignore")
-            cols, tally = grouped_sim._chunk_columns(
-                design, 0, 0.1, 0.05, "ls", "patnaik", range(20)
-            )
+            cols, tally = chunk_call(grouped_sim._chunk_columns, design, range(20))
             with pytest.raises(NumericalError, match=re.escape(
                 "every replication failed (draw 4, moments 14, moment_cov 2; "
                 "101 redraws)"
@@ -777,8 +784,9 @@ class TestKernelAgainstDensePipeline:
             design = random_structural_design(rng)
             benchmark = ("ls", "mop")[i % 2]
             for rep in range(3):
-                cols, tally = grouped_sim._chunk_columns(
-                    design, i, tau, alpha, benchmark, "patnaik", range(rep, rep + 1)
+                cols, tally = chunk_call(
+                    grouped_sim._chunk_columns, design, range(rep, rep + 1), seed=i,
+                    tau=tau, alpha=alpha, benchmark=benchmark,
                 )
                 if cols is None or cols["f_eff"].size == 0:
                     continue  # a group of one or two observations
@@ -802,8 +810,10 @@ def fraction_sum(values):
     return sum(map(Fraction, values), Fraction(0))
 
 
-def dyadic_value(nd):
-    return Fraction(nd[0]) * Fraction(2) ** nd[1]
+def units_value(total, unit=1074):
+    """The exact value of an integer sum in units of 2**-unit."""
+    assert type(total) is int
+    return Fraction(total, 1 << unit)
 
 
 _MAGNITUDES = np.random.default_rng(7)
@@ -843,29 +853,27 @@ def sometimes_failing_design():
 
 class TestExactSummary:
     """`run_sim` sums every column exactly, chunk by chunk: each chunk leaves
-    floats whose exact sum is Σx and an exact dyadic Σx², checked here
-    against `fractions.Fraction` sums (with warnings as errors, so no step
-    under- or overflows)."""
+    integers, Σx in units of 2**-1074 and Σx² in units of 2**-2148, checked
+    here against `fractions.Fraction` sums (with warnings as errors, so no
+    step under- or overflows)."""
 
     @pytest.mark.parametrize("case", EXACT_SUM_CASES)
     def test_extraction_is_exact(self, case):
         x = np.array(EXACT_SUM_CASES[case], dtype=float)
         (total,) = grouped_sim._extract(x)
-        assert dyadic_value(total) == fraction_sum(x.tolist())
+        assert units_value(total) == fraction_sum(x.tolist())
         # by column, also of columns that run out before the others
         table = np.stack([x, -x[::-1], np.zeros_like(x), x * 1e-300], axis=1)
         totals = grouped_sim._extract(table)
         assert len(totals) == 4
         for j, total in enumerate(totals):
-            assert dyadic_value(total) == fraction_sum(table[:, j].tolist())
+            assert units_value(total) == fraction_sum(table[:, j].tolist())
 
     @pytest.mark.parametrize("case", EXACT_SUM_CASES)
     def test_squares_are_exact(self, case):
         x = EXACT_SUM_CASES[case]
         want = sum((Fraction(v) ** 2 for v in x), Fraction(0))
-        bands = grouped_sim._square_bands(np.array(x, dtype=float))
-        assert sum(Fraction(2) ** e * fraction_sum(t.tolist()) for e, t in bands) == want
-        assert dyadic_value(grouped_sim._square_sum(np.array(x, dtype=float))) == want
+        assert units_value(grouped_sim._square_sum(np.array(x, dtype=float)), 2148) == want
 
     @pytest.mark.parametrize("case", [c for c, x in EXACT_SUM_CASES.items() if len(x) >= 2])
     def test_sd_is_correctly_rounded(self, case):
@@ -874,7 +882,7 @@ class TestExactSummary:
         (s,) = grouped_sim._extract(x)
         sq = grouped_sim._square_sum(x)
         sd = grouped_sim._sd(n, s, sq)
-        var = (n * dyadic_value(sq) - dyadic_value(s) ** 2) / (n * (n - 1))
+        var = (n * units_value(sq, 2148) - units_value(s) ** 2) / (n * (n - 1))
         if var > Fraction(sys.float_info.max) ** 2:
             assert sd == math.inf
             return
@@ -906,8 +914,8 @@ class TestExactSummary:
             warnings_mod.simplefilter("ignore")  # empty-group redraws
             summ = run_sim(design, reps, seed=1)
             parts = [
-                grouped_sim._chunk_columns(
-                    design, 1, 0.1, 0.05, "ls", "patnaik", range(lo, min(lo + chunk, reps))
+                chunk_call(
+                    grouped_sim._chunk_columns, design, range(lo, min(lo + chunk, reps)), seed=1
                 )[0]
                 for lo in range(0, reps, chunk)
             ]
@@ -931,8 +939,7 @@ class TestExactSummary:
             warnings_mod.simplefilter("ignore")
             runs = [run_sim(design, reps, seed=2, workers=w) for w in (1, 2, 3)]
             empty = [
-                grouped_sim._sim_chunk(design, 2, 0.1, 0.05, "ls", "patnaik",
-                                       range(lo, lo + 2))[0] is None
+                "n" not in chunk_call(grouped_sim._sim_chunk, design, range(lo, lo + 2), seed=2)
                 for lo in range(0, reps, 2)
             ]
         assert any(empty) and not all(empty)
@@ -948,11 +955,22 @@ class TestExactSummary:
     def test_chunk_that_keeps_no_replication_leaves_no_partials(self):
         with warnings_mod.catch_warnings():
             warnings_mod.simplefilter("ignore")
-            part, tally = grouped_sim._sim_chunk(
-                rare_group_design(), 0, 0.1, 0.05, "ls", "patnaik", range(20)
-            )
-        assert part is None
+            tally = chunk_call(grouped_sim._sim_chunk, rare_group_design(), range(20))
+        assert set(tally) <= {"redraws", *grouped_sim._FAILURE_STAGES}
         assert sum(tally[s] for s in grouped_sim._FAILURE_STAGES) == 20
+
+    @pytest.mark.parametrize("name", ["me", "me_reconstructed"])
+    def test_chunk_ships_integers_flat_in_reps(self, name):
+        """A chunk sends one Counter of integers, whose pickled size does not
+        grow with its replications: a few hundred sums, not its columns."""
+        design = load_design(name)
+        sizes = []
+        for reps in (64, 1024):
+            part = chunk_call(grouped_sim._sim_chunk, design, range(reps))
+            assert part["n"] == reps
+            assert all(type(v) is int for v in part.values())
+            sizes.append(len(pickle.dumps(part)))
+        assert sizes[1] <= 1.1 * sizes[0], sizes
 
     def test_sums_past_a_float_give_finite_means(self):
         """Three chunks of 1024 values near the largest float: every partial
@@ -967,9 +985,10 @@ class TestExactSummary:
             "weights_2sls": np.full((1024, 2), 0.5),
             "weights_gmmf": np.full((1024, 2), 0.5),
         }
-        chunk = grouped_sim._partials(cols)
-        _, total = grouped_sim._fold([(chunk, Counter())] * 3)
-        means, sds, _, group_means = grouped_sim._summarize(total)
+        chunk, total = grouped_sim._partials(cols), Counter()
+        for _ in range(3):
+            total.update(chunk)
+        means, sds, _, group_means = grouped_sim._summarize(total, 2)
         assert means == {"f_stat": big, "f_eff": 0.0, "f_r": 1e306}
         assert sds["f_stat"] == sds["f_r"] == 0.0
         assert sds["f_eff"] == math.inf
