@@ -26,8 +26,7 @@ _EXPORTS = {
     "estimate_moment_cov": "estimators", "ols": "estimators",
     "residual_cov": "estimators", "wald_test": "estimators",
     "weight_matrix": "estimators",
-    "FStatValue": "fstats", "f_effective": "fstats", "f_generalized": "fstats",
-    "f_nonrobust": "fstats", "f_robust": "fstats",
+    "f_generalized": "fstats", "f_nonrobust": "fstats",
     "DesignComparison": "grouped_sim", "GroupStats": "grouped_sim",
     "GroupedBiasDiagnostics": "grouped_sim", "GroupedDesign": "grouped_sim",
     "SimSummary": "grouped_sim", "available_designs": "grouped_sim",

@@ -110,16 +110,16 @@ def _run_options(args):
 
 
 def cmd_estimate(args):
-    from .estimators import WeightSpec, estimate, estimate_moment_cov, ols
-    from .fstats import f_effective, f_nonrobust, f_robust
+    from .estimators import estimate, ols
+    from .fstats import f_generalized, f_nonrobust
 
     pd_, flavor = _load(args)
     kw = {"flavor": flavor, "dof_correction": args.dof_correction}
     results = {"estimates": {}, "fstats": {}}
     for label, maker in (
         ("ols", lambda: ols(pd_, **kw)),
-        ("2sls", lambda: estimate(pd_, WeightSpec("2sls"), **kw)),
-        ("gmmf", lambda: estimate(pd_, WeightSpec("gmmf"), **kw)),
+        ("2sls", lambda: estimate(pd_, "2sls", **kw)),
+        ("gmmf", lambda: estimate(pd_, "gmmf", **kw)),
     ):
         res = maker()
         results["estimates"][label] = {
@@ -127,11 +127,10 @@ def cmd_estimate(args):
             "se_robust": res.se_robust,
             "se_nonrobust": res.se_nonrobust,
         }
-    cov = estimate_moment_cov(pd_, **kw)
     results["fstats"] = {
-        "f": float(f_nonrobust(pd_)),
-        "f_eff": float(f_effective(pd_, cov.v2v2)),
-        "f_r": float(f_robust(pd_, cov.v2v2)),
+        "f": f_nonrobust(pd_),
+        "f_eff": f_generalized(pd_, "2sls", **kw),
+        "f_r": f_generalized(pd_, "gmmf", **kw),
     }
     meta = {"data": args.data, "options": _data_options(args, flavor)}
     estimates = results["estimates"].items()
@@ -155,7 +154,6 @@ def cmd_estimate(args):
 
 
 def cmd_weakivtest(args):
-    from .estimators import WeightSpec
     from .weak_test import weak_iv_test
 
     pd_, flavor = _load(args)
@@ -166,7 +164,7 @@ def cmd_weakivtest(args):
     for label in which:
         res = weak_iv_test(
             pd_,
-            WeightSpec("2sls" if label == "eff" else "gmmf"),
+            "2sls" if label == "eff" else "gmmf",
             benchmark=args.benchmark,
             tau=args.tau,
             alpha=args.alpha,
@@ -176,7 +174,7 @@ def cmd_weakivtest(args):
             mc_seed=args.seed,
         )
         results[label] = {
-            "statistic": float(res.statistic),
+            "statistic": res.statistic,
             "bias_bound": res.bias_bound,
             "radius": res.radius,
             "effective_dof": res.effective_dof,

@@ -308,7 +308,7 @@ def load_csv(path, y, x, z, controls=(), cluster=None):
     """Load a header CSV binding columns to model roles.
 
     `y`, `x` name single columns; `z` and `controls` are sequences of column
-    names; `cluster` optionally names a label column (values kept as opaque
+    names; every name is a string; `cluster` optionally names a label column (values kept as opaque
     strings, stripped of surrounding whitespace). A bound name that appears
     more than once in the header is an error. The file is read as UTF-8; a
     leading byte-order mark is skipped.
@@ -330,8 +330,12 @@ def load_csv(path, y, x, z, controls=(), cluster=None):
             raise InputError(
                 f"{role} must be a sequence of column names, not the string {names!r}"
             )
-    z = list(z)
-    controls = list(controls)
+    z, controls = list(z), list(controls)
+    for role, names in (("y", [y]), ("x", [x]), ("z", z), ("controls", controls),
+                        ("cluster", [] if cluster is None else [cluster])):
+        for name in names:
+            if not isinstance(name, str):
+                raise InputError(f"{role}: a column name must be a string, not {name!r}")
     if not z:
         raise InputError("at least one instrument column must be given")
     with open(path, newline="", encoding="utf-8-sig") as fh:

@@ -48,12 +48,12 @@ def _square(m, k=None, name="omega"):
     return m
 
 
-def _spd(omega, k=None, name="omega"):
+def _spd(omega, name="omega"):
     """Symmetrized copy of a matrix, such as a weight matrix, after checking
-    that it is square (k x k when `k` is given), finite, symmetric and
-    positive definite; an exactly symmetric one keeps its values. Symmetry is
-    judged in units of the largest entry, so the same at any scale of omega."""
-    omega = _square(omega, k, name)
+    that it is square, finite, symmetric and positive definite; an exactly
+    symmetric one keeps its values. Symmetry is judged in units of the
+    largest entry, so the same at any scale of omega."""
+    omega = _square(omega, name=name)
     if not np.isfinite(omega).all():
         raise InputError(f"{name} must be finite")
     unit = np.abs(omega).max(initial=0.0) or 1.0
@@ -257,36 +257,33 @@ def _sandwich(z, t, u, denom, labels, dof_correction):
     return math.sqrt(max(var, 0.0))
 
 
-def _gmmf_weight(w2):
-    """The GMMf weight: the symmetrized inverse of the first-stage moment
-    covariance block `w2`."""
+def weight_matrix(pd, spec, flavor="hc0", dof_correction=False):
+    """The GMM weight matrix Omega that `spec` (a `WeightSpec` or its kind)
+    names for the data `pd`, in the basis q of `pd.z_qr` and exactly
+    symmetric: the one place a weight is formed.
+
+    "2sls" gives (q'q/n)^{-1} = I; "gmmf" gives the symmetrized inverse of the
+    first-stage moment covariance block of `estimate_moment_cov(pd, flavor,
+    dof_correction)`; "custom" maps `spec.omega`, given on the columns of z
+    and k_z x k_z, to t Omega t'.
+    """
+    if not isinstance(spec, WeightSpec):
+        spec = WeightSpec(spec)
+    if spec.kind == "2sls":
+        return np.eye(pd.k_z)
+    if spec.kind == "custom":
+        t = pd.z_qr[1]
+        return _sym(t @ _square(spec.omega, pd.k_z) @ t.T)
+    w2 = estimate_moment_cov(pd, flavor=flavor, dof_correction=dof_correction).v2v2
     try:
         return _sym(np.linalg.inv(w2))
     except np.linalg.LinAlgError:
         raise NumericalError("first-stage moment covariance is singular") from None
 
 
-def weight_matrix(pd, spec, cov=None):
-    """The GMM weight matrix Omega that `spec` names for the data `pd`, in the
-    basis q of `pd.z_qr` and exactly symmetric.
-
-    "2sls" gives (q'q/n)^{-1} = I; "gmmf" gives the symmetrized inverse of the
-    first-stage moment covariance block `cov.v2v2`, so it needs `cov`;
-    "custom" maps `spec.omega`, given on the columns of z, to t Omega t'.
-    """
-    if spec.kind == "2sls":
-        return np.eye(pd.k_z)
-    if spec.kind == "custom":
-        t = pd.z_qr[1]
-        return _sym(t @ spec.omega @ t.T)
-    if cov is None:
-        raise InputError("the gmmf weight needs the moment covariance: pass cov")
-    return _gmmf_weight(cov.v2v2)
-
-
 def estimate(pd, spec, flavor="hc0", dof_correction=False):
-    """Point estimate with robust (sandwich) and nonrobust standard errors,
-    computed in the instrument basis q of `pd.z_qr`.
+    """Point estimate at the weight from `weight_matrix`, with robust
+    (sandwich) and nonrobust standard errors, in the basis q of `pd.z_qr`.
 
     The robust variance uses the same HC0/cluster kernel as the moment
     covariance, applied to the structural residual y - x*beta_hat; this is the
@@ -296,11 +293,7 @@ def estimate(pd, spec, flavor="hc0", dof_correction=False):
     labels = _resolve_flavor(pd, flavor)
     q, x, y = pd.z_qr[0], pd.x, pd.y
     qtx = q.T @ x
-    cov = None
-    if spec.kind == "gmmf":
-        cov = estimate_moment_cov(pd, flavor=flavor, dof_correction=dof_correction)
-    omega = weight_matrix(pd, spec, cov)
-    t = omega @ qtx
+    t = weight_matrix(pd, spec, flavor, dof_correction) @ qtx
     denom = float(qtx @ t)
     if denom <= 0.0:
         raise NumericalError(

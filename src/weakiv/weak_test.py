@@ -27,14 +27,13 @@ from .errors import InputError, NumericalError
 from .estimators import (
     MomentCov,
     ResidualCov,
-    WeightSpec,
     _spd,
     _sym,
     estimate_moment_cov,
     residual_cov,
     weight_matrix,
 )
-from .fstats import FStatValue, f_generalized
+from .fstats import f_generalized
 
 __all__ = [
     "Benchmark",
@@ -55,8 +54,6 @@ _MAX_NODES = 4096
 _MC_DIRECTIONS = 200
 _MC_DRAWS = 100_000
 """Draws of the "mc" critical value."""
-_STATISTIC = {"2sls": "effective", "gmmf": "robust", "custom": "generalized"}
-"""The name of the generalized F-statistic at each weight kind's Omega."""
 
 
 def _sym_sqrt(omega):
@@ -274,6 +271,7 @@ def _diagonal_worst_case_bias(v1v1, v1v2, v2v2, kind, resid=None):
     return value, ok
 
 
+@np.errstate(over="ignore", invalid="ignore")  # NaN or inf where it overflows
 def _effective_dof(lam, radius):
     """Patnaik effective dof from the eigenvalues `lam` of the transformed
     lower block W on the last axis: from tr W, tr W^2 and lam_max."""
@@ -291,15 +289,26 @@ def _critical_values(lam, radius, alpha, method=_settings.METHOD, seed=_settings
     The callers have read `method`.
 
     "patnaik": upper-alpha quantile of chi2(keff, radius*keff)/keff with keff
-    the moment-matched effective dof. "mc": in W's eigenbasis, `lam`
-    ascending, the max over max(200, k) unit directions c (the k axes, then
-    random ones from `seed`) of the empirical upper-alpha quantile of
-    |c sqrt(radius tr W) + xi|^2 / tr W over _MC_DRAWS draws xi = sqrt(lam) zeta,
-    zeta ~ N(0, I), shared by the batch; it needs every eigenvalue positive.
+    the moment-matched effective dof; a law fails where keff or the
+    noncentrality overflows (at a radius near the largest float). "mc": in
+    W's eigenbasis, `lam` ascending, the max over max(200, k) unit directions
+    c (the k axes, then random ones from `seed`) of the empirical upper-alpha
+    quantile of |c sqrt(radius tr W) + xi|^2 / tr W over _MC_DRAWS draws
+    xi = sqrt(lam) zeta, zeta ~ N(0, I), shared by the batch; it needs every
+    eigenvalue positive.
     """
     if method == "patnaik":
         keff = _effective_dof(lam, radius)
-        return chisq_quantile(NoncentralChiSq(keff, radius * keff), 1.0 - alpha) / keff
+        with np.errstate(over="ignore", invalid="ignore"):
+            ncp = radius * keff
+        ok = np.isfinite(keff) & np.isfinite(ncp) & (keff > 0.0)
+        if ok.all():
+            return chisq_quantile(NoncentralChiSq(keff, ncp), 1.0 - alpha) / keff
+        if not ok.ndim:
+            raise NumericalError(f"the critical value's law overflows at radius {radius:g}")
+        cv = np.full(ok.shape, np.nan)
+        cv[ok] = _critical_values(lam[ok], radius[ok], alpha)
+        return cv
     lam = np.sort(lam, axis=-1)
     k = lam.shape[-1]
     gen = RngStream(seed, 0).generator()
@@ -339,7 +348,10 @@ def effective_dof(w2t, radius):
     the transformed lower block `w2t`, square, symmetric and positive
     definite."""
     radius = _check_radius(radius)
-    return float(_effective_dof(np.linalg.eigvalsh(_spd(w2t, name="w2t")), radius))
+    keff = float(_effective_dof(np.linalg.eigvalsh(_spd(w2t, name="w2t")), radius))
+    if not math.isfinite(keff):
+        raise NumericalError(f"the effective dof overflows at radius {radius:g}")
+    return keff
 
 
 def critical_value(w2t, radius, alpha, method=_settings.METHOD, seed=_settings.SEED):
@@ -357,7 +369,7 @@ def critical_value(w2t, radius, alpha, method=_settings.METHOD, seed=_settings.S
 
 @dataclass(frozen=True, eq=False)
 class WeakIvResult:
-    statistic: FStatValue
+    statistic: float
     bias_bound: float
     radius: float
     effective_dof: float
@@ -385,27 +397,24 @@ def weak_iv_test(
     """Run the full weak-instruments decision procedure for one estimator.
 
     Rejecting means the worst-case approximate relative bias of the estimator
-    is below tau at level alpha. Every weight runs the same pipeline on its
-    Omega from `weight_matrix`, with the generalized F-statistic at that
-    Omega: the effective F for "2sls" and the robust F for "gmmf". `method`
-    is "patnaik", "mc", or "conservative" (radius fixed at 1/tau, valid and
-    conservative for the mop benchmark only). The bias bound comes from
-    `worst_case_bias`; `mc_seed` is the seed of the "mc" critical value
-    (`critical_value`).
+    is below tau at level alpha. Every weight `spec` (a `WeightSpec` or its
+    kind) runs the same pipeline on its Omega from `weight_matrix`, with the
+    statistic `f_generalized` at that Omega: the effective F for "2sls" and
+    the robust F for "gmmf". `method` is "patnaik", "mc", or "conservative"
+    (radius fixed at 1/tau, valid and conservative for the mop benchmark
+    only). The bias bound comes from `worst_case_bias`; `mc_seed` is the seed
+    of the "mc" critical value (`critical_value`).
     """
     tau = _settings.read("tau", tau)
     alpha = _settings.read("alpha", alpha)
     method = _settings.read("method", method, (*_settings.METHODS, "conservative"))
     mc_seed = _settings.read("seed", mc_seed)
-    if not isinstance(spec, WeightSpec):
-        spec = WeightSpec(spec)
     bench = benchmark
     if not isinstance(bench, Benchmark):
         bench = Benchmark(bench, residual_cov(pd) if bench == "ls" else None)
     cov = estimate_moment_cov(pd, flavor=flavor, dof_correction=dof_correction)
-    omega = weight_matrix(pd, spec, cov)
-    tc = transform_moment_cov(cov, omega)
-    stat = FStatValue(_STATISTIC[spec.kind], f_generalized(pd, cov, omega).value)
+    tc = transform_moment_cov(cov, weight_matrix(pd, spec, flavor, dof_correction))
+    stat = f_generalized(pd, spec, flavor, dof_correction)
     warnings = ()
     sup = None
     if method == "conservative":
@@ -443,7 +452,7 @@ def weak_iv_test(
         tau=tau,
         benchmark=bench.kind,
         method=method,
-        reject=bool(stat.value > cv),
+        reject=bool(stat > cv),
         sup=sup,
         warnings=warnings,
     )

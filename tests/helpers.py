@@ -89,26 +89,15 @@ def concentration(c, qzz, w2t, omega):
     return float(ct @ ct) / float(np.trace(w2t))
 
 
-def _basis_change(pd, m, weight, to_z):
-    t = pd.z_qr[1]
-    if weight:
-        t = np.linalg.inv(t).T
-    if not to_z:
-        t = np.linalg.inv(t)
-    t = np.kron(np.eye(m.shape[0] // t.shape[0]), t)
-    return t.T @ m @ t
-
-
 def z_basis(pd, m, weight=False):
     """A matrix in the instrument basis q of `pd.z_qr` (z = q t) on the
     columns of z: t'm t for a moment covariance (blockwise for a 2k x 2k
     `MomentCov.full`), t^{-1} m t^{-T} for a weight matrix."""
-    return _basis_change(pd, m, weight, to_z=True)
-
-
-def q_basis(pd, m, weight=False):
-    """The inverse of `z_basis`: a matrix on the columns of z in basis q."""
-    return _basis_change(pd, m, weight, to_z=False)
+    t = pd.z_qr[1]
+    if weight:
+        t = np.linalg.inv(t).T
+    t = np.kron(np.eye(m.shape[0] // t.shape[0]), t)
+    return t.T @ m @ t
 
 
 def make_dataset(rng, n=300, kz=3, kc=0, beta=0.5, strength=0.6,

@@ -17,7 +17,6 @@ from helpers import (
     benchmark_scale,
     make_pd,
     nagar_numerator,
-    q_basis,
     random_spd,
     z_basis,
 )
@@ -33,9 +32,7 @@ from weakiv import (
     critical_value,
     estimate,
     estimate_moment_cov,
-    f_effective,
     f_generalized,
-    f_robust,
     generate,
     group_stats,
     load_design,
@@ -61,12 +58,13 @@ def test_fstat_and_estimator_identities():
         cov = estimate_moment_cov(pd_)
         qn_inv = np.linalg.inv(pd_.z.T @ pd_.z / pd_.n)
         # generalized statistic specializes to the effective and robust ones
-        omega_2sls = q_basis(pd_, qn_inv, weight=True)
-        assert float(f_generalized(pd_, cov, omega_2sls)) == pytest.approx(
-            float(f_effective(pd_, cov.v2v2)), rel=1e-10
+        # at their textbook weights on the columns of z
+        assert f_generalized(pd_, WeightSpec("custom", qn_inv)) == pytest.approx(
+            f_generalized(pd_, "2sls"), rel=1e-10
         )
-        assert float(f_generalized(pd_, cov, np.linalg.inv(cov.v2v2))) == (
-            pytest.approx(float(f_robust(pd_, cov.v2v2)), rel=1e-10)
+        w2_z = z_basis(pd_, cov.v2v2)
+        assert f_generalized(pd_, WeightSpec("custom", np.linalg.inv(w2_z))) == (
+            pytest.approx(f_generalized(pd_, "gmmf"), rel=1e-10)
         )
         # estimator dual formulas
         q, _ = np.linalg.qr(pd_.z)
@@ -76,15 +74,15 @@ def test_fstat_and_estimator_identities():
             want_2sls, rel=1e-10
         )
         zx = pd_.z.T @ pd_.x
-        t = np.linalg.solve(z_basis(pd_, cov.v2v2), zx)
+        t = np.linalg.solve(w2_z, zx)
         want_gmmf = float(t @ (pd_.z.T @ pd_.y)) / float(t @ zx)
         assert estimate(pd_, WeightSpec("gmmf")).beta_hat == pytest.approx(
             want_gmmf, rel=1e-10
         )
         # weight-scale invariance
         omega = random_spd(rng, kz, jitter=0.3)
-        a = float(f_generalized(pd_, cov, omega))
-        b = float(f_generalized(pd_, cov, 31.7 * omega))
+        a = f_generalized(pd_, WeightSpec("custom", omega))
+        b = f_generalized(pd_, WeightSpec("custom", 31.7 * omega))
         assert a == pytest.approx(b, rel=1e-10)
     # grouped decomposition and weight-sum identities
     from weakiv import GroupedDesign

@@ -88,6 +88,24 @@ class TestUsageErrors:
         assert (code, out) == (3, "")
         assert re.fullmatch(f"weakiv: numerical error: {message}\n", err)
 
+    @pytest.mark.parametrize("seed", ["1", "4"])
+    def test_overflowing_critical_value_fails_its_replication(self, seed, tmp_path, capsys):
+        """On this two-group design at tau 1e-300 some replications' keff
+        overflows: they fail at the critical value, and the run exits 3
+        with every replication failed, not 2 on a df the user never gave."""
+        design = tmp_path / "two.yaml"
+        design.write_text(
+            "n: 6\nbeta: 753742.0680612258\nscale_e: 8.032965301483457e+17\n"
+            "pi0: [0.5, 0.0]\nvar_v2: [8.03296530e+17, 3.75721238e-34]\n"
+            "var_u: [8.03296530e+17, 3.75721238e-34]\ncov_uv2: [4.01648265e+17, 0.0]\n"
+        )
+        argv = ["simulate", str(design), "--tau", "1e-300", "--alpha", "1e-12",
+                "--benchmark", "mop", "--reps", "6", "--seed", seed]
+        code, out, err = run_main(argv, capsys)
+        assert (code, out) == (3, "")
+        assert re.fullmatch(r"weakiv: numerical error: every replication failed "
+                            r"\(.*critical_value [12]; 0 redraws\)\n", err)
+
     @pytest.mark.parametrize("argv, seed", [
         (["simulate", "me", "--reps", "2", "--seed", "-1"], -1),
         (["curves", "me_reconstructed", "--reps", "2", "--scales", "1", "--seed", "-2"], -2),

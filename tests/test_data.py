@@ -303,6 +303,18 @@ class TestLoadCsv:
         ):
             load_csv(path, y="y", x="x", **names)
 
+    @pytest.mark.parametrize("role", ["y", "x", "cluster", "z", "controls"])
+    def test_column_name_must_be_a_string(self, tmp_path, role):
+        """A list in place of a column name is refused by its argument's
+        name, not left to the header lookup's TypeError."""
+        path = self.write(tmp_path, "y,x,z,c\n" + "1,2,3,4\n" * 12)
+        names = {"y": "y", "x": "x", "z": ["z"], "controls": (), "cluster": None}
+        names[role] = [[role]] if role in ("z", "controls") else [role]
+        with pytest.raises(
+            InputError, match=f"^{role}: a column name must be a string, not \\['{role}'\\]$"
+        ):
+            load_csv(path, **names)
+
     def test_non_numeric_cell_reported_one_based(self, tmp_path):
         rows = ["1,2,3"] * 12
         rows[4] = "1,oops,3"

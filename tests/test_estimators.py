@@ -11,6 +11,7 @@ from weakiv import (
     critical_value,
     estimate,
     estimate_moment_cov,
+    f_generalized,
     ols,
     partial_out,
     residual_cov,
@@ -124,13 +125,45 @@ class TestWeightMatrix:
         custom = np.linalg.inv(a @ a.T + np.eye(pd_.k_z))
         assert not np.array_equal(custom, custom.T)
         spec = WeightSpec(kind, custom if kind == "custom" else None)
-        omega = weight_matrix(pd_, spec, estimate_moment_cov(pd_))
+        omega = weight_matrix(pd_, spec)
         assert np.array_equal(omega, omega.T)
 
-    def test_gmmf_without_cov_names_it(self):
-        pd_ = make_pd(np.random.default_rng(30), n=100, kz=3)
-        with pytest.raises(InputError, match="cov"):
-            weight_matrix(pd_, WeightSpec("gmmf"))
+    @pytest.mark.parametrize("flavor, dof", [("hc0", False), ("cluster", True)])
+    def test_gmmf_inverts_the_moment_cov_of_its_flavor(self, flavor, dof):
+        """The gmmf weight is formed from the moment covariance that
+        `estimate_moment_cov` gives for the same flavor and correction."""
+        pd_ = make_pd(np.random.default_rng(30), n=100, kz=3, with_cluster=True)
+        w2 = estimate_moment_cov(pd_, flavor, dof).v2v2
+        omega = weight_matrix(pd_, "gmmf", flavor, dof)
+        assert np.linalg.norm(omega @ w2 - np.eye(3)) <= 1e-12
+        if flavor != "hc0":
+            assert not np.allclose(omega, weight_matrix(pd_, "gmmf"))
+
+    @pytest.mark.parametrize("entry", [estimate, weight_matrix, f_generalized, weak_iv_test])
+    def test_custom_omega_must_be_k_by_k(self, entry):
+        """A custom weight of the wrong size is refused with the instrument
+        count, not left to a bare numpy shape error."""
+        pd_ = make_pd(np.random.default_rng(9), n=100, kz=3)
+        for k in (2, 4):
+            with pytest.raises(InputError, match=f"wrong shape \\({k}, {k}\\): expected a 3x3"):
+                entry(pd_, WeightSpec("custom", np.eye(k)))
+
+    def test_string_kinds_equal_their_weight_specs(self):
+        """Every entry point reads a kind string as its WeightSpec, bit for
+        bit, and refuses an unknown one."""
+        pd_ = make_pd(np.random.default_rng(31), n=200, kz=3, het=True, with_cluster=True)
+        kw = {"flavor": "cluster", "dof_correction": True}
+        for kind in ("2sls", "gmmf", "GMM-F"):
+            spec = WeightSpec(kind)
+            assert np.array_equal(weight_matrix(pd_, kind, **kw), weight_matrix(pd_, spec, **kw))
+            assert vars(estimate(pd_, kind, **kw)) == vars(estimate(pd_, spec, **kw))
+            assert f_generalized(pd_, kind, **kw) == f_generalized(pd_, spec, **kw)
+            got, want = weak_iv_test(pd_, kind, **kw), weak_iv_test(pd_, spec, **kw)
+            for field in ("statistic", "bias_bound", "radius", "effective_dof", "cv", "reject"):
+                assert getattr(got, field) == getattr(want, field)
+        for entry in (estimate, weight_matrix, f_generalized, weak_iv_test):
+            with pytest.raises(InputError, match="unknown weight kind 'liml'"):
+                entry(pd_, "liml")
 
     def test_2sls_is_the_inverse_instrument_cross_product(self):
         pd_ = make_pd(np.random.default_rng(28), n=400, kz=4, kc=3)

@@ -581,6 +581,24 @@ class TestCriticalValue:
         assert critical_value(w, 2.0, 0.05) == float(weak_test._critical_values(lam, 2.0, 0.05))
         assert effective_dof(w, 2.0) == float(weak_test._effective_dof(lam, 2.0))
 
+    def test_overflowing_law_is_a_numerical_error(self):
+        """On W = diag(1e160, 1) at radius 1e200, tr W^2 and with it keff
+        overflow: one law raises a NumericalError, not an InputError on a df
+        the caller never gave, and emits no floating-point warning."""
+        w = np.diag([1e160, 1.0])
+        for entry in (lambda: critical_value(w, 1e200, 0.05), lambda: effective_dof(w, 1e200)):
+            with pytest.raises(NumericalError, match=r"overflows at radius 1e\+200$"):
+                entry()
+
+    def test_overflowing_row_is_nan_in_its_batch(self):
+        """A row whose keff overflows is NaN; the other rows are those of the
+        batch without it, bit for bit."""
+        lam = np.array([[1e160, 1.0], [2.0, 1.0], [0.5, 3.0]])
+        radius = np.array([1e200, 3.0, 0.5])
+        cv = weak_test._critical_values(lam, radius, 0.05)
+        assert np.isnan(cv[0])
+        assert cv[1:].tolist() == weak_test._critical_values(lam[1:], radius[1:], 0.05).tolist()
+
 
 class TestWeakIvTest:
     def test_fast_path_matches_generic_pipeline(self):
@@ -589,14 +607,14 @@ class TestWeakIvTest:
         res = weak_iv_test(pd_, WeightSpec("gmmf"), benchmark="mop")
 
         cov = estimate_moment_cov(pd_)
-        omega = np.linalg.inv(cov.v2v2)
-        tc = transform_moment_cov(cov, omega)
-        stat = float(f_generalized(pd_, cov, omega))
+        tc = transform_moment_cov(cov, np.linalg.inv(cov.v2v2))
+        omega = np.linalg.inv(z_basis(pd_, cov.v2v2))
+        stat = f_generalized(pd_, WeightSpec("custom", omega))
         sup = worst_case_bias(tc, Benchmark("mop"))
         radius = sup.value / 0.1
         keff = effective_dof(tc.v2v2, radius)
         cv = critical_value(tc.v2v2, radius, 0.05)
-        assert float(res.statistic) == pytest.approx(stat, rel=1e-8)
+        assert res.statistic == pytest.approx(stat, rel=1e-8)
         assert res.bias_bound == pytest.approx(sup.value, rel=1e-8)
         assert res.effective_dof == pytest.approx(keff, rel=1e-6)
         assert res.cv == pytest.approx(cv, rel=1e-6)
@@ -638,24 +656,28 @@ class TestWeakIvTest:
             omega = np.linalg.inv(z_basis(pd_, estimate_moment_cov(pd_).v2v2))
         want = weak_iv_test(pd_, WeightSpec(named))
         got = weak_iv_test(pd_, WeightSpec("custom", omega=omega))
-        assert got.statistic.kind == "generalized"
         for field in ("bias_bound", "radius", "effective_dof", "cv"):
             assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-9)
-        assert float(got.statistic) == pytest.approx(float(want.statistic), rel=1e-9)
+        assert got.statistic == pytest.approx(want.statistic, rel=1e-9)
         assert got.reject == want.reject
 
-    def test_statistic_kinds(self):
-        rng = np.random.default_rng(21)
-        pd_ = make_pd(rng, n=300, kz=3)
-        assert weak_iv_test(pd_, WeightSpec("2sls")).statistic.kind == "effective"
-        assert weak_iv_test(pd_, WeightSpec("gmmf")).statistic.kind == "robust"
+    @pytest.mark.parametrize("kind", ["2sls", "gmmf"])
+    @pytest.mark.parametrize("kz", [1, 3])
+    def test_tau_near_zero_on_large_x_is_a_numerical_error(self, kind, kz):
+        """At tau 1e-300 with x scaled by 1e21 the critical value's law
+        overflows or passes the largest noncentrality: a NumericalError,
+        without a floating-point warning."""
+        data = make_dataset(np.random.default_rng(3), n=200, kz=kz)
+        pd_ = partial_out(Dataset(y=data.y, x=data.x * 1e21, z=data.z))
+        with pytest.raises(NumericalError, match=r"overflows at radius|above 2e\+07"):
+            weak_iv_test(pd_, kind, tau=1e-300)
 
     def test_reject_consistency(self):
         rng = np.random.default_rng(22)
         for strength in (0.05, 1.5):
             pd_ = make_pd(rng, n=300, kz=3, strength=strength)
             res = weak_iv_test(pd_, WeightSpec("2sls"))
-            assert res.reject == (float(res.statistic) > res.cv)
+            assert res.reject == (res.statistic > res.cv)
 
     def test_conservative_requires_mop(self):
         rng = np.random.default_rng(23)
@@ -722,7 +744,7 @@ class TestWeakIvTest:
                 want = weak_iv_test(fresh, WeightSpec(kind), flavor="cluster")
                 for field in ("bias_bound", "radius", "effective_dof", "cv", "reject"):
                     assert getattr(got, field) == getattr(want, field)
-                assert float(got.statistic) == float(want.statistic)
+                assert got.statistic == want.statistic
 
     def test_z_factored_once_in_blocks(self, monkeypatch):
         """At a row count the QR factors in blocks, z is still factored once:
