@@ -265,10 +265,11 @@ def weight_matrix(pd, spec, flavor="hc0", dof_correction=False):
     "2sls" gives (q'q/n)^{-1} = I; "gmmf" gives the symmetrized inverse of the
     first-stage moment covariance block of `estimate_moment_cov(pd, flavor,
     dof_correction)`; "custom" maps `spec.omega`, given on the columns of z
-    and k_z x k_z, to t Omega t'.
+    and k_z x k_z, to t Omega t'. Every kind checks `flavor` first.
     """
     if not isinstance(spec, WeightSpec):
         spec = WeightSpec(spec)
+    _resolve_flavor(pd, flavor)
     if spec.kind == "2sls":
         return np.eye(pd.k_z)
     if spec.kind == "custom":

@@ -602,9 +602,7 @@ def _rep_stats(design, m, tau, alpha, benchmark, method, tally):
         cv = np.full(radius.shape, np.nan)
         idx = np.flatnonzero(ok & valid & np.isfinite(radius))
         if idx.size:
-            # "mc" squares about radius * tr W, which may overflow; such a cv fails
-            with np.errstate(over="ignore", invalid="ignore"):
-                cv[idx] = _critical_values(v2v2[idx], radius[idx], alpha, method)
+            cv[idx] = _critical_values(v2v2[idx], radius[idx], alpha, method)
         fail("bias_bound", ~ok)
         fail("critical_value", ~np.isfinite(cv))
         b = m[f"beta_{est}"]
@@ -632,65 +630,45 @@ def _chunk_columns(design, seed, tau, alpha, benchmark, method, rep_ids):
     return cols, tally
 
 
-_SPLIT = 134217729.0
-"""2**27 + 1, Veltkamp's constant: splits a double into two 26-bit halves."""
+def _mantissas(x):
+    """(m, k) with x = m * 2**(k - 53) exactly, m an int64 and |m| < 2**53:
+    every finite float is an integer mantissa times a power of two."""
+    m, k = np.frexp(x)
+    return np.ldexp(m, 53).astype(np.int64), k
 
 
 def _extract(p):
     """The exact sums of the finite `p` along its first axis, as integers in
     units of 2**-1074, of which every finite float is a multiple: one per
-    column of a table, one for a vector. By error-free extraction (Rump,
-    Ogita & Oishi 2008): each step takes sigma, a power of two at least 2**m
-    times max|p| with 2**m >= len(p) + 2; q = (sigma + p) - sigma keeps the
-    bits of p at or above half sigma's last place, so the sum of q is exact
-    in any order, and p - q, exact too, is left for the next step, about
-    53 - m bits lower. Steps stop when nothing is left. Where sigma would
-    overflow, a column's values at or above 2**(k - 1022) are extracted
-    scaled down by 2**k, which is exact, and the rest, which are tiny, as
-    they are."""
+    column of a table, one for a vector. From the mantissas (`_mantissas`),
+    by blocks of 1024 rows: per column, two `bincount`s over the exponent sum
+    the mantissas' high part (m >> 26, at most 2**27 in size) and low 26 bits,
+    each sum below 2**37 and so exact in a double, and each exponent's two
+    sums are shifted into an integer in units of 2**-1126, where no shift is
+    negative; the final shift to 2**-1074 drops only zeros."""
     p = np.array(p, dtype=float)
     p = p.reshape(len(p), math.prod(p.shape[1:]))
-    m = (len(p) + 1).bit_length()
-    k = np.maximum(np.frexp(np.abs(p).max(axis=0, initial=0.0))[1] + m - 1022, 0)
-    if k.any():
-        small = np.abs(p) < np.ldexp(1.0, k - 1022)
-        big = _extract(np.where(small, 0.0, np.ldexp(p, -k)))
-        rest = _extract(np.where(small, p, 0.0))
-        return [(a << s) + r for a, s, r in zip(big, k.tolist(), rest)]
     total = [0] * p.shape[1]
-    while (top := np.abs(p).max(axis=0, initial=0.0)).any():
-        sigma = np.ldexp(1.0, np.frexp(top)[1] + m)
-        q = (sigma + p) - sigma
-        for j, (a, b) in enumerate(map(float.as_integer_ratio, q.sum(axis=0).tolist())):
-            total[j] += a << (1075 - b.bit_length())
-        p = p - q
-    return total
+    for lo in range(0, len(p), 1024):
+        m, k = _mantissas(p[lo : lo + 1024].T)
+        for j, (mj, i) in enumerate(zip(m, k + 1074)):
+            high = np.bincount(i, weights=mj >> 26).astype(np.int64)
+            low = np.bincount(i, weights=mj & (2**26 - 1)).astype(np.int64)
+            cells = np.flatnonzero(high | low)
+            total[j] += sum(
+                ((h << 26) + l) << (c - 1)
+                for c, h, l in zip(cells.tolist(), high[cells].tolist(), low[cells].tolist())
+            )
+    return [t >> 52 for t in total]
 
 
 def _square_sum(x):
     """The exact sum of the squares of the finite vector `x`, as an integer in
-    units of 2**-2148, the square of 2**-1074. Band by band: a band holds the
-    values within 2**960 of the largest left, scaled by a power of two to
-    below 2**480, so neither the scaling nor a square's error term under- or
-    overflows; the squares' rounded values and Dekker's (1971) exact errors,
-    from Veltkamp's split, are summed by `_extract`."""
-    x = np.abs(np.ravel(np.asarray(x, dtype=float)))
-    total = 0
-    while x.size and x.max() > 0.0:
-        top = int(np.frexp(x.max())[1])
-        band = x >= math.ldexp(1.0, top - 960)
-        s = np.ldexp(x[band], 480 - top)
-        hi = s * s
-        c = _SPLIT * s
-        a = c - (c - s)
-        b = s - a
-        (t,) = _extract(np.concatenate([hi, ((a * a - hi) + 2.0 * a * b) + b * b]))
-        # t counts 2**-1074 of the squares scaled by 2**(2 * (480 - top)); the
-        # squares are multiples of 2**-2148, so a right shift drops only zeros
-        shift = 2 * top + 114
-        total += t << shift if shift >= 0 else t >> -shift
-        x = x[~band]
-    return total
+    units of 2**-2148, the square of 2**-1074: each square m**2 * 2**(2k - 106)
+    of a mantissa (`_mantissas`) is shifted into units of 2**-2252, where no
+    shift is negative; the final shift to 2**-2148 drops only zeros."""
+    m, k = _mantissas(np.ravel(np.asarray(x, dtype=float)))
+    return sum(a * a << 2 * e + 2146 for a, e in zip(m.tolist(), k.tolist())) >> 104
 
 
 def _mean(total, n):

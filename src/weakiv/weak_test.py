@@ -295,7 +295,7 @@ def _critical_values(lam, radius, alpha, method=_settings.METHOD, seed=_settings
     c (the k axes, then random ones from `seed`) of the empirical upper-alpha
     quantile of |c sqrt(radius tr W) + xi|^2 / tr W over _MC_DRAWS draws
     xi = sqrt(lam) zeta, zeta ~ N(0, I), shared by the batch; it needs every
-    eigenvalue positive.
+    eigenvalue positive, and a law fails where that quantile is not finite.
     """
     if method == "patnaik":
         keff = _effective_dof(lam, radius)
@@ -317,21 +317,25 @@ def _critical_values(lam, radius, alpha, method=_settings.METHOD, seed=_settings
     rnorm[rnorm == 0.0] = 1.0
     grid = np.vstack([np.eye(k), rnd / rnorm[:, None]])
     zeta = gen.standard_normal((_MC_DRAWS, k))
-    t = lam.sum(axis=-1)
-    scale = np.sqrt(radius * t)
-    cv = np.full(t.shape, np.nan)
-    for i in np.ndindex(t.shape):
-        if lam[i][0] <= 0.0:
-            continue
-        xi = zeta * np.sqrt(lam[i])
-        cv[i] = max(
-            float(np.quantile(np.square(xi + scale[i] * c).sum(axis=1) / t[i], 1.0 - alpha))
-            for c in grid
-        )
+    cv = np.full(lam.shape[:-1], np.nan)
+    # at a radius near the largest float, the scale or the squares overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = lam.sum(axis=-1)
+        scale = np.sqrt(radius * t)
+        for i in np.ndindex(cv.shape):
+            if lam[i][0] > 0.0:
+                xi = zeta * np.sqrt(lam[i])
+                cv[i] = np.max([
+                    np.quantile(np.square(xi + scale[i] * c).sum(axis=1) / t[i], 1.0 - alpha)
+                    for c in grid
+                ])
+    cv[~np.isfinite(cv)] = np.nan
     if cv.ndim:
         return cv
-    if math.isnan(cv):
+    if lam[0] <= 0.0:
         raise NumericalError("the transformed lower block is not positive definite")
+    if math.isnan(cv):
+        raise NumericalError(f"the critical value's law overflows at radius {radius:g}")
     return float(cv)
 
 

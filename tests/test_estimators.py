@@ -181,6 +181,18 @@ class TestWeightMatrix:
         assert math.isfinite(estimate(pd_, WeightSpec(kind)).se_nonrobust)
 
 
+FLAVOR_ENTRIES = {
+    "estimate_moment_cov": lambda pd_, flavor: estimate_moment_cov(pd_, flavor),
+    "weight_matrix-2sls": lambda pd_, flavor: weight_matrix(pd_, "2sls", flavor),
+    "weight_matrix-gmmf": lambda pd_, flavor: weight_matrix(pd_, "gmmf", flavor),
+    "weight_matrix-custom": lambda pd_, flavor: weight_matrix(
+        pd_, WeightSpec("custom", np.eye(pd_.k_z)), flavor
+    ),
+}
+"""The entry points that take a covariance flavor, as f(pd, flavor); each
+checks the flavor whatever the weight kind."""
+
+
 class TestMomentCov:
     def test_hc0_matches_brute_force(self):
         rng = np.random.default_rng(4)
@@ -243,17 +255,19 @@ class TestMomentCov:
         with pytest.raises(InputError, match="at least 2 clusters"):
             estimate_moment_cov(one, "cluster", dof_correction=True)
 
-    def test_cluster_needs_labels(self):
+    @pytest.mark.parametrize("entry", FLAVOR_ENTRIES.values(), ids=FLAVOR_ENTRIES)
+    def test_cluster_needs_labels(self, entry):
         rng = np.random.default_rng(6)
         pd_ = make_pd(rng, n=60, kz=2)
         with pytest.raises(InputError, match="no cluster labels"):
-            estimate_moment_cov(pd_, flavor="cluster")
+            entry(pd_, "cluster")
 
-    def test_unknown_flavor(self):
+    @pytest.mark.parametrize("entry", FLAVOR_ENTRIES.values(), ids=FLAVOR_ENTRIES)
+    def test_unknown_flavor(self, entry):
         rng = np.random.default_rng(7)
         pd_ = make_pd(rng, n=60, kz=2)
         with pytest.raises(InputError, match="unknown covariance flavor"):
-            estimate_moment_cov(pd_, flavor="hc3")
+            entry(pd_, "hc3")
 
     def test_dof_correction_scales(self):
         rng = np.random.default_rng(8)

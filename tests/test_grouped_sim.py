@@ -11,6 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import chunk_call
 from weakiv import (
@@ -801,8 +803,14 @@ class TestKernelAgainstDensePipeline:
         assert checked >= 170
 
 
-def fraction_sum(values):
-    return sum(map(Fraction, values), Fraction(0))
+def fraction_sum(values, power=1):
+    """The exact sum of the float values, or of their squares at power 2, as
+    a Fraction: each value is a / b (`float.as_integer_ratio`), b a power of
+    two at most 2**1074, so every term is an integer over 2**(1074 * power)."""
+    unit = 1 << 1074 * power
+    return Fraction(
+        sum(a**power * (unit // b**power) for a, b in map(float.as_integer_ratio, values)), unit
+    )
 
 
 def units_value(total, unit=1074):
@@ -829,6 +837,9 @@ EXACT_SUM_CASES = {
     "largest_floats": [sys.float_info.max, 5e-324, -sys.float_info.max, 2.0**-1030, 1e-300,
                        sys.float_info.max],
     "one_chunk_past_a_float": (_MAGNITUDES.standard_normal(1024) * 1e307).tolist(),
+    # mantissas of all ones, past one block of rows
+    "all_ones_past_a_block": [math.nextafter(2.0, 0.0)] * 2100,
+    "all_ones_both_signs": [-math.nextafter(1.0, 0.0)] * 1500 + [math.nextafter(1.0, 0.0)] * 700,
 }
 
 
@@ -846,56 +857,108 @@ def sometimes_failing_design():
     )
 
 
+def check_sum(x):
+    """`_extract` of x, and by column of a table of x's variants, against
+    Fraction sums, with every floating-point exception raised."""
+    x = np.array(x, dtype=float)
+    # by column, also of columns that run out before the others
+    table = np.stack([x, -x[::-1], np.zeros_like(x), x * 1e-300], axis=1)
+    with np.errstate(all="raise"):
+        (total,) = grouped_sim._extract(x)
+        totals = grouped_sim._extract(table)
+    assert units_value(total) == fraction_sum(x.tolist())
+    assert len(totals) == 4
+    for j, total in enumerate(totals):
+        assert units_value(total) == fraction_sum(table[:, j].tolist())
+
+
+def check_squares(x):
+    """`_square_sum` of x against a Fraction sum, with every floating-point
+    exception raised."""
+    with np.errstate(all="raise"):
+        total = grouped_sim._square_sum(np.array(x, dtype=float))
+    assert units_value(total, 2148) == fraction_sum(x, 2)
+
+
+def check_sd(x):
+    """The sd of at least two values x is correctly rounded (inf past a
+    float)."""
+    x = np.array(x, dtype=float)
+    n = x.size
+    (s,) = grouped_sim._extract(x)
+    sq = grouped_sim._square_sum(x)
+    sd = grouped_sim._sd(n, s, sq)
+    var = (n * units_value(sq, 2148) - units_value(s) ** 2) / (n * (n - 1))
+    if var > Fraction(sys.float_info.max) ** 2:
+        assert sd == math.inf
+        return
+    below, above = math.nextafter(sd, 0.0), math.nextafter(sd, math.inf)
+    assert ((Fraction(below) + Fraction(sd)) / 2) ** 2 <= var
+    assert var <= ((Fraction(sd) + Fraction(above)) / 2) ** 2
+
+
+def check_mean(x):
+    """The mean of at least one value is the correctly rounded sum over n
+    (that of math.fsum, which raises on an intermediate overflow), and where
+    the sum is beyond a float, the mean correctly rounded."""
+    n = len(x)
+    mean = grouped_sim._mean(grouped_sim._extract(np.array(x, dtype=float))[0], n)
+    total = fraction_sum(x)
+    if abs(total) <= sys.float_info.max:
+        assert mean == float(total) / n
+    else:
+        assert mean == float(total / n)
+
+
+@st.composite
+def summary_columns(draw):
+    """Up to 2100 finite floats: random mantissas at exponents drawn from a
+    random range (subnormals to near the largest float), mixed with a few
+    hypothesis floats, which favour zeros, subnormals and ±max."""
+    n = draw(st.integers(0, 2100))
+    lo = draw(st.integers(-1080, 1024))
+    hi = draw(st.integers(lo, 1024))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    with np.errstate(over="ignore"):
+        x = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(lo, hi + 1, n))
+    x = np.clip(x, -sys.float_info.max, sys.float_info.max)
+    special = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=10))
+    return rng.permutation(np.concatenate([x, special])).tolist()
+
+
 class TestExactSummary:
     """`run_sim` sums every column exactly, chunk by chunk: each chunk leaves
     integers, Σx in units of 2**-1074 and Σx² in units of 2**-2148, checked
-    here against `fractions.Fraction` sums (with warnings as errors, so no
-    step under- or overflows)."""
+    here against `fractions.Fraction` sums (with every floating-point
+    exception raised, so no step under- or overflows)."""
 
     @pytest.mark.parametrize("case", EXACT_SUM_CASES)
     def test_extraction_is_exact(self, case):
-        x = np.array(EXACT_SUM_CASES[case], dtype=float)
-        (total,) = grouped_sim._extract(x)
-        assert units_value(total) == fraction_sum(x.tolist())
-        # by column, also of columns that run out before the others
-        table = np.stack([x, -x[::-1], np.zeros_like(x), x * 1e-300], axis=1)
-        totals = grouped_sim._extract(table)
-        assert len(totals) == 4
-        for j, total in enumerate(totals):
-            assert units_value(total) == fraction_sum(table[:, j].tolist())
+        check_sum(EXACT_SUM_CASES[case])
 
     @pytest.mark.parametrize("case", EXACT_SUM_CASES)
     def test_squares_are_exact(self, case):
-        x = EXACT_SUM_CASES[case]
-        want = sum((Fraction(v) ** 2 for v in x), Fraction(0))
-        assert units_value(grouped_sim._square_sum(np.array(x, dtype=float)), 2148) == want
+        check_squares(EXACT_SUM_CASES[case])
 
     @pytest.mark.parametrize("case", [c for c, x in EXACT_SUM_CASES.items() if len(x) >= 2])
     def test_sd_is_correctly_rounded(self, case):
-        x = np.array(EXACT_SUM_CASES[case], dtype=float)
-        n = x.size
-        (s,) = grouped_sim._extract(x)
-        sq = grouped_sim._square_sum(x)
-        sd = grouped_sim._sd(n, s, sq)
-        var = (n * units_value(sq, 2148) - units_value(s) ** 2) / (n * (n - 1))
-        if var > Fraction(sys.float_info.max) ** 2:
-            assert sd == math.inf
-            return
-        below, above = math.nextafter(sd, 0.0), math.nextafter(sd, math.inf)
-        assert ((Fraction(below) + Fraction(sd)) / 2) ** 2 <= var
-        assert var <= ((Fraction(sd) + Fraction(above)) / 2) ** 2
+        check_sd(EXACT_SUM_CASES[case])
 
     @pytest.mark.parametrize("case", [c for c, x in EXACT_SUM_CASES.items() if x])
     def test_mean_is_the_rounded_sum_over_n(self, case):
-        """fsum(x) / n, and where the sum is beyond a float, the mean
-        correctly rounded."""
-        x = EXACT_SUM_CASES[case]
-        n = len(x)
-        mean = grouped_sim._mean(grouped_sim._extract(np.array(x))[0], n)
-        if abs(fraction_sum(x)) <= sys.float_info.max:
-            assert mean == math.fsum(x) / n
-        else:
-            assert mean == float(fraction_sum(x) / n)
+        check_mean(EXACT_SUM_CASES[case])
+
+    @given(x=summary_columns())
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_summary_arithmetic_is_exact_on_any_column(self, x):
+        """The same checks on generated columns, across the 1024-row blocks
+        of `_extract`."""
+        check_sum(x)
+        check_squares(x)
+        if len(x) >= 2:
+            check_sd(x)
+        if x:
+            check_mean(x)
 
     @pytest.mark.parametrize("design, reps", [
         (sometimes_failing_design(), 2100), (first_stage_design(), 2100),

@@ -581,23 +581,31 @@ class TestCriticalValue:
         assert critical_value(w, 2.0, 0.05) == float(weak_test._critical_values(lam, 2.0, 0.05))
         assert effective_dof(w, 2.0) == float(weak_test._effective_dof(lam, 2.0))
 
-    def test_overflowing_law_is_a_numerical_error(self):
+    @pytest.mark.parametrize("method", ["patnaik", "mc"])
+    def test_overflowing_law_is_a_numerical_error(self, method, monkeypatch):
         """On W = diag(1e160, 1) at radius 1e200, tr W^2 and with it keff
-        overflow: one law raises a NumericalError, not an InputError on a df
-        the caller never gave, and emits no floating-point warning."""
+        overflow, and so does radius * tr W, mc's squared scale: one law
+        raises a NumericalError that names the overflow, not an InputError on
+        a df the caller never gave nor a W that is not positive definite, and
+        emits no floating-point warning."""
+        monkeypatch.setattr(weak_test, "_MC_DRAWS", 2000)
         w = np.diag([1e160, 1.0])
-        for entry in (lambda: critical_value(w, 1e200, 0.05), lambda: effective_dof(w, 1e200)):
+        for entry in (lambda: critical_value(w, 1e200, 0.05, method),
+                      lambda: effective_dof(w, 1e200)):
             with pytest.raises(NumericalError, match=r"overflows at radius 1e\+200$"):
                 entry()
 
-    def test_overflowing_row_is_nan_in_its_batch(self):
-        """A row whose keff overflows is NaN; the other rows are those of the
+    @pytest.mark.parametrize("method", ["patnaik", "mc"])
+    def test_overflowing_row_is_nan_in_its_batch(self, method, monkeypatch):
+        """A row whose law overflows is NaN; the other rows are those of the
         batch without it, bit for bit."""
+        monkeypatch.setattr(weak_test, "_MC_DRAWS", 2000)
         lam = np.array([[1e160, 1.0], [2.0, 1.0], [0.5, 3.0]])
         radius = np.array([1e200, 3.0, 0.5])
-        cv = weak_test._critical_values(lam, radius, 0.05)
+        cv = weak_test._critical_values(lam, radius, 0.05, method)
         assert np.isnan(cv[0])
-        assert cv[1:].tolist() == weak_test._critical_values(lam[1:], radius[1:], 0.05).tolist()
+        rest = weak_test._critical_values(lam[1:], radius[1:], 0.05, method)
+        assert cv[1:].tolist() == rest.tolist()
 
 
 class TestWeakIvTest:
